@@ -37,7 +37,6 @@ from .ingest import (
     write_annotations,
     write_manifest,
 )
-from .metrics import char_prf
 from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore
 from .report import CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
 from .search import (
@@ -222,10 +221,9 @@ def _task_ner_eval(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
     rows = []
     for group in _groups_to_run(cfg, store):
-        gold = corpus_masks(store, cfg.gold_source, group)
         for name in cfg.selected:
-            pred = corpus_masks(store, name, group)
-            rows.append(SystemRow(corpus, group, name, char_prf(gold, pred)))
+            metrics = evaluate_expression(store, Leaf(name), cfg.gold_source, group)
+            rows.append(SystemRow(corpus, group, name, metrics))
     return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
 
 
@@ -253,7 +251,6 @@ def _task_search(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespac
             seed=cfg.seed,
             top_k=args.top_k,
             beat_singles_f1_only=args.f1_only,
-            workers=args.workers,
         )
         blocks.append(PanelBlock(corpus, group, grid_search(store, cfg.gold_source, config)))
     return emit_table(blocks, report_mod.ENSEMBLE_PANELS, cfg.fmt)
@@ -434,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--max-size", dest="max_size", type=int, default=None)
     p_search.add_argument("--mode", choices=["exhaustive", "sampled"], default=EXHAUSTIVE)
     p_search.add_argument("--budget", type=int, default=None, help="sample budget in sampled mode")
-    p_search.add_argument("--workers", type=int, default=1)
+    p_search.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p_search.add_argument(
         "--f1-only",
         dest="f1_only",
@@ -514,7 +511,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_VALIDATION
     out_path = getattr(args, "out", None)
     if args.task != "synth" and out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write report to {out_path}: {exc.strerror}", file=sys.stderr)
+            return EXIT_VALIDATION
     else:
         sys.stdout.write(text)
     return EXIT_OK

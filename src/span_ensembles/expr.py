@@ -15,8 +15,10 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
+import numpy as np
+
 from .errors import ConfigError, ParseError, UnsupportedOperatorError
-from .masks import CharMask, intersect, union
+from .masks import CharMask
 
 AND = "&"
 OR = "|"
@@ -166,9 +168,11 @@ def parse(text: str, known_sources: Iterable[str] | None = None) -> ExprTree:
     return _Parser(text, known_sources).parse()
 
 
-def evaluate(tree: ExprTree, bindings: Mapping[str, CharMask]) -> CharMask:
-    """Post-order evaluation over character masks: leaf lookup, ``&`` =
-    intersection, ``|`` = union."""
+def evaluate(
+    tree: ExprTree, bindings: Mapping[str, CharMask | np.ndarray]
+) -> CharMask | np.ndarray:
+    """Post-order evaluation over character masks or aligned boolean arrays:
+    leaf lookup, ``&`` = intersection, ``|`` = union."""
     if isinstance(tree, Leaf):
         try:
             return bindings[tree.source]
@@ -176,9 +180,7 @@ def evaluate(tree: ExprTree, bindings: Mapping[str, CharMask]) -> CharMask:
             raise ConfigError(f"no mask bound for source {tree.source!r}") from None
     left = evaluate(tree.left, bindings)
     right = evaluate(tree.right, bindings)
-    if isinstance(tree, And):
-        return intersect(left, right)
-    return union(left, right)
+    return left & right if isinstance(tree, And) else left | right
 
 
 @dataclass(frozen=True)
@@ -198,12 +200,10 @@ class ExprSignature:
         return "".join("1" if self.table >> i & 1 else "0" for i in range(width))
 
 
-def _eval_bool(tree: ExprTree, env: Mapping[str, bool]) -> bool:
-    if isinstance(tree, Leaf):
-        return env[tree.source]
-    if isinstance(tree, And):
-        return _eval_bool(tree.left, env) and _eval_bool(tree.right, env)
-    return _eval_bool(tree.left, env) or _eval_bool(tree.right, env)
+def pattern_columns(sources: Sequence[str]) -> dict[str, np.ndarray]:
+    """Leaf bindings over all 2^k assignments: source j is bit j of the index."""
+    patterns = np.arange(2 ** len(sources))
+    return {s: (patterns >> j & 1).astype(bool) for j, s in enumerate(sources)}
 
 
 def truth_table_signature(
@@ -218,12 +218,8 @@ def truth_table_signature(
     k = len(sources)
     if k > max_leaves:
         raise ConfigError(f"{k} leaves exceeds the signature limit of {max_leaves}")
-    table = 0
-    for i in range(2**k):
-        env = {s: bool(i >> (k - 1 - j) & 1) for j, s in enumerate(sources)}
-        if _eval_bool(tree, env):
-            table |= 1 << i
-    return ExprSignature(sources, table)
+    bits = evaluate(tree, pattern_columns(sources[::-1]))
+    return ExprSignature(sources, sum(1 << int(i) for i in np.flatnonzero(bits)))
 
 
 def _fold(children: Sequence[ExprTree], op: str) -> ExprTree:

@@ -42,6 +42,12 @@ class CharMask:
             return NotImplemented
         return self.doc_id == other.doc_id and np.array_equal(self.bits, other.bits)
 
+    def __and__(self, other: "CharMask") -> "CharMask":
+        return intersect(self, other)
+
+    def __or__(self, other: "CharMask") -> "CharMask":
+        return union(self, other)
+
 
 def _check_compatible(a: CharMask, b: CharMask) -> None:
     if a.doc_id != b.doc_id:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
 from .errors import ConfigError, ValidationError
@@ -64,7 +64,11 @@ class Annotation:
         return self.end - self.begin
 
     def with_group(self, group: str) -> "Annotation":
-        return replace(self, group=group)
+        # skips __post_init__ (group is never checked); fields set in order keep the layout compact
+        copy = object.__new__(Annotation)
+        for name in self.__dataclass_fields__:
+            object.__setattr__(copy, name, group if name == "group" else getattr(self, name))
+        return copy
 
 
 @dataclass(frozen=True)
@@ -223,10 +227,15 @@ def filter_by_group(store: AnnotationStore, group: str) -> AnnotationStore:
     """
     if group == ALL_GROUPS:
         return store
-    universe = store.group_universe
-    if universe and group not in universe:
-        raise ConfigError(f"unknown group {group!r}; known: {', '.join(universe)}")
+    check_group(store, group)
     filtered = [a for a in store.annotations if a.group == group]
     return AnnotationStore(
-        store.documents, filtered, group_universe=universe, sources=store.sources
+        store.documents, filtered, group_universe=store.group_universe, sources=store.sources
     )
+
+
+def check_group(store: AnnotationStore, group: str) -> None:
+    """Raise for a group outside the store's universe (when it has one)."""
+    universe = store.group_universe
+    if group != ALL_GROUPS and universe and group not in universe:
+        raise ConfigError(f"unknown group {group!r}; known: {', '.join(universe)}")

@@ -8,8 +8,9 @@ single-system baselines, and the ensembles that beat every single system.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import groupby
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -20,9 +21,10 @@ from .expr import (
     SEMANTIC,
     ExprTree,
     Leaf,
-    And,
     assert_union_only,
     enumerate_ensembles,
+    evaluate,
+    pattern_columns,
     to_string,
     tree_size,
     tree_sources,
@@ -32,11 +34,10 @@ from .metrics import (
     CuiMetricsResult,
     MetricsResult,
     char_prf,
-    confusion_counts,
     doc_level_cui_prf,
     mention_level_cui_prf,
 )
-from .model import ALL_GROUPS, AnnotationStore, filter_by_group
+from .model import ALL_GROUPS, AnnotationStore, check_group, filter_by_group
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -62,7 +63,6 @@ class SearchConfig:
     seed: int = 0
     top_k: int = 10
     beat_singles_f1_only: bool = False
-    workers: int = 1
 
     def __post_init__(self):
         if self.top_k < 1:
@@ -71,8 +71,6 @@ class SearchConfig:
             raise ConfigError(f"unknown search mode {self.mode!r}")
         if self.mode == SAMPLED and (self.sample_budget is None or self.sample_budget < 1):
             raise ConfigError("sampled mode needs a sample budget >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -101,56 +99,76 @@ class SearchResult:
     evaluated: tuple[ScoredEnsemble, ...] = field(repr=False)
 
 
-def _doc_vector(store: AnnotationStore, source: str, doc_ids: Sequence[str]) -> np.ndarray:
-    """All documents' masks for one source concatenated in doc-id order."""
-    parts = []
-    for doc_id in doc_ids:
-        length = store.document(doc_id).length
-        bits = np.zeros(length, dtype=bool)
-        for ann in store.annotations_for(source, doc_id):
-            bits[ann.begin : ann.end] = True
-        parts.append(bits)
-    if not parts:
-        return np.zeros(0, dtype=bool)
-    return np.concatenate(parts)
+def _require_sources(store: AnnotationStore, *sources: str) -> None:
+    for source in sources:
+        if source not in store.sources:
+            raise ConfigError(f"source {source!r} not present in the store")
 
 
-def _eval_vector(tree: ExprTree, vectors: Mapping[str, np.ndarray]) -> np.ndarray:
-    if isinstance(tree, Leaf):
-        return vectors[tree.source]
-    left = _eval_vector(tree.left, vectors)
-    right = _eval_vector(tree.right, vectors)
-    if isinstance(tree, And):
-        return left & right
-    return left | right
+def _count_table(
+    store: AnnotationStore, gold_source: str, sources: Sequence[str], group: str
+) -> np.ndarray:
+    """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``,
+    over the annotations of ``group``; bit j of p is set where ``sources[j]``
+    covers the character.  Built one document at a time."""
+    check_group(store, group)
+    rows = (*sources, gold_source)
+    weights = 1 << np.arange(len(rows))
+    table = np.zeros(2 ** len(rows), dtype=np.int64)
+    for doc in store.documents:
+        width = doc.length + 1
+        # +1 at each span's begin and -1 at its end, one row per source
+        spans = [
+            (row * width + a.begin, row * width + a.end)
+            for row, source in enumerate(rows)
+            for a in store.annotations_for(source, doc.doc_id)
+            if group in (ALL_GROUPS, a.group)
+        ]
+        begins, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
+        size = len(rows) * width
+        delta = np.bincount(begins, minlength=size) - np.bincount(ends, minlength=size)
+        covered = np.cumsum(delta.reshape(len(rows), width), axis=1)[:, :-1] > 0
+        table += np.bincount(weights @ covered, minlength=table.size)
+    return table.reshape(2, -1)
+
+
+@lru_cache(maxsize=1)
+def _ensemble_space(pool: tuple[str, ...], min_size: int, max_size: int):
+    """Expression strings, sizes and truth tables (over the 2^k patterns) of the
+    search space; cached, since only the scoring depends on the group."""
+    trees = enumerate_ensembles(pool, min_size, max_size, SEMANTIC)
+    if min_size > 1:
+        trees = [Leaf(s) for s in pool] + trees
+    columns = pattern_columns(pool)
+    tables = np.array([evaluate(t, columns) for t in trees])
+    tables.flags.writeable = False
+    return tuple(map(to_string, trees)), tuple(map(tree_size, trees)), tables
 
 
 def _pareto_front(scored: Sequence[ScoredEnsemble]) -> tuple[ScoredEnsemble, ...]:
-    """Ensembles not strictly dominated in both precision and recall."""
+    """Ensembles not strictly dominated in both precision and recall: walking
+    precision downwards, an item is kept unless a higher tier beats its recall."""
+    ordered = sorted(scored, key=lambda s: (-s.metrics.precision, -s.metrics.recall, s.expression))
     front = []
-    for item in scored:
-        dominated = any(
-            other.metrics.precision > item.metrics.precision
-            and other.metrics.recall > item.metrics.recall
-            for other in scored
-        )
-        if not dominated:
-            front.append(item)
-    front.sort(key=lambda s: (-s.metrics.precision, -s.metrics.recall, s.expression))
+    higher_recall = -1.0  # best recall among strictly higher precisions
+    for _, tier in groupby(ordered, key=lambda s: s.metrics.precision):
+        tier = list(tier)
+        front.extend(s for s in tier if s.metrics.recall >= higher_recall)
+        higher_recall = max(higher_recall, tier[0].metrics.recall)
     return tuple(front)
 
 
 def _stratified_sample(
-    trees: list[ExprTree], budget: int, seed: int
-) -> list[ExprTree]:
-    """Seeded uniform sample without replacement, stratified by ensemble size
-    with quotas proportional to stratum size (largest remainder)."""
-    total = len(trees)
+    rows: list[int], size_of: Sequence[int], budget: int, seed: int
+) -> list[int]:
+    """Seeded uniform sample without replacement of ``rows``, stratified by
+    ensemble size with quotas proportional to stratum size (largest remainder)."""
+    total = len(rows)
     if budget >= total:
-        return trees
-    strata: dict[int, list[ExprTree]] = {}
-    for tree in trees:
-        strata.setdefault(tree_size(tree), []).append(tree)
+        return rows
+    strata: dict[int, list[int]] = {}
+    for row in rows:
+        strata.setdefault(size_of[row], []).append(row)
     sizes = sorted(strata)
     quotas = {k: budget * len(strata[k]) // total for k in sizes}
     remainders = sorted(
@@ -164,7 +182,7 @@ def _stratified_sample(
         if quotas[k] < len(strata[k]):
             quotas[k] += 1
             leftover -= 1
-    sampled: list[ExprTree] = []
+    sampled: list[int] = []
     for k in sizes:
         pool = strata[k]
         quota = min(quotas[k], len(pool))
@@ -181,58 +199,40 @@ def grid_search(
 ) -> SearchResult:
     """Evaluate the Boolean combination space of ``config.sources`` against
     the gold source, restricted to ``config.group``."""
-    for source in (gold_source, *config.sources):
-        if source not in store.sources:
-            raise ConfigError(f"source {source!r} not present in the store")
+    _require_sources(store, gold_source, *config.sources)
     if len(set(config.sources)) != len(config.sources):
         raise ConfigError("duplicate sources in search config")
     max_size = config.max_size if config.max_size is not None else len(config.sources)
+    pool = tuple(sorted(config.sources))
 
-    filtered = filter_by_group(store, config.group)
-    doc_ids = filtered.doc_ids
-    gold_vec = _doc_vector(filtered, gold_source, doc_ids)
-    vectors = {s: _doc_vector(filtered, s, doc_ids) for s in config.sources}
-
-    trees = enumerate_ensembles(config.sources, config.min_size, max_size, SEMANTIC)
-    if config.min_size > 1:
-        trees = [Leaf(s) for s in sorted(config.sources)] + trees
+    counts = _count_table(store, gold_source, pool, config.group)
+    expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)
+    rows = list(range(len(sizes)))
     if config.mode == SAMPLED:
-        singles = [t for t in trees if tree_size(t) == 1]
-        rest = [t for t in trees if tree_size(t) > 1]
-        trees = singles + _stratified_sample(rest, config.sample_budget, config.seed)
+        singles = [i for i in rows if sizes[i] == 1]
+        rest = [i for i in rows if sizes[i] > 1]
+        rows = singles + _stratified_sample(rest, sizes, config.sample_budget, config.seed)
 
-    def score(tree: ExprTree) -> ScoredEnsemble:
-        pred = _eval_vector(tree, vectors)
-        tp, fp, fn = confusion_counts(gold_vec, pred)
-        return ScoredEnsemble(to_string(tree), tree_size(tree), MetricsResult.from_counts(tp, fp, fn))
-
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            scored = list(pool.map(score, trees))
-    else:
-        scored = [score(t) for t in trees]
+    n_gold = int(counts[1].sum())
+    scored = [
+        ScoredEnsemble(expressions[i], sizes[i], MetricsResult.from_counts(tp, fp, n_gold - tp))
+        for i, (fp, tp) in zip(rows, (tables[rows] @ counts.T).tolist())
+    ]
 
     def ranked(metric: str) -> tuple[ScoredEnsemble, ...]:
-        return tuple(
-            sorted(scored, key=lambda s: (-getattr(s.metrics, metric), s.expression))[
-                : config.top_k
-            ]
-        )
+        ordered = sorted(scored, key=lambda s: (-getattr(s.metrics, metric), s.expression))
+        return tuple(ordered[: config.top_k])
 
     singles_map = {s.expression: s.metrics for s in scored if s.size == 1}
 
     def beats_all(item: ScoredEnsemble) -> bool:
-        for single in singles_map.values():
-            if config.beat_singles_f1_only:
-                if item.metrics.f1 <= single.f1:
-                    return False
-            elif (
-                item.metrics.f1 <= single.f1
-                or item.metrics.precision <= single.precision
-                or item.metrics.recall <= single.recall
-            ):
-                return False
-        return True
+        m = item.metrics
+        if config.beat_singles_f1_only:
+            return all(m.f1 > s.f1 for s in singles_map.values())
+        return all(
+            m.f1 > s.f1 and m.precision > s.precision and m.recall > s.recall
+            for s in singles_map.values()
+        )
 
     beating = tuple(
         sorted(
@@ -269,15 +269,11 @@ def evaluate_expression(
     store: AnnotationStore, tree: ExprTree, gold_source: str, group: str = ALL_GROUPS
 ) -> MetricsResult:
     """Score one Boolean combination against gold at character level."""
-    for source in (gold_source, *tree_sources(tree)):
-        if source not in store.sources:
-            raise ConfigError(f"source {source!r} not present in the store")
-    filtered = filter_by_group(store, group)
-    doc_ids = filtered.doc_ids
-    gold_vec = _doc_vector(filtered, gold_source, doc_ids)
-    vectors = {s: _doc_vector(filtered, s, doc_ids) for s in tree_sources(tree)}
-    tp, fp, fn = confusion_counts(gold_vec, _eval_vector(tree, vectors))
-    return MetricsResult.from_counts(tp, fp, fn)
+    sources = tree_sources(tree)
+    _require_sources(store, gold_source, *sources)
+    counts = _count_table(store, gold_source, sources, group)
+    fp, tp = counts[:, evaluate(tree, pattern_columns(sources))].sum(axis=1).tolist()
+    return MetricsResult.from_counts(tp, fp, int(counts[1].sum()) - tp)
 
 
 def cross_group_union_merge(
@@ -291,22 +287,17 @@ def cross_group_union_merge(
     for group, source in sorted(assignments.items()):
         if universe and group not in universe:
             raise ConfigError(f"unknown group {group!r}")
-        if source not in store.sources:
-            raise ConfigError(f"source {source!r} not present in the store")
+        _require_sources(store, source)
         if not any(
             store.annotations_for(source, doc_id, group=group) for doc_id in store.doc_ids
         ):
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
-    gold = corpus_masks(store, gold_source)
-    merged: dict[str, CharMask] = {}
+    pairs = sorted(assignments.items())
+    merged = {}
     for doc_id in store.doc_ids:
-        length = store.document(doc_id).length
-        bits = np.zeros(length, dtype=bool)
-        for group, source in sorted(assignments.items()):
-            for ann in store.annotations_for(source, doc_id, group=group):
-                bits[ann.begin : ann.end] = True
-        merged[doc_id] = CharMask(doc_id, bits)
-    return char_prf(gold, merged)
+        anns = [a for group, source in pairs for a in store.annotations_for(source, doc_id, group)]
+        merged[doc_id] = to_char_mask(anns, doc_id, store.document(doc_id).length)
+    return char_prf(corpus_masks(store, gold_source), merged)
 
 
 def majority_vote_eval(
@@ -319,9 +310,7 @@ def majority_vote_eval(
     """Score the per-character majority vote of the given sources."""
     if len(sources) < 2:
         raise ValidationError("majority vote needs at least 2 sources")
-    for source in (gold_source, *sources):
-        if source not in store.sources:
-            raise ConfigError(f"source {source!r} not present in the store")
+    _require_sources(store, gold_source, *sources)
     filtered = filter_by_group(store, group)
     gold = corpus_masks(filtered, gold_source)
     voted: dict[str, CharMask] = {}
@@ -351,9 +340,7 @@ def cui_ensemble_eval(
     """
     assert_union_only(tree)
     operands = tree_sources(tree)
-    for source in (gold_source, *operands):
-        if source not in store.sources:
-            raise ConfigError(f"source {source!r} not present in the store")
+    _require_sources(store, gold_source, *operands)
     filtered = filter_by_group(store, group)
 
     if level == DOC_LEVEL:

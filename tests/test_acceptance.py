@@ -321,18 +321,27 @@ def test_criterion_09_determinism(medium_store, tmp_path):
         reports.append((tmp_path / name).read_bytes())
     assert reports[0] == reports[1]
 
-    single = se.grid_search(
-        medium_store, GOLD_SOURCE, se.SearchConfig(sources=tuple("ABCDE"), seed=7, workers=1)
+    # the same search over a store built from reversed document, annotation
+    # and source order must not see the order (for example through the bit
+    # each source takes in a coverage pattern)
+    reversed_store = se.AnnotationStore(
+        medium_store.documents[::-1],
+        medium_store.annotations[::-1],
+        group_universe=medium_store.group_universe,
+        sources=medium_store.sources[::-1],
     )
-    threaded = se.grid_search(
-        medium_store, GOLD_SOURCE, se.SearchConfig(sources=tuple("ABCDE"), seed=7, workers=8)
+    forward = se.grid_search(
+        medium_store, GOLD_SOURCE, se.SearchConfig(sources=tuple("ABCDE"), seed=7)
     )
-    assert single == threaded
-    text_single = emit_table([PanelBlock("synth", "ALL", single)], ENSEMBLE_PANELS, CSV_FORMAT)
-    text_threaded = emit_table([PanelBlock("synth", "ALL", threaded)], ENSEMBLE_PANELS, CSV_FORMAT)
-    assert text_single.encode() == text_threaded.encode()
-    ok(9, "identical config + seed reproduce byte-identical reports; 1-thread and 8-thread "
-          "searches emit identical bytes")
+    backward = se.grid_search(
+        reversed_store, GOLD_SOURCE, se.SearchConfig(sources=tuple("EDCBA"), seed=7)
+    )
+    assert forward == backward
+    text_forward = emit_table([PanelBlock("synth", "ALL", forward)], ENSEMBLE_PANELS, CSV_FORMAT)
+    text_backward = emit_table([PanelBlock("synth", "ALL", backward)], ENSEMBLE_PANELS, CSV_FORMAT)
+    assert text_forward.encode() == text_backward.encode()
+    ok(9, "identical config + seed reproduce byte-identical reports; searches over reversed "
+          "document, annotation and source order emit identical bytes")
 
 
 def test_criterion_10_table_shapes(tmp_path, capsys):

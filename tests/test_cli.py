@@ -251,3 +251,13 @@ def test_empty_group_emits_degenerate_row(tmp_path, capsys):
     (row,) = list(csv.DictReader(io.StringIO(out)))
     assert row["n_gold"] == "0"
     assert row["degenerate"] == "true"
+
+
+def test_unwritable_out_is_validation_error(corpus, capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x.csv"
+    code = main(["vote", "--config", str(corpus / "config.json"), "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"cannot write report to {target}" in captured.err
+    assert not target.exists()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from span_ensembles import (
@@ -111,3 +113,13 @@ def test_verify_disjoint_spans():
     bad = AnnotationStore(docs, [Annotation("d1", "A", 0, 6, group="g"), Annotation("d1", "A", 4, 9, group="g")])
     with pytest.raises(ValidationError):
         bad.verify_disjoint_spans()
+
+
+def test_with_group_equals_replace():
+    ann = Annotation("d1", "A", 3, 9, native_type="T047", cui="C0000042", score=0.5)
+    moved = ann.with_group("Disorders")
+    expected = replace(ann, group="Disorders")
+    assert moved == expected
+    assert hash(moved) == hash(expected)
+    assert type(moved) is Annotation
+    assert ann.group is None

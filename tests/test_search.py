@@ -22,6 +22,7 @@ from span_ensembles import (
     parse,
 )
 from span_ensembles.model import GOLD_SOURCE
+from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
 from span_ensembles.search import SAMPLED
 
 
@@ -161,13 +162,27 @@ def test_sampled_respects_budget_and_determinism():
     assert len([s for s in first.evaluated if s.size == 1]) == 3
 
 
-def test_workers_do_not_change_results():
+def test_input_order_does_not_change_results():
     store = synth_store()
-    base = grid_search(store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), seed=3))
-    threaded = grid_search(
-        store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), seed=3, workers=4)
+    reversed_store = AnnotationStore(
+        store.documents[::-1],
+        store.annotations[::-1],
+        group_universe=store.group_universe,
+        sources=store.sources[::-1],
     )
-    assert base == threaded
+    for group in (ALL_GROUPS, "Anatomy"):
+        base = grid_search(
+            store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), group=group, seed=3)
+        )
+        flipped = grid_search(
+            reversed_store,
+            GOLD_SOURCE,
+            SearchConfig(sources=("C", "B", "A"), group=group, seed=3),
+        )
+        assert base == flipped
+        assert emit_table([PanelBlock("c", group, base)], ENSEMBLE_PANELS, CSV_FORMAT) == (
+            emit_table([PanelBlock("c", group, flipped)], ENSEMBLE_PANELS, CSV_FORMAT)
+        )
 
 
 def test_grid_search_unknown_source():
