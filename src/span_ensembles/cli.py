@@ -26,7 +26,7 @@ from .errors import (
     UnsupportedOperatorError,
     ValidationError,
 )
-from .expr import Leaf, parse, to_string, tree_sources
+from .expr import Leaf, parse, to_string
 from .ingest import (
     DisambiguationPolicy,
     apply_group_mapping,
@@ -38,13 +38,13 @@ from .ingest import (
     write_manifest,
 )
 from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore
-from .report import CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
+from .report import ComplementarityRow, CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
 from .search import (
     DOC_LEVEL,
     EXHAUSTIVE,
     SearchConfig,
     corpus_masks,
-    cui_ensemble_eval,
+    cui_scores,
     evaluate_expression,
     grid_search,
     majority_vote_eval,
@@ -270,14 +270,11 @@ def _task_cui_eval(cfg: RunConfig, store: AnnotationStore, args: argparse.Namesp
     tree = parse(args.expr, known_sources=cfg.selected)
     rows = []
     for group in _groups_to_run(cfg, store):
-        ensemble = cui_ensemble_eval(
+        ensemble, singles = cui_scores(
             store, tree, cfg.gold_source, level=args.level, seed=cfg.seed, group=group
         )
         rows.append(CuiRow(corpus, group, args.level, to_string(tree), "ensemble", ensemble))
-        for source in tree_sources(tree):
-            single = cui_ensemble_eval(
-                store, Leaf(source), cfg.gold_source, level=args.level, seed=cfg.seed, group=group
-            )
+        for source, single in singles.items():
             rows.append(CuiRow(corpus, group, args.level, source, "single", single))
     return emit_table(rows, report_mod.CUI, cfg.fmt)
 
@@ -295,37 +292,8 @@ def _task_complementarity(cfg: RunConfig, store: AnnotationStore) -> str:
                     continue
                 rate = comp_rate(errors[a], errors[b])
                 restricted = comp_prf(gold, masks[a], masks[b])
-                rows.append((corpus, group, a, b, rate, restricted))
-    if cfg.fmt == report_mod.JSON_FORMAT:
-        payload = [
-            {
-                "corpus": corpus_,
-                "group": group,
-                "system_a": a,
-                "system_b": b,
-                "comp_rate": rate,
-                "restricted": report_mod.metrics_to_dict(m),
-            }
-            for corpus_, group, a, b, rate, m in rows
-        ]
-        return json.dumps({"layout": "complementarity", "rows": payload}, indent=2, sort_keys=True)
-    if cfg.fmt == report_mod.MARKDOWN_FORMAT:
-        lines = ["## Complementarity\n"]
-        lines.append("| Corpus | Group | A | B | comp rate % | p | r | F1 |")
-        lines.append("|" + "|".join(" --- " for _ in range(8)) + "|")
-        for corpus_, group, a, b, rate, m in rows:
-            lines.append(
-                f"| {corpus_} | {group} | {a} | {b} | {rate:.2f} "
-                f"| {m.precision:.2f} | {m.recall:.2f} | {m.f1:.2f} |"
-            )
-        return "\n".join(lines) + "\n"
-    out = ["corpus,group,system_a,system_b,comp_rate,p,r,f1,tp,fp,fn"]
-    for corpus_, group, a, b, rate, m in rows:
-        out.append(
-            f"{corpus_},{group},{a},{b},{rate!r},{m.precision!r},{m.recall!r},"
-            f"{m.f1!r},{m.tp},{m.fp},{m.fn}"
-        )
-    return "\n".join(out) + "\n"
+                rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))
+    return emit_table(rows, report_mod.COMPLEMENTARITY, cfg.fmt)
 
 
 def _parse_source_spec(text: str) -> SourceSpec:

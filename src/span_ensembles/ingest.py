@@ -24,7 +24,10 @@ PathLike = Union[str, Path]
 _ANNOTATION_FIELDS = ("doc_id", "source", "begin", "end", "group", "native_type", "cui", "score")
 
 
-def _jsonl_records(path: PathLike):
+def _jsonl_records(path: PathLike, malformed: Optional[list[tuple[int, str]]] = None):
+    """Yield (line number, object) per non-blank line.  A line that is not a
+    JSON object raises a ParseError, or is appended to ``malformed`` as
+    (line number, message) and skipped when that list is given."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -33,10 +36,15 @@ def _jsonl_records(path: PathLike):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: bad JSON ({exc.msg})", lineno) from None
-            if not isinstance(record, dict):
-                raise ParseError(f"{path}:{lineno}: expected a JSON object", lineno)
-            yield lineno, record
+                problem = f"bad JSON ({exc.msg})"
+            else:
+                if isinstance(record, dict):
+                    yield lineno, record
+                    continue
+                problem = "expected a JSON object"
+            if malformed is None:
+                raise ParseError(f"{path}:{lineno}: {problem}", lineno)
+            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
@@ -74,13 +82,17 @@ def load_annotations(
     """Read annotation records and validate each against its document.
 
     ``expected_source`` of None accepts any source; otherwise every record's
-    source must match.  All offending records are collected into one error.
+    source must match.  Offending records are collected into one error: a
+    ParseError listing every malformed record (not a JSON object, a missing
+    field, a non-numeric value), else a ValidationError listing every invalid
+    one.
     """
     if not isinstance(documents, Mapping):
         documents = {d.doc_id: d for d in documents}
     annotations: list[Annotation] = []
+    malformed: list[tuple[int, str]] = []
     problems: list[str] = []
-    for lineno, record in _jsonl_records(path):
+    for lineno, record in _jsonl_records(path, malformed):
         try:
             ann = Annotation(
                 doc_id=str(record["doc_id"]),
@@ -93,9 +105,11 @@ def load_annotations(
                 score=None if record.get("score") is None else float(record["score"]),
             )
         except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}: missing field {exc.args[0]!r}", lineno) from None
+            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
+            continue
         except (TypeError, ValueError):
-            raise ParseError(f"{path}:{lineno}: malformed annotation record", lineno) from None
+            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
+            continue
         except ValidationError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
             continue
@@ -113,6 +127,12 @@ def load_annotations(
             )
         else:
             annotations.append(ann)
+    if malformed:
+        raise ParseError(
+            f"{len(malformed)} malformed annotation record(s):\n"
+            + "\n".join(message for _, message in malformed),
+            malformed[0][0],
+        )
     if problems:
         raise ValidationError(
             f"{len(problems)} invalid annotation record(s):\n" + "\n".join(problems)

@@ -9,7 +9,7 @@ per character so results are independent of evaluation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -58,11 +58,10 @@ def _check_compatible(a: CharMask, b: CharMask) -> None:
         )
 
 
-def to_char_mask(
+def _doc_spans(
     annotations: Iterable[Annotation], doc_id: str, doc_length: int
-) -> CharMask:
-    """Coverage mask of a span collection; overlapping input spans simply merge."""
-    bits = np.zeros(doc_length, dtype=bool)
+) -> Iterator[Annotation]:
+    """The annotations, each checked to belong to the document and fit in it."""
     for ann in annotations:
         if ann.doc_id != doc_id:
             raise ValidationError(
@@ -72,6 +71,15 @@ def to_char_mask(
             raise ValidationError(
                 f"span [{ann.begin}, {ann.end}) out of bounds for length {doc_length}"
             )
+        yield ann
+
+
+def to_char_mask(
+    annotations: Iterable[Annotation], doc_id: str, doc_length: int
+) -> CharMask:
+    """Coverage mask of a span collection; overlapping input spans simply merge."""
+    bits = np.zeros(doc_length, dtype=bool)
+    for ann in _doc_spans(annotations, doc_id, doc_length):
         bits[ann.begin : ann.end] = True
     return CharMask(doc_id, bits)
 
@@ -181,28 +189,37 @@ class CuiMask:
 
 
 def _resolve_candidates(
-    entries: Sequence[tuple[int, int, str, int]],
-    doc_id: str,
-    doc_length: int,
-    seed: int,
+    entries: Sequence[tuple[int, int, str, int]], doc_id: str, seed: int
 ) -> tuple[CuiRun, ...]:
     """Resolve possibly-conflicting labeled intervals to one label per character.
 
     ``entries`` are (begin, end, cui, origin_length) votes.  Per character:
     most votes wins; ties go to the label with the longest originating span;
-    remaining ties to a seeded per-character pick.
+    remaining ties to a seeded per-character pick.  One sweep over the
+    segments between span boundaries keeps the entries covering the current
+    segment active.
     """
-    if not entries:
-        return ()
-    boundaries = sorted({0, doc_length} | {e[0] for e in entries} | {e[1] for e in entries})
-    raw: list[tuple[int, int, str, int]] = []  # (begin, end, cui, origin)
+    pending = sorted(entries, reverse=True)  # popped from the end in begin order
+    boundaries = sorted({e[0] for e in entries} | {e[1] for e in entries})
+    active: list[tuple[int, int, str, int]] = []
+    merged: list[list] = []  # [begin, end, cui, origin] runs
+
+    def emit(begin: int, end: int, cui: str, origin_length: int) -> None:
+        if merged and merged[-1][1] == begin and merged[-1][2] == cui:
+            merged[-1][1] = end
+            merged[-1][3] = max(merged[-1][3], origin_length)
+        else:
+            merged.append([begin, end, cui, origin_length])
+
     for seg_begin, seg_end in zip(boundaries, boundaries[1:]):
-        covering = [e for e in entries if e[0] <= seg_begin and e[1] >= seg_end]
-        if not covering:
+        active = [e for e in active if e[1] > seg_begin]
+        while pending and pending[-1][0] == seg_begin:
+            active.append(pending.pop())
+        if not active:
             continue
         votes: dict[str, int] = {}
         origin: dict[str, int] = {}
-        for _, _, cui, origin_length in covering:
+        for _, _, cui, origin_length in active:
             votes[cui] = votes.get(cui, 0) + 1
             origin[cui] = max(origin.get(cui, 0), origin_length)
         best_votes = max(votes.values())
@@ -211,20 +228,12 @@ def _resolve_candidates(
             best_len = max(origin[c] for c in tied)
             tied = [c for c in tied if origin[c] == best_len]
         if len(tied) == 1:
-            winner = tied[0]
-            raw.append((seg_begin, seg_end, winner, origin[winner]))
+            emit(seg_begin, seg_end, tied[0], origin[tied[0]])
         else:
             tied.sort()
             for idx in range(seg_begin, seg_end):
                 winner = tied[seeds.pick_index(len(tied), seed, doc_id, idx)]
-                raw.append((idx, idx + 1, winner, origin[winner]))
-    merged: list[list] = []
-    for begin, end, cui, origin_length in raw:
-        if merged and merged[-1][1] == begin and merged[-1][2] == cui:
-            merged[-1][1] = end
-            merged[-1][3] = max(merged[-1][3], origin_length)
-        else:
-            merged.append([begin, end, cui, origin_length])
+                emit(idx, idx + 1, winner, origin[winner])
     return tuple(CuiRun(b, e, c, o) for b, e, c, o in merged)
 
 
@@ -236,19 +245,12 @@ def to_cui_mask(
     Annotations without a CUI are skipped.  Overlapping concept assignments
     resolve per character by the vote / longest-span / seeded-random cascade.
     """
-    entries = []
-    for ann in annotations:
-        if ann.doc_id != doc_id:
-            raise ValidationError(
-                f"annotation for doc {ann.doc_id!r} passed while building doc {doc_id!r}"
-            )
-        if ann.end > doc_length:
-            raise ValidationError(
-                f"span [{ann.begin}, {ann.end}) out of bounds for length {doc_length}"
-            )
-        if ann.cui is not None:
-            entries.append((ann.begin, ann.end, ann.cui, ann.length))
-    runs = _resolve_candidates(entries, doc_id, doc_length, seed)
+    entries = [
+        (ann.begin, ann.end, ann.cui, ann.length)
+        for ann in _doc_spans(annotations, doc_id, doc_length)
+        if ann.cui is not None
+    ]
+    runs = _resolve_candidates(entries, doc_id, seed)
     return CuiMask(doc_id, doc_length, runs)
 
 
@@ -274,5 +276,5 @@ def merge_cui_layers(layers: Sequence[CuiMask], seed: int) -> CuiMask:
         for layer in layers
         for run in layer.runs
     ]
-    runs = _resolve_candidates(entries, first.doc_id, first.length, seed)
+    runs = _resolve_candidates(entries, first.doc_id, seed)
     return CuiMask(first.doc_id, first.length, runs)

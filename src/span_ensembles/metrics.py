@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Iterator, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional
 
 import numpy as np
 
@@ -180,38 +180,6 @@ def doc_level_cui_prf(
     )
 
 
-def _paired_segments(
-    gold: CuiMask, pred: CuiMask
-) -> Iterator[tuple[Optional[str], Optional[str], int]]:
-    """Walk two run lists in lockstep, yielding (gold label, pred label,
-    char count) segments that tile the document."""
-    boundaries = sorted(
-        {0, gold.length}
-        | {r.begin for r in gold.runs}
-        | {r.end for r in gold.runs}
-        | {r.begin for r in pred.runs}
-        | {r.end for r in pred.runs}
-    )
-
-    def label_lookup(runs):
-        index = 0
-
-        def at(pos):
-            nonlocal index
-            while index < len(runs) and runs[index].end <= pos:
-                index += 1
-            if index < len(runs) and runs[index].begin <= pos:
-                return runs[index].cui
-            return None
-
-        return at
-
-    gold_at = label_lookup(gold.runs)
-    pred_at = label_lookup(pred.runs)
-    for begin, end in zip(boundaries, boundaries[1:]):
-        yield gold_at(begin), pred_at(begin), end - begin
-
-
 def mention_level_cui_prf(
     gold: Mapping[str, CuiMask], pred: Mapping[str, CuiMask]
 ) -> CuiMetricsResult:
@@ -229,15 +197,25 @@ def mention_level_cui_prf(
             raise ValidationError(
                 f"mask length mismatch for doc {doc_id!r}: {g.length} vs {p.length}"
             )
-        for g_label, p_label, n in _paired_segments(g, p):
-            if g_label == p_label:
-                if g_label is not None:
-                    counts.setdefault(g_label, [0, 0, 0])[0] += n
-                continue
-            if g_label is not None:
-                counts.setdefault(g_label, [0, 0, 0])[2] += n
-            if p_label is not None:
-                counts.setdefault(p_label, [0, 0, 0])[1] += n
+        for run in g.runs:
+            counts.setdefault(run.cui, [0, 0, 0])[2] += run.end - run.begin
+        for run in p.runs:
+            counts.setdefault(run.cui, [0, 0, 0])[1] += run.end - run.begin
+        # characters where both carry the same label move from fp and fn to tp
+        first = 0
+        for run in p.runs:
+            while first < len(g.runs) and g.runs[first].end <= run.begin:
+                first += 1
+            at = first
+            while at < len(g.runs) and g.runs[at].begin < run.end:
+                other = g.runs[at]
+                if other.cui == run.cui:
+                    shared = min(run.end, other.end) - max(run.begin, other.begin)
+                    slot = counts[run.cui]
+                    slot[0] += shared
+                    slot[1] -= shared
+                    slot[2] -= shared
+                at += 1
     return CuiMetricsResult.from_label_counts(
         {cui: (tp, fp, fn) for cui, (tp, fp, fn) in counts.items()}
     )

@@ -189,8 +189,10 @@ class AnnotationStore:
     def annotations_for(
         self, source: str, doc_id: str, group: Optional[str] = None
     ) -> tuple[Annotation, ...]:
+        """One source's spans in one document, sorted; ``None`` or ``ALL_GROUPS``
+        keeps every group."""
         anns = self._by_slice.get((source, doc_id), ())
-        if group is None:
+        if group is None or group == ALL_GROUPS:
             return anns
         return tuple(a for a in anns if a.group == group)
 

@@ -1,8 +1,10 @@
-"""Result tables: single systems, ensemble panels, majority vote, concept matching.
+"""Result tables: single systems, ensemble panels, majority vote, concept
+matching, complementarity.
 
 Markdown output rounds to 2 decimals for display; CSV and JSON keep full
 precision and the raw counts, so anything reported can be re-derived exactly.
-Row order is deterministic everywhere: (corpus, group, combination).
+Row order is deterministic everywhere: (corpus, group, combination), except
+complementarity, which keeps the order its rows are given in.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ SINGLE_SYSTEMS = "single_systems"
 ENSEMBLE_PANELS = "ensemble_panels"
 VOTE = "vote"
 CUI = "cui"
+COMPLEMENTARITY = "complementarity"
 
 CSV_FORMAT = "csv"
 MARKDOWN_FORMAT = "markdown"
@@ -41,6 +44,7 @@ METRIC_COLUMNS = (
     "fn",
     "n_gold",
     "n_pred",
+    "degenerate",
 )
 
 
@@ -77,6 +81,16 @@ class CuiRow:
     metrics: CuiMetricsResult
 
 
+@dataclass(frozen=True)
+class ComplementarityRow:
+    corpus: str
+    group: str
+    system_a: str
+    system_b: str
+    comp_rate: float  # percent of A's error characters B gets right
+    restricted: MetricsResult  # B scored on A's error characters
+
+
 def _num(value: float) -> str:
     return repr(float(value))
 
@@ -100,6 +114,7 @@ def _metric_cells(m: MetricsResult) -> list[str]:
         str(m.fn),
         str(m.n_gold),
         str(m.n_pred),
+        str(m.degenerate).lower(),
     ]
 
 
@@ -136,6 +151,10 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _json_text(layout: str, rows: list, key: str = "rows") -> str:
+    return json.dumps({"layout": layout, key: rows}, indent=2, sort_keys=True)
 
 
 def _md_cell(text: str) -> str:
@@ -177,24 +196,15 @@ def _search_table_rows(blocks: Sequence[PanelBlock]) -> list[list[str]]:
             seen.setdefault(expression, ScoredEnsemble(expression, 1, metrics))
         for expression in sorted(seen):
             item = seen[expression]
-            rows.append(
-                [block.corpus, block.group, expression]
-                + _metric_cells(item.metrics)
-                + [str(item.metrics.degenerate).lower()]
-            )
+            rows.append([block.corpus, block.group, expression] + _metric_cells(item.metrics))
     return rows
 
 
 def _emit_single_systems(rows: Sequence[SystemRow], fmt: str) -> str:
     ordered = sorted(rows, key=lambda r: (r.corpus, r.group, r.system))
     if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS, "degenerate"]
-        data = [
-            [r.corpus, r.group, r.system]
-            + _metric_cells(r.metrics)
-            + [str(r.metrics.degenerate).lower()]
-            for r in ordered
-        ]
+        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
+        data = [[r.corpus, r.group, r.system] + _metric_cells(r.metrics) for r in ordered]
         return _csv_text(header, data)
     if fmt == MARKDOWN_FORMAT:
         header = ["Corpus", "Group", "System", "n", "p", "r", "F1"]
@@ -203,28 +213,24 @@ def _emit_single_systems(rows: Sequence[SystemRow], fmt: str) -> str:
             for r in ordered
         ]
         return "## Individual system performance\n\n" + _markdown_table(header, data)
-    return json.dumps(
-        {
-            "layout": SINGLE_SYSTEMS,
-            "rows": [
-                {
-                    "corpus": r.corpus,
-                    "group": r.group,
-                    "system": r.system,
-                    "metrics": metrics_to_dict(r.metrics),
-                }
-                for r in ordered
-            ],
-        },
-        indent=2,
-        sort_keys=True,
+    return _json_text(
+        SINGLE_SYSTEMS,
+        [
+            {
+                "corpus": r.corpus,
+                "group": r.group,
+                "system": r.system,
+                "metrics": metrics_to_dict(r.metrics),
+            }
+            for r in ordered
+        ],
     )
 
 
 def _emit_ensemble_panels(blocks: Sequence[PanelBlock], fmt: str) -> str:
     ordered = sorted(blocks, key=lambda b: (b.corpus, b.group))
     if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS, "degenerate"]
+        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
         return _csv_text(header, _search_table_rows(ordered))
     if fmt == MARKDOWN_FORMAT:
         header = ["Corpus", "Group"]
@@ -287,17 +293,15 @@ def _emit_ensemble_panels(blocks: Sequence[PanelBlock], fmt: str) -> str:
                 },
             }
         )
-    return json.dumps({"layout": ENSEMBLE_PANELS, "blocks": payload}, indent=2, sort_keys=True)
+    return _json_text(ENSEMBLE_PANELS, payload, key="blocks")
 
 
 def _emit_vote(rows: Sequence[VoteRow], fmt: str) -> str:
     ordered = sorted(rows, key=lambda r: (r.corpus, r.group))
     if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS, "degenerate"]
+        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
         data = [
-            [r.corpus, r.group, "majority(" + ",".join(r.systems) + ")"]
-            + _metric_cells(r.metrics)
-            + [str(r.metrics.degenerate).lower()]
+            [r.corpus, r.group, "majority(" + ",".join(r.systems) + ")"] + _metric_cells(r.metrics)
             for r in ordered
         ]
         return _csv_text(header, data)
@@ -307,21 +311,17 @@ def _emit_vote(rows: Sequence[VoteRow], fmt: str) -> str:
             [r.corpus, r.group, ",".join(r.systems), *_md_metrics(r.metrics)] for r in ordered
         ]
         return "## Majority vote ensemble performance\n\n" + _markdown_table(header, data)
-    return json.dumps(
-        {
-            "layout": VOTE,
-            "rows": [
-                {
-                    "corpus": r.corpus,
-                    "group": r.group,
-                    "systems": list(r.systems),
-                    "metrics": metrics_to_dict(r.metrics),
-                }
-                for r in ordered
-            ],
-        },
-        indent=2,
-        sort_keys=True,
+    return _json_text(
+        VOTE,
+        [
+            {
+                "corpus": r.corpus,
+                "group": r.group,
+                "systems": list(r.systems),
+                "metrics": metrics_to_dict(r.metrics),
+            }
+            for r in ordered
+        ],
     )
 
 
@@ -330,61 +330,80 @@ def _emit_cui(rows: Sequence[CuiRow], fmt: str) -> str:
     if fmt == CSV_FORMAT:
         header = ["corpus", "group", "level", "kind", "combination", "p", "r", "f1", "degenerate"]
         data = [
-            [
-                r.corpus,
-                r.group,
-                r.level,
-                r.kind,
-                r.combination,
-                _num(r.metrics.macro_precision),
-                _num(r.metrics.macro_recall),
-                _num(r.metrics.macro_f1),
-                str(r.metrics.degenerate).lower(),
-            ]
+            [r.corpus, r.group, r.level, r.kind, r.combination]
+            + [_num(m.macro_precision), _num(m.macro_recall), _num(m.macro_f1)]
+            + [str(m.degenerate).lower()]
             for r in ordered
+            for m in [r.metrics]
         ]
         return _csv_text(header, data)
     if fmt == MARKDOWN_FORMAT:
         header = ["Corpus", "Group", "Level", "Kind", "Combination", "p", "r", "Macro F1"]
         data = [
-            [
-                r.corpus,
-                r.group,
-                r.level,
-                r.kind,
-                r.combination,
-                _fmt2(r.metrics.macro_precision),
-                _fmt2(r.metrics.macro_recall),
-                _fmt2(r.metrics.macro_f1),
-            ]
+            [r.corpus, r.group, r.level, r.kind, r.combination]
+            + [_fmt2(m.macro_precision), _fmt2(m.macro_recall), _fmt2(m.macro_f1)]
             for r in ordered
+            for m in [r.metrics]
         ]
         return "## Concept matching performance\n\n" + _markdown_table(header, data)
-    return json.dumps(
-        {
-            "layout": CUI,
-            "rows": [
-                {
-                    "corpus": r.corpus,
-                    "group": r.group,
-                    "level": r.level,
-                    "kind": r.kind,
-                    "combination": r.combination,
-                    "metrics": cui_metrics_to_dict(r.metrics),
-                }
-                for r in ordered
-            ],
-        },
-        indent=2,
-        sort_keys=True,
+    return _json_text(
+        CUI,
+        [
+            {
+                "corpus": r.corpus,
+                "group": r.group,
+                "level": r.level,
+                "kind": r.kind,
+                "combination": r.combination,
+                "metrics": cui_metrics_to_dict(r.metrics),
+            }
+            for r in ordered
+        ],
+    )
+
+
+def _emit_complementarity(rows: Sequence[ComplementarityRow], fmt: str) -> str:
+    if fmt == CSV_FORMAT:
+        header = [
+            "corpus", "group", "system_a", "system_b", "comp_rate", "p", "r", "f1", "tp", "fp", "fn"
+        ]
+        data = [
+            [r.corpus, r.group, r.system_a, r.system_b, _num(r.comp_rate)]
+            + [_num(m.precision), _num(m.recall), _num(m.f1), str(m.tp), str(m.fp), str(m.fn)]
+            for r in rows
+            for m in [r.restricted]
+        ]
+        return _csv_text(header, data)
+    if fmt == MARKDOWN_FORMAT:
+        header = ["Corpus", "Group", "A", "B", "comp rate %", "p", "r", "F1"]
+        data = [
+            [r.corpus, r.group, r.system_a, r.system_b, _fmt2(r.comp_rate)]
+            + _md_metrics(r.restricted)
+            for r in rows
+        ]
+        return "## Complementarity\n\n" + _markdown_table(header, data)
+    return _json_text(
+        COMPLEMENTARITY,
+        [
+            {
+                "corpus": r.corpus,
+                "group": r.group,
+                "system_a": r.system_a,
+                "system_b": r.system_b,
+                "comp_rate": r.comp_rate,
+                "restricted": metrics_to_dict(r.restricted),
+            }
+            for r in rows
+        ],
     )
 
 
 def emit_table(results: Sequence, layout: str, fmt: str = CSV_FORMAT) -> str:
-    """Render results in one of the four table layouts.
+    """Render results in one of the five table layouts.
 
     ``results`` must match the layout: SystemRow for SINGLE_SYSTEMS,
-    PanelBlock for ENSEMBLE_PANELS, VoteRow for VOTE, CuiRow for CUI.
+    PanelBlock for ENSEMBLE_PANELS, VoteRow for VOTE, CuiRow for CUI,
+    ComplementarityRow for COMPLEMENTARITY.
     """
     if fmt not in (CSV_FORMAT, MARKDOWN_FORMAT, JSON_FORMAT):
         raise ConfigError(f"unknown output format {fmt!r}")
@@ -396,4 +415,6 @@ def emit_table(results: Sequence, layout: str, fmt: str = CSV_FORMAT) -> str:
         return _emit_vote(results, fmt)
     if layout == CUI:
         return _emit_cui(results, fmt)
+    if layout == COMPLEMENTARITY:
+        return _emit_complementarity(results, fmt)
     raise ConfigError(f"unknown table layout {layout!r}")

@@ -37,7 +37,7 @@ from .metrics import (
     doc_level_cui_prf,
     mention_level_cui_prf,
 )
-from .model import ALL_GROUPS, AnnotationStore, check_group, filter_by_group
+from .model import ALL_GROUPS, AnnotationStore, check_group
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -121,8 +121,7 @@ def _count_table(
         spans = [
             (row * width + a.begin, row * width + a.end)
             for row, source in enumerate(rows)
-            for a in store.annotations_for(source, doc.doc_id)
-            if group in (ALL_GROUPS, a.group)
+            for a in store.annotations_for(source, doc.doc_id, group)
         ]
         begins, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
         size = len(rows) * width
@@ -256,12 +255,12 @@ def corpus_masks(
     store: AnnotationStore, source: str, group: str = ALL_GROUPS
 ) -> dict[str, CharMask]:
     """Per-document coverage masks for one source, optionally group-filtered."""
-    filtered = filter_by_group(store, group)
+    check_group(store, group)
     return {
-        doc_id: to_char_mask(
-            filtered.annotations_for(source, doc_id), doc_id, store.document(doc_id).length
+        doc.doc_id: to_char_mask(
+            store.annotations_for(source, doc.doc_id, group), doc.doc_id, doc.length
         )
-        for doc_id in store.doc_ids
+        for doc in store.documents
     }
 
 
@@ -311,16 +310,66 @@ def majority_vote_eval(
     if len(sources) < 2:
         raise ValidationError("majority vote needs at least 2 sources")
     _require_sources(store, gold_source, *sources)
-    filtered = filter_by_group(store, group)
-    gold = corpus_masks(filtered, gold_source)
+    gold = corpus_masks(store, gold_source, group)
     voted: dict[str, CharMask] = {}
-    for doc_id in filtered.doc_ids:
-        length = filtered.document(doc_id).length
+    for doc in store.documents:
         masks = [
-            to_char_mask(filtered.annotations_for(s, doc_id), doc_id, length) for s in sources
+            to_char_mask(store.annotations_for(s, doc.doc_id, group), doc.doc_id, doc.length)
+            for s in sources
         ]
-        voted[doc_id] = majority_vote(masks, seed)
+        voted[doc.doc_id] = majority_vote(masks, seed)
     return char_prf(gold, voted)
+
+
+def cui_scores(
+    store: AnnotationStore,
+    tree: ExprTree,
+    gold_source: str,
+    level: str = DOC_LEVEL,
+    seed: int = 0,
+    group: str = ALL_GROUPS,
+) -> tuple[CuiMetricsResult, dict[str, CuiMetricsResult]]:
+    """Concept-matching scores of a union-only ensemble and of each operand alone.
+
+    Document level: the predicted concept set per document is the union of
+    the operands' sets.  Mention level: operand concept masks are merged via
+    the majority / longest-span / seeded cascade, then scored per character.
+    Gold and every operand are built once; a single operand is scored from
+    its own layer, which is what merging one layer gives.  Intersection
+    nodes are rejected: their concept semantics are undefined.
+    """
+    assert_union_only(tree)
+    operands = tree_sources(tree)
+    _require_sources(store, gold_source, *operands)
+    check_group(store, group)
+    if level not in (DOC_LEVEL, MENTION_LEVEL):
+        raise ConfigError(f"unknown level {level!r}; expected 'doc' or 'mention'")
+
+    if level == DOC_LEVEL:
+        def build(source, doc, *_):
+            return {a.cui for a in store.annotations_for(source, doc.doc_id, group) if a.cui}
+
+        def merge(sets):
+            return set().union(*sets)
+
+        score = doc_level_cui_prf
+    else:
+        def build(source, doc, *key):
+            anns = store.annotations_for(source, doc.doc_id, group)
+            return to_cui_mask(anns, doc.doc_id, doc.length, seeds.digest(seed, *key))
+
+        def merge(layers):
+            return merge_cui_layers(layers, seed)
+
+        score = mention_level_cui_prf
+    docs = store.documents
+    gold = {doc.doc_id: build(gold_source, doc, "gold-layer") for doc in docs}
+    preds = {s: {doc.doc_id: build(s, doc, "layer", s) for doc in docs} for s in operands}
+    singles = {source: score(gold, preds[source]) for source in operands}
+    if len(operands) == 1:
+        return singles[operands[0]], singles
+    ensemble = {doc.doc_id: merge([preds[s][doc.doc_id] for s in operands]) for doc in docs}
+    return score(gold, ensemble), singles
 
 
 def cui_ensemble_eval(
@@ -331,49 +380,5 @@ def cui_ensemble_eval(
     seed: int = 0,
     group: str = ALL_GROUPS,
 ) -> CuiMetricsResult:
-    """Concept-matching score of a union-only ensemble.
-
-    Document level: the predicted concept set per document is the union of
-    the operands' sets.  Mention level: operand concept masks are merged via
-    the majority / longest-span / seeded cascade, then scored per character.
-    Intersection nodes are rejected: their concept semantics are undefined.
-    """
-    assert_union_only(tree)
-    operands = tree_sources(tree)
-    _require_sources(store, gold_source, *operands)
-    filtered = filter_by_group(store, group)
-
-    if level == DOC_LEVEL:
-        gold_sets = {}
-        pred_sets = {}
-        for doc_id in filtered.doc_ids:
-            gold_sets[doc_id] = {
-                a.cui for a in filtered.annotations_for(gold_source, doc_id) if a.cui
-            }
-            pred_sets[doc_id] = {
-                a.cui
-                for source in operands
-                for a in filtered.annotations_for(source, doc_id)
-                if a.cui
-            }
-        return doc_level_cui_prf(gold_sets, pred_sets)
-
-    if level != MENTION_LEVEL:
-        raise ConfigError(f"unknown level {level!r}; expected 'doc' or 'mention'")
-    gold_masks = {}
-    pred_masks = {}
-    for doc_id in filtered.doc_ids:
-        length = filtered.document(doc_id).length
-        gold_masks[doc_id] = to_cui_mask(
-            filtered.annotations_for(gold_source, doc_id), doc_id, length,
-            seeds.digest(seed, "gold-layer"),
-        )
-        layers = [
-            to_cui_mask(
-                filtered.annotations_for(source, doc_id), doc_id, length,
-                seeds.digest(seed, "layer", source),
-            )
-            for source in operands
-        ]
-        pred_masks[doc_id] = merge_cui_layers(layers, seed)
-    return mention_level_cui_prf(gold_masks, pred_masks)
+    """Concept-matching score of a union-only ensemble (see :func:`cui_scores`)."""
+    return cui_scores(store, tree, gold_source, level, seed, group)[0]

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from span_ensembles import And, CharMask, Leaf, Or
+from span_ensembles import And, CharMask, Leaf, Or, seeds
 
 
 def rand_mask(rng: random.Random, doc_id: str, length: int, density: float = 0.4) -> CharMask:
@@ -81,3 +81,45 @@ def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:
         return bits
 
     return {table(t) for t in trees(variables)}
+
+
+def quadratic_resolve_candidates(entries, doc_id: str, doc_length: int, seed: int):
+    """Reference label resolution: every boundary segment rescans every entry.
+
+    Per character: most votes wins; ties go to the label with the longest
+    originating span; remaining ties to ``seeds.pick_index``.  Returns
+    (begin, end, cui, origin_length) runs with equal-label neighbours merged.
+    """
+    if not entries:
+        return ()
+    boundaries = sorted({0, doc_length} | {e[0] for e in entries} | {e[1] for e in entries})
+    raw = []
+    for seg_begin, seg_end in zip(boundaries, boundaries[1:]):
+        covering = [e for e in entries if e[0] <= seg_begin and e[1] >= seg_end]
+        if not covering:
+            continue
+        votes: dict = {}
+        origin: dict = {}
+        for _, _, cui, origin_length in covering:
+            votes[cui] = votes.get(cui, 0) + 1
+            origin[cui] = max(origin.get(cui, 0), origin_length)
+        best_votes = max(votes.values())
+        tied = [c for c, v in votes.items() if v == best_votes]
+        if len(tied) > 1:
+            best_len = max(origin[c] for c in tied)
+            tied = [c for c in tied if origin[c] == best_len]
+        if len(tied) == 1:
+            raw.append((seg_begin, seg_end, tied[0], origin[tied[0]]))
+        else:
+            tied.sort()
+            for idx in range(seg_begin, seg_end):
+                winner = tied[seeds.pick_index(len(tied), seed, doc_id, idx)]
+                raw.append((idx, idx + 1, winner, origin[winner]))
+    merged: list = []
+    for begin, end, cui, origin_length in raw:
+        if merged and merged[-1][1] == begin and merged[-1][2] == cui:
+            merged[-1][1] = end
+            merged[-1][3] = max(merged[-1][3], origin_length)
+        else:
+            merged.append([begin, end, cui, origin_length])
+    return tuple(tuple(run) for run in merged)

@@ -261,3 +261,43 @@ def test_unwritable_out_is_validation_error(corpus, capsys, tmp_path):
     assert captured.out == ""
     assert f"cannot write report to {target}" in captured.err
     assert not target.exists()
+
+
+def test_complementarity_quotes_and_escapes_corpus_id(corpus, capsys):
+    config = str(corpus / "config.json")
+    code, out = run_cli(
+        ["complementarity", "--config", config, "--corpus-id", "i2b2, 2010"], capsys
+    )
+    assert code == 0
+    header, *rows = list(csv.reader(io.StringIO(out)))
+    assert len(header) == 11 and rows
+    assert all(len(row) == 11 and row[0] == "i2b2, 2010" for row in rows)
+    code, out = run_cli(
+        ["complementarity", "--config", config, "--corpus-id", "a|b", "--format", "markdown"],
+        capsys,
+    )
+    assert code == 0
+    assert "| a\\|b | ALL |" in out
+
+
+def test_malformed_annotations_exit_parse_code(corpus, capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    good = (corpus / "A.jsonl").read_text().splitlines()
+    bad.write_text("\n".join([good[0], "{oops", good[1], "[]"]) + "\n")
+    code = main(
+        [
+            "vote",
+            "--manifest",
+            str(corpus / "manifest.jsonl"),
+            "--gold",
+            str(corpus / "gold.jsonl"),
+            "--system",
+            f"A={bad}",
+            "--system",
+            f"B={corpus / 'B.jsonl'}",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{bad}:2:" in captured.err and f"{bad}:4:" in captured.err

@@ -279,3 +279,26 @@ def test_written_records_have_expected_fields(tmp_path):
     write_annotations([Annotation("d1", "A", 0, 5)], tmp_path / "a.jsonl")
     record = json.loads((tmp_path / "a.jsonl").read_text().strip())
     assert record == {"doc_id": "d1", "source": "A", "begin": 0, "end": 5}
+
+
+def test_load_annotations_reports_every_malformed_record(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_lines(
+        path,
+        [
+            '{"doc_id":"d1","source":"A","begin":0,"end":5}',
+            "{oops",
+            '{"doc_id":"d1","source":"A","begin":1,"end":4}',
+            '{"doc_id":"d1","source":"A","begin":"x","end":4}',
+            "[1, 2]",
+            '{"doc_id":"d1","source":"A","end":4}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_annotations(path, DOCS)
+    message = str(err.value)
+    assert message.startswith("4 malformed annotation record(s)")
+    for lineno in (2, 4, 5, 6):
+        assert f"{path}:{lineno}:" in message
+    assert f"{path}:1:" not in message and f"{path}:3:" not in message
+    assert err.value.position == 2

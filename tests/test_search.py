@@ -6,6 +6,7 @@ from span_ensembles import (
     AnnotationStore,
     ConfigError,
     DocumentRef,
+    Leaf,
     SearchConfig,
     SourceSpec,
     SynthSpec,
@@ -14,16 +15,22 @@ from span_ensembles import (
     corpus_masks,
     cross_group_union_merge,
     cui_ensemble_eval,
+    doc_level_cui_prf,
     evaluate,
     evaluate_expression,
     generate,
     grid_search,
+    filter_by_group,
     majority_vote_eval,
+    mention_level_cui_prf,
+    merge_cui_layers,
     parse,
+    seeds,
+    to_cui_mask,
 )
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED
+from span_ensembles.search import SAMPLED, cui_scores
 
 
 def two_system_store():
@@ -353,3 +360,70 @@ def test_cui_mention_level_identical_sources():
     merged = cui_ensemble_eval(store, parse("(A|B)"), GOLD_SOURCE, level="mention")
     single = cui_ensemble_eval(store, parse("A"), GOLD_SOURCE, level="mention")
     assert merged.macro_f1 == single.macro_f1 == 1.0
+
+
+def overlapping_cui_store():
+    """Overlapping concept spans in gold and in every system, spans of two
+    groups and spans left without a group (unmapped types)."""
+    docs = [DocumentRef("d1", 60), DocumentRef("d2", 40), DocumentRef("d3", 10)]
+    spans = [
+        ("d1", GOLD_SOURCE, 0, 12, "g1", "C0000001"),
+        ("d1", GOLD_SOURCE, 8, 20, "g1", "C0000002"),
+        ("d1", GOLD_SOURCE, 30, 40, "g2", "C0000003"),
+        ("d2", GOLD_SOURCE, 5, 15, None, "C0000004"),
+        ("d2", GOLD_SOURCE, 5, 15, "g2", "C0000001"),
+        ("d1", "A", 0, 10, "g1", "C0000001"),
+        ("d1", "A", 4, 14, "g1", "C0000002"),
+        ("d1", "A", 30, 35, "g2", "C0000003"),
+        ("d2", "A", 0, 20, None, "C0000004"),
+        ("d1", "B", 2, 12, "g1", "C0000002"),
+        ("d1", "B", 10, 20, "g1", "C0000001"),
+        ("d1", "B", 32, 40, "g2", "C0000005"),
+        ("d2", "B", 5, 15, "g2", "C0000001"),
+        ("d2", "B", 8, 9, "g2", None),
+        ("d1", "C", 0, 20, "g1", "C0000002"),
+        ("d1", "C", 30, 40, "g2", "C0000003"),
+        ("d1", "C", 30, 40, None, "C0000005"),
+        ("d2", "C", 5, 15, "g2", "C0000004"),
+    ]
+    anns = [Annotation(d, s, b, e, group=g, cui=c) for d, s, b, e, g, c in spans]
+    return AnnotationStore(docs, anns, group_universe=("g1", "g2"))
+
+
+def per_call_cui_eval(store, operands, level, seed, group):
+    """Concept scores built from a group-filtered copy of the store, gold and
+    every operand rebuilt per call, the operands always merged."""
+    filtered = filter_by_group(store, group)
+    gold, pred = {}, {}
+    for doc in filtered.documents:
+        gold_anns = filtered.annotations_for(GOLD_SOURCE, doc.doc_id)
+        operand_anns = [filtered.annotations_for(s, doc.doc_id) for s in operands]
+        if level == "doc":
+            gold[doc.doc_id] = {a.cui for a in gold_anns if a.cui}
+            pred[doc.doc_id] = {a.cui for anns in operand_anns for a in anns if a.cui}
+            continue
+        gold_seed = seeds.digest(seed, "gold-layer")
+        gold[doc.doc_id] = to_cui_mask(gold_anns, doc.doc_id, doc.length, gold_seed)
+        layers = [
+            to_cui_mask(anns, doc.doc_id, doc.length, seeds.digest(seed, "layer", s))
+            for s, anns in zip(operands, operand_anns)
+        ]
+        pred[doc.doc_id] = merge_cui_layers(layers, seed)
+    return (doc_level_cui_prf if level == "doc" else mention_level_cui_prf)(gold, pred)
+
+
+@pytest.mark.parametrize("level", ["doc", "mention"])
+def test_cui_scores_build_once_per_group(level):
+    store = overlapping_cui_store()
+    tree = parse("((A|B)|C)")
+    for group in ("g1", "g2", ALL_GROUPS):
+        for seed in (0, 3):
+            ensemble, singles = cui_scores(store, tree, GOLD_SOURCE, level, seed, group)
+            assert list(singles) == ["A", "B", "C"]
+            assert ensemble == cui_ensemble_eval(store, tree, GOLD_SOURCE, level, seed, group)
+            assert ensemble == per_call_cui_eval(store, ["A", "B", "C"], level, seed, group)
+            for source, single in singles.items():
+                leaf = Leaf(source)
+                assert single == cui_ensemble_eval(store, leaf, GOLD_SOURCE, level, seed, group)
+                assert single == per_call_cui_eval(store, [source], level, seed, group)
+    assert cui_scores(store, tree, GOLD_SOURCE, level, 0, "g1")[0].per_label
