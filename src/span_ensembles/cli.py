@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Optional
 
 from . import report as report_mod
-from .complementarity import comp_prf, comp_rate, error_set
 from .errors import (
     ConfigError,
     EnsembleError,
@@ -43,7 +42,7 @@ from .search import (
     DOC_LEVEL,
     EXHAUSTIVE,
     SearchConfig,
-    corpus_masks,
+    complementarity_scores,
     cui_scores,
     evaluate_expression,
     grid_search,
@@ -130,6 +129,9 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         unknown = [s for s in selected if s not in systems]
         if unknown:
             raise ConfigError(f"--systems names unknown systems: {unknown}")
+        repeated = sorted({s for s in selected if selected.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"--systems names systems more than once: {repeated}")
 
     group = args.group or data.get("group") or ALL_GROUPS
     if group.lower() == "all":
@@ -283,16 +285,9 @@ def _task_complementarity(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
     rows = []
     for group in _groups_to_run(cfg, store):
-        gold = corpus_masks(store, cfg.gold_source, group)
-        masks = {name: corpus_masks(store, name, group) for name in cfg.selected}
-        errors = {name: error_set(gold, masks[name]) for name in cfg.selected}
-        for a in cfg.selected:
-            for b in cfg.selected:
-                if a == b:
-                    continue
-                rate = comp_rate(errors[a], errors[b])
-                restricted = comp_prf(gold, masks[a], masks[b])
-                rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))
+        scores = complementarity_scores(store, cfg.selected, cfg.gold_source, group)
+        for (a, b), (rate, restricted) in scores.items():
+            rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))
     return emit_table(rows, report_mod.COMPLEMENTARITY, cfg.fmt)
 
 

@@ -1,9 +1,9 @@
-"""Error sets and complementarity measures between system pairs.
+"""Error sets and the complementary rate between system pairs.
 
 The complementary rate is the share of one system's misclassified characters
 that another system gets right: an upper bound on what combining with that
-system could fix.  The restricted PRF scores one system exactly where the
-other failed.
+system could fix.  Error sets are its set form; the tasks read the same rate
+from the count table (``search.complementarity_scores``).
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ from typing import FrozenSet, Mapping
 
 import numpy as np
 
-from .errors import ValidationError
 from .masks import CharMask
-from .metrics import MetricsResult, _check_same_docs
+from .metrics import _check_same_masks
 
 # Misclassified positions: (doc_id, character index) where prediction != gold.
 ErrorSet = FrozenSet[tuple[str, int]]
@@ -22,48 +21,23 @@ ErrorSet = FrozenSet[tuple[str, int]]
 
 def error_set(gold: Mapping[str, CharMask], pred: Mapping[str, CharMask]) -> ErrorSet:
     """Positions where the prediction bit differs from gold (FP or FN characters)."""
-    _check_same_docs(gold, pred)
+    _check_same_masks(gold, pred)
     positions = []
     for doc_id in sorted(gold):
-        g, p = gold[doc_id], pred[doc_id]
-        if g.length != p.length:
-            raise ValidationError(
-                f"mask length mismatch for doc {doc_id!r}: {g.length} vs {p.length}"
-            )
-        for idx in np.flatnonzero(g.bits != p.bits):
-            positions.append((doc_id, int(idx)))
+        wrong = np.flatnonzero(gold[doc_id].bits != pred[doc_id].bits)
+        positions.extend((doc_id, int(idx)) for idx in wrong)
     return frozenset(positions)
 
 
-def comp_rate(errors_a: ErrorSet, errors_b: ErrorSet) -> float:
-    """Percentage of A's errors that B classifies correctly.
-
-    100 * (1 - |A and B| / |A|); 0 when A has no errors (a perfect system
-    cannot be improved).
-    """
-    if not errors_a:
+def comp_rate_from_counts(shared: int, errors: int) -> float:
+    """100 * (1 - shared / errors); 0 when there are no errors (a perfect
+    system cannot be improved)."""
+    if not errors:
         return 0.0
-    shared = len(errors_a & errors_b)
-    return 100.0 * (1.0 - shared / len(errors_a))
+    return 100.0 * (1.0 - shared / errors)
 
 
-def comp_prf(
-    gold: Mapping[str, CharMask],
-    pred_a: Mapping[str, CharMask],
-    pred_b: Mapping[str, CharMask],
-) -> MetricsResult:
-    """PRF of system B restricted to the characters system A got wrong."""
-    _check_same_docs(gold, pred_a)
-    _check_same_docs(gold, pred_b)
-    tp = fp = fn = 0
-    for doc_id in sorted(gold):
-        g = gold[doc_id].bits
-        a = pred_a[doc_id].bits
-        b = pred_b[doc_id].bits
-        if len(g) != len(a) or len(g) != len(b):
-            raise ValidationError(f"mask length mismatch for doc {doc_id!r}")
-        wrong = g != a
-        tp += int(np.count_nonzero(wrong & g & b))
-        fp += int(np.count_nonzero(wrong & ~g & b))
-        fn += int(np.count_nonzero(wrong & g & ~b))
-    return MetricsResult.from_counts(tp, fp, fn)
+def comp_rate(errors_a: ErrorSet, errors_b: ErrorSet) -> float:
+    """Percentage of A's errors that B classifies correctly:
+    100 * (1 - |A and B| / |A|), 0 when A has no errors."""
+    return comp_rate_from_counts(len(errors_a & errors_b), len(errors_a))

@@ -24,10 +24,10 @@ PathLike = Union[str, Path]
 _ANNOTATION_FIELDS = ("doc_id", "source", "begin", "end", "group", "native_type", "cui", "score")
 
 
-def _jsonl_records(path: PathLike, malformed: Optional[list[tuple[int, str]]] = None):
+def _jsonl_records(path: PathLike, malformed: list[tuple[int, str]]):
     """Yield (line number, object) per non-blank line.  A line that is not a
-    JSON object raises a ParseError, or is appended to ``malformed`` as
-    (line number, message) and skipped when that list is given."""
+    JSON object is appended to ``malformed`` as (line number, message) and
+    skipped."""
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
@@ -42,16 +42,32 @@ def _jsonl_records(path: PathLike, malformed: Optional[list[tuple[int, str]]] = 
                     yield lineno, record
                     continue
                 problem = "expected a JSON object"
-            if malformed is None:
-                raise ParseError(f"{path}:{lineno}: {problem}", lineno)
             malformed.append((lineno, f"{path}:{lineno}: {problem}"))
 
 
+def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
+    """Raise one ParseError listing every malformed record, else one ValidationError."""
+    if malformed:
+        raise ParseError(
+            f"{len(malformed)} malformed {kind} record(s):\n"
+            + "\n".join(message for _, message in malformed),
+            malformed[0][0],
+        )
+    if problems:
+        raise ValidationError(
+            f"{len(problems)} invalid {kind} record(s):\n" + "\n".join(problems)
+        )
+
+
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
-    """Read document records (doc_id, length, corpus_id), rejecting duplicates."""
+    """Read document records (doc_id, length, corpus_id).  Malformed lines,
+    else invalid records (a duplicate doc_id, a negative length), are each
+    collected into one error, as in :func:`load_annotations`."""
     docs: list[DocumentRef] = []
     seen: dict[str, int] = {}
-    for lineno, record in _jsonl_records(path):
+    malformed: list[tuple[int, str]] = []
+    problems: list[str] = []
+    for lineno, record in _jsonl_records(path, malformed):
         try:
             doc = DocumentRef(
                 doc_id=str(record["doc_id"]),
@@ -59,18 +75,20 @@ def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
                 corpus_id=str(record.get("corpus_id", "")),
             )
         except KeyError as exc:
-            raise ParseError(f"{path}:{lineno}: missing field {exc.args[0]!r}", lineno) from None
+            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
         except (TypeError, ValueError):
-            raise ParseError(f"{path}:{lineno}: non-numeric length", lineno) from None
+            malformed.append((lineno, f"{path}:{lineno}: non-numeric length"))
         except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from None
-        if doc.doc_id in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r} "
-                f"(first at line {seen[doc.doc_id]})"
-            )
-        seen[doc.doc_id] = lineno
-        docs.append(doc)
+            problems.append(f"{path}:{lineno}: {exc}")
+        else:
+            first = seen.setdefault(doc.doc_id, lineno)
+            if first == lineno:
+                docs.append(doc)
+            else:
+                problems.append(
+                    f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r} (first at line {first})"
+                )
+    _raise_collected("manifest", malformed, problems)
     return docs
 
 
@@ -127,16 +145,7 @@ def load_annotations(
             )
         else:
             annotations.append(ann)
-    if malformed:
-        raise ParseError(
-            f"{len(malformed)} malformed annotation record(s):\n"
-            + "\n".join(message for _, message in malformed),
-            malformed[0][0],
-        )
-    if problems:
-        raise ValidationError(
-            f"{len(problems)} invalid annotation record(s):\n" + "\n".join(problems)
-        )
+    _raise_collected("annotation", malformed, problems)
     return annotations
 
 
@@ -144,7 +153,8 @@ def load_semantic_group_map(
     semgroups_path: PathLike, overrides_path: Optional[PathLike] = None
 ) -> SemanticGroupMap:
     """Parse the pipe-delimited semantic groups file plus optional per-source
-    overrides into one lookup structure."""
+    overrides into one lookup structure.  Bad override lines are collected
+    into one error, as in :func:`load_annotations`."""
     tui_to_group: dict[str, str] = {}
     universe: dict[str, None] = {}
     with open(semgroups_path, encoding="utf-8") as handle:
@@ -165,20 +175,21 @@ def load_semantic_group_map(
 
     native_to_group: dict[tuple[str, str], str] = {}
     if overrides_path is not None:
-        for lineno, record in _jsonl_records(overrides_path):
+        malformed: list[tuple[int, str]] = []
+        problems: list[str] = []
+        for lineno, record in _jsonl_records(overrides_path, malformed):
+            where = f"{overrides_path}:{lineno}"
             try:
                 source = str(record["source"])
                 native_type = str(record["native_type"])
                 group = str(record["group"])
             except KeyError as exc:
-                raise ParseError(
-                    f"{overrides_path}:{lineno}: missing field {exc.args[0]!r}", lineno
-                ) from None
+                malformed.append((lineno, f"{where}: missing field {exc.args[0]!r}"))
+                continue
             if group not in universe:
-                raise ValidationError(
-                    f"{overrides_path}:{lineno}: override targets unknown group {group!r}"
-                )
+                problems.append(f"{where}: override targets unknown group {group!r}")
             native_to_group[(source, native_type)] = group
+        _raise_collected("override", malformed, problems)
 
     return SemanticGroupMap(
         tui_to_group=tui_to_group,

@@ -93,6 +93,19 @@ def _check_same_docs(gold: Mapping[str, object], pred: Mapping[str, object]) -> 
         raise ValidationError(f"document sets differ; mismatched ids: {missing[:10]}")
 
 
+def _check_same_masks(
+    gold: Mapping[str, CharMask | CuiMask], pred: Mapping[str, CharMask | CuiMask]
+) -> None:
+    """Both sides map the same documents, each to masks of equal length."""
+    _check_same_docs(gold, pred)
+    for doc_id in sorted(gold):
+        g, p = gold[doc_id], pred[doc_id]
+        if g.length != p.length:
+            raise ValidationError(
+                f"mask length mismatch for doc {doc_id!r}: {g.length} vs {p.length}"
+            )
+
+
 def confusion_counts(gold_bits: np.ndarray, pred_bits: np.ndarray) -> tuple[int, int, int]:
     tp = int(np.count_nonzero(gold_bits & pred_bits))
     fp = int(np.count_nonzero(pred_bits & ~gold_bits))
@@ -108,19 +121,11 @@ def char_prf(
     tp = characters inside in both, fp = inside prediction only,
     fn = inside gold only.
     """
-    _check_same_docs(gold, pred)
-    tp = fp = fn = 0
+    _check_same_masks(gold, pred)
+    totals = np.zeros(3, dtype=np.int64)
     for doc_id in sorted(gold):
-        g, p = gold[doc_id], pred[doc_id]
-        if g.length != p.length:
-            raise ValidationError(
-                f"mask length mismatch for doc {doc_id!r}: {g.length} vs {p.length}"
-            )
-        d_tp, d_fp, d_fn = confusion_counts(g.bits, p.bits)
-        tp += d_tp
-        fp += d_fp
-        fn += d_fn
-    return MetricsResult.from_counts(tp, fp, fn, z)
+        totals += confusion_counts(gold[doc_id].bits, pred[doc_id].bits)
+    return MetricsResult.from_counts(*totals.tolist(), z)
 
 
 @dataclass(frozen=True)
@@ -189,14 +194,10 @@ def mention_level_cui_prf(
     prediction but differently (or OUTSIDE) in gold; fn = the reverse.
     OUTSIDE itself is never scored.
     """
-    _check_same_docs(gold, pred)
+    _check_same_masks(gold, pred)
     counts: dict[str, list[int]] = {}
     for doc_id in sorted(gold):
         g, p = gold[doc_id], pred[doc_id]
-        if g.length != p.length:
-            raise ValidationError(
-                f"mask length mismatch for doc {doc_id!r}: {g.length} vs {p.length}"
-            )
         for run in g.runs:
             counts.setdefault(run.cui, [0, 0, 0])[2] += run.end - run.begin
         for run in p.runs:

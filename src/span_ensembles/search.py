@@ -16,6 +16,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from . import seeds
+from .complementarity import comp_rate_from_counts
 from .errors import ConfigError, ValidationError
 from .expr import (
     SEMANTIC,
@@ -33,11 +34,11 @@ from .masks import CharMask, majority_vote, merge_cui_layers, to_char_mask, to_c
 from .metrics import (
     CuiMetricsResult,
     MetricsResult,
-    char_prf,
+    confusion_counts,
     doc_level_cui_prf,
     mention_level_cui_prf,
 )
-from .model import ALL_GROUPS, AnnotationStore, check_group
+from .model import ALL_GROUPS, AnnotationStore, DocumentRef, check_group
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -105,28 +106,21 @@ def _require_sources(store: AnnotationStore, *sources: str) -> None:
             raise ConfigError(f"source {source!r} not present in the store")
 
 
-def _count_table(
-    store: AnnotationStore, gold_source: str, sources: Sequence[str], group: str
-) -> np.ndarray:
-    """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``,
-    over the annotations of ``group``; bit j of p is set where ``sources[j]``
-    covers the character.  Built one document at a time."""
-    check_group(store, group)
-    rows = (*sources, gold_source)
+def _doc_mask(store: AnnotationStore, source: str, doc: DocumentRef, group: str) -> CharMask:
+    """Coverage of one document by one source's spans of ``group``."""
+    return to_char_mask(store.annotations_for(source, doc.doc_id, group), doc.doc_id, doc.length)
+
+
+def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.ndarray:
+    """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``:
+    ``rows`` are (source, group) pairs, gold last, and bit j of p is set where
+    ``rows[j]`` covers the character.  Built one document at a time."""
+    for _, group in rows:
+        check_group(store, group)
     weights = 1 << np.arange(len(rows))
     table = np.zeros(2 ** len(rows), dtype=np.int64)
     for doc in store.documents:
-        width = doc.length + 1
-        # +1 at each span's begin and -1 at its end, one row per source
-        spans = [
-            (row * width + a.begin, row * width + a.end)
-            for row, source in enumerate(rows)
-            for a in store.annotations_for(source, doc.doc_id, group)
-        ]
-        begins, ends = np.array(spans, dtype=np.intp).reshape(-1, 2).T
-        size = len(rows) * width
-        delta = np.bincount(begins, minlength=size) - np.bincount(ends, minlength=size)
-        covered = np.cumsum(delta.reshape(len(rows), width), axis=1)[:, :-1] > 0
+        covered = np.stack([_doc_mask(store, source, doc, group).bits for source, group in rows])
         table += np.bincount(weights @ covered, minlength=table.size)
     return table.reshape(2, -1)
 
@@ -204,7 +198,7 @@ def grid_search(
     max_size = config.max_size if config.max_size is not None else len(config.sources)
     pool = tuple(sorted(config.sources))
 
-    counts = _count_table(store, gold_source, pool, config.group)
+    counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
     expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)
     rows = list(range(len(sizes)))
     if config.mode == SAMPLED:
@@ -256,12 +250,7 @@ def corpus_masks(
 ) -> dict[str, CharMask]:
     """Per-document coverage masks for one source, optionally group-filtered."""
     check_group(store, group)
-    return {
-        doc.doc_id: to_char_mask(
-            store.annotations_for(source, doc.doc_id, group), doc.doc_id, doc.length
-        )
-        for doc in store.documents
-    }
+    return {doc.doc_id: _doc_mask(store, source, doc, group) for doc in store.documents}
 
 
 def evaluate_expression(
@@ -270,33 +259,56 @@ def evaluate_expression(
     """Score one Boolean combination against gold at character level."""
     sources = tree_sources(tree)
     _require_sources(store, gold_source, *sources)
-    counts = _count_table(store, gold_source, sources, group)
+    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
     fp, tp = counts[:, evaluate(tree, pattern_columns(sources))].sum(axis=1).tolist()
     return MetricsResult.from_counts(tp, fp, int(counts[1].sum()) - tp)
+
+
+def complementarity_scores(
+    store: AnnotationStore, sources: Sequence[str], gold_source: str, group: str = ALL_GROUPS
+) -> dict[tuple[str, str], tuple[float, MetricsResult]]:
+    """Complementary rate and restricted PRF of every ordered pair (A, B) of
+    distinct sources, from one count table over (sources..., gold).  B is
+    scored on A's errors, the characters whose A bit differs from gold; B's
+    fp and fn there are the errors A and B share."""
+    _require_sources(store, gold_source, *sources)
+    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
+    columns = pattern_columns(sources)
+    scores = {}
+    for a in sources:
+        # the table restricted to A's errors: gold 0 with A's bit set, gold 1 without
+        on_errors = counts * np.stack([columns[a], ~columns[a]])
+        for b in sources:
+            if b == a:
+                continue
+            fp, tp = on_errors[:, columns[b]].sum(axis=1).tolist()
+            fn = int(on_errors[1].sum()) - tp
+            rate = comp_rate_from_counts(fp + fn, int(on_errors.sum()))
+            scores[a, b] = (rate, MetricsResult.from_counts(tp, fp, fn))
+    return scores
 
 
 def cross_group_union_merge(
     store: AnnotationStore, assignments: Mapping[str, str], gold_source: str
 ) -> MetricsResult:
     """Union the group-filtered annotations of per-group assigned sources and
-    score the merge against the unfiltered (all-groups) gold standard."""
+    score the merge against the unfiltered (all-groups) gold standard.  In the
+    count table over those (source, group) rows, every pattern with a system
+    bit set is predicted."""
     if not assignments:
         raise ConfigError("no group assignments given")
     universe = store.group_universe
-    for group, source in sorted(assignments.items()):
+    pairs = sorted(assignments.items())
+    for group, source in pairs:
         if universe and group not in universe:
             raise ConfigError(f"unknown group {group!r}")
         _require_sources(store, source)
-        if not any(
-            store.annotations_for(source, doc_id, group=group) for doc_id in store.doc_ids
-        ):
+        if not any(store.annotations_for(source, d, group) for d in store.doc_ids):
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
-    pairs = sorted(assignments.items())
-    merged = {}
-    for doc_id in store.doc_ids:
-        anns = [a for group, source in pairs for a in store.annotations_for(source, doc_id, group)]
-        merged[doc_id] = to_char_mask(anns, doc_id, store.document(doc_id).length)
-    return char_prf(corpus_masks(store, gold_source), merged)
+    rows = [(source, group) for group, source in pairs]
+    counts = _count_table(store, [*rows, (gold_source, ALL_GROUPS)])
+    fp, tp = counts[:, 1:].sum(axis=1).tolist()
+    return MetricsResult.from_counts(tp, fp, int(counts[1, 0]))
 
 
 def majority_vote_eval(
@@ -310,15 +322,12 @@ def majority_vote_eval(
     if len(sources) < 2:
         raise ValidationError("majority vote needs at least 2 sources")
     _require_sources(store, gold_source, *sources)
-    gold = corpus_masks(store, gold_source, group)
-    voted: dict[str, CharMask] = {}
+    check_group(store, group)
+    totals = np.zeros(3, dtype=np.int64)
     for doc in store.documents:
-        masks = [
-            to_char_mask(store.annotations_for(s, doc.doc_id, group), doc.doc_id, doc.length)
-            for s in sources
-        ]
-        voted[doc.doc_id] = majority_vote(masks, seed)
-    return char_prf(gold, voted)
+        voted = majority_vote([_doc_mask(store, s, doc, group) for s in sources], seed)
+        totals += confusion_counts(_doc_mask(store, gold_source, doc, group).bits, voted.bits)
+    return MetricsResult.from_counts(*totals.tolist())
 
 
 def cui_scores(

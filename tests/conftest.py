@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from span_ensembles import And, CharMask, Leaf, Or, seeds
+from span_ensembles import And, CharMask, Leaf, MetricsResult, Or, seeds
 
 
 def rand_mask(rng: random.Random, doc_id: str, length: int, density: float = 0.4) -> CharMask:
@@ -47,6 +47,19 @@ def brute_confusion(gold_bits, pred_bits) -> tuple[int, int, int]:
         elif g:
             fn += 1
     return tp, fp, fn
+
+
+def comp_prf(gold, pred_a, pred_b) -> MetricsResult:
+    """Reference restricted PRF: system B scored on the characters where A
+    differs from gold, from per-document masks (dicts of ``CharMask``)."""
+    tp = fp = fn = 0
+    for doc_id in sorted(gold):
+        g, a, b = gold[doc_id].bits, pred_a[doc_id].bits, pred_b[doc_id].bits
+        wrong = g != a
+        tp += int(np.count_nonzero(wrong & g & b))
+        fp += int(np.count_nonzero(wrong & ~g & b))
+        fn += int(np.count_nonzero(wrong & g & ~b))
+    return MetricsResult.from_counts(tp, fp, fn)
 
 
 def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:

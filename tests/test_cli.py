@@ -225,6 +225,15 @@ def test_unknown_system_selection_fails(corpus, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("task", ["vote", "ner-eval", "complementarity", "search"])
+def test_repeated_system_selection_fails(corpus, capsys, task):
+    code = main([task, "--config", str(corpus / "config.json"), "--systems", "A,B,A"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "more than once: ['A']" in captured.err
+
+
 def test_empty_group_emits_degenerate_row(tmp_path, capsys):
     (tmp_path / "manifest.jsonl").write_text('{"doc_id":"d1","length":50,"corpus_id":"t"}\n')
     (tmp_path / "gold.jsonl").write_text(

@@ -3,11 +3,34 @@ import random
 import numpy as np
 import pytest
 
-from span_ensembles import CharMask, comp_prf, comp_rate, error_set
+from span_ensembles import (
+    Annotation,
+    AnnotationStore,
+    CharMask,
+    DocumentRef,
+    comp_rate,
+    complementarity_scores,
+    error_set,
+    mask_to_spans,
+)
+from span_ensembles.model import GOLD_SOURCE
 
 
 def mask(text, doc_id="d1"):
     return CharMask(doc_id, np.array([c == "1" for c in text]))
+
+
+def restricted_prf(gold, pred_a, pred_b):
+    """PRF of B on A's errors, from a one-document store whose gold, A and B
+    spans are the runs of 1s in the given bit strings."""
+    texts = {GOLD_SOURCE: gold, "A": pred_a, "B": pred_b}
+    anns = [
+        Annotation("d1", source, begin, end)
+        for source, text in texts.items()
+        for begin, end in mask_to_spans(mask(text))
+    ]
+    store = AnnotationStore([DocumentRef("d1", len(gold))], anns, sources=tuple(texts))
+    return complementarity_scores(store, ("A", "B"), GOLD_SOURCE)[("A", "B")][1]
 
 
 def test_error_set_examples():
@@ -37,25 +60,25 @@ def test_comp_rate_bounds():
 
 
 def test_comp_prf_b_perfect_on_a_errors():
-    gold = {"d1": mask("1111100000")}
-    pred_a = {"d1": mask("1110000000")}  # errors at positions 3, 4
-    pred_b = {"d1": mask("0001100000")}  # exactly fixes them
-    result = comp_prf(gold, pred_a, pred_b)
+    gold = "1111100000"
+    pred_a = "1110000000"  # errors at positions 3, 4
+    pred_b = "0001100000"  # exactly fixes them
+    result = restricted_prf(gold, pred_a, pred_b)
     assert (result.tp, result.fp, result.fn) == (2, 0, 0)
     assert result.f1 == 1.0
 
 
 def test_comp_prf_b_repeats_a():
-    gold = {"d1": mask("1111100000")}
-    pred_a = {"d1": mask("1110011000")}
-    result = comp_prf(gold, pred_a, dict(pred_a))
+    gold = "1111100000"
+    pred_a = "1110011000"
+    result = restricted_prf(gold, pred_a, pred_a)
     assert result.tp == 0
     assert result.f1 == 0.0
 
 
 def test_comp_prf_empty_error_set_is_degenerate():
-    gold = {"d1": mask("1100")}
-    result = comp_prf(gold, dict(gold), {"d1": mask("0011")})
+    gold = "1100"
+    result = restricted_prf(gold, gold, "0011")
     assert result.degenerate
     assert (result.tp, result.fp, result.fn) == (0, 0, 0)
 

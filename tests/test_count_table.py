@@ -1,15 +1,19 @@
-"""Differential tests: count-table scoring against per-character set oracles.
+"""Differential tests: count-table scoring against independent oracles.
 
-``grid_search`` and ``evaluate_expression`` score an ensemble from a table of
-characters counted by (gold bit, coverage pattern).  Here every score is
-recomputed from the raw annotations with plain Python sets
-(``conftest.set_eval``) and per-character counting (``brute_confusion``), on
-small random corpora with overlapping spans, several groups and k <= 4
-systems.
+``grid_search``, ``evaluate_expression``, ``complementarity_scores`` and
+``cross_group_union_merge`` read a table of characters counted by (gold bit,
+coverage pattern); ``majority_vote_eval`` votes one document at a time from
+the same coverage rows.  Here every score is recomputed on small random
+corpora with overlapping spans, several groups and k <= 4 systems: from the
+raw annotations with plain Python sets (``conftest.set_eval``) and
+per-character counting (``brute_confusion``), or from the per-document mask
+path (``corpus_masks``, ``error_set``, ``comp_rate``, ``conftest.comp_prf``,
+``majority_vote``, ``char_prf``).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,26 +21,35 @@ from span_ensembles import (
     ALL_GROUPS,
     Annotation,
     AnnotationStore,
+    ConfigError,
     DocumentRef,
     MetricsResult,
     SearchConfig,
+    char_prf,
+    comp_rate,
+    complementarity_scores,
+    corpus_masks,
+    cross_group_union_merge,
+    error_set,
     evaluate_expression,
     grid_search,
+    majority_vote,
+    majority_vote_eval,
     parse,
 )
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.search import SAMPLED, ScoredEnsemble, _pareto_front
-from conftest import brute_confusion, set_eval
+from conftest import brute_confusion, comp_prf, set_eval
 
 GROUPS = ("G1", "G2")
 NAMES = ("A", "B", "zeta", "x2")
 
 
 @st.composite
-def corpora(draw):
-    """A store with 1-4 documents, gold plus k systems, overlapping spans of
-    group G1, G2 or none."""
-    k = draw(st.integers(1, 4))
+def corpora(draw, min_systems=1):
+    """A store with 1-4 documents, gold plus k systems (``min_systems`` <= k
+    <= 4), overlapping spans of group G1, G2 or none."""
+    k = draw(st.integers(min_systems, 4))
     systems = draw(st.permutations(NAMES))[:k]
     lengths = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
     docs = [DocumentRef(f"d{i}", n) for i, n in enumerate(lengths)]
@@ -54,21 +67,27 @@ def corpora(draw):
     return store, systems
 
 
+def covered(store, source, group):
+    """The (doc, char) positions inside ``source``'s spans of ``group``."""
+    return frozenset(
+        (doc_id, i)
+        for doc_id in store.doc_ids
+        for a in store.annotations_for(source, doc_id)
+        if group == ALL_GROUPS or a.group == group
+        for i in range(a.begin, a.end)
+    )
+
+
+def set_confusion(store, gold, pred):
+    """tp/fp/fn of two sets of covered positions, character by character."""
+    positions = [(d, i) for d in store.doc_ids for i in range(store.document(d).length)]
+    return brute_confusion([p in gold for p in positions], [p in pred for p in positions])
+
+
 def oracle(store, tree, group):
     """tp/fp/fn of ``tree`` from sets of covered (doc, char) positions."""
-    def covered(source):
-        return frozenset(
-            (doc_id, i)
-            for doc_id in store.doc_ids
-            for a in store.annotations_for(source, doc_id)
-            if group == ALL_GROUPS or a.group == group
-            for i in range(a.begin, a.end)
-        )
-
-    positions = [(d, i) for d in store.doc_ids for i in range(store.document(d).length)]
-    gold = covered(GOLD_SOURCE)
-    pred = set_eval(tree, {s: covered(s) for s in store.sources if s != GOLD_SOURCE})
-    return brute_confusion([p in gold for p in positions], [p in pred for p in positions])
+    sets = {s: covered(store, s, group) for s in store.sources if s != GOLD_SOURCE}
+    return set_confusion(store, covered(store, GOLD_SOURCE, group), set_eval(tree, sets))
 
 
 def quadratic_pareto(scored):
@@ -122,3 +141,49 @@ def test_pareto_front_matches_quadratic_definition(counts):
         ScoredEnsemble(f"e{i:02d}", 1, MetricsResult.from_counts(*c)) for i, c in enumerate(counts)
     ]
     assert _pareto_front(scored) == quadratic_pareto(scored)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora(min_systems=2))
+def test_complementarity_matches_mask_path(corpus):
+    store, systems = corpus
+    for group in (*GROUPS, ALL_GROUPS):
+        gold = corpus_masks(store, GOLD_SOURCE, group)
+        masks = {s: corpus_masks(store, s, group) for s in systems}
+        errors = {s: error_set(gold, masks[s]) for s in systems}
+        scores = complementarity_scores(store, systems, GOLD_SOURCE, group)
+        assert list(scores) == [(a, b) for a in systems for b in systems if a != b]
+        for (a, b), (rate, restricted) in scores.items():
+            assert rate == comp_rate(errors[a], errors[b]), (group, a, b)
+            assert restricted == comp_prf(gold, masks[a], masks[b]), (group, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(corpora(min_systems=2), st.sampled_from((0, 1, 7)))
+def test_majority_vote_matches_mask_path(corpus, seed):
+    store, systems = corpus
+    for group in (*GROUPS, ALL_GROUPS):
+        per_source = {s: corpus_masks(store, s, group) for s in systems}
+        voted = {
+            doc_id: majority_vote([per_source[s][doc_id] for s in systems], seed)
+            for doc_id in store.doc_ids
+        }
+        expected = char_prf(corpus_masks(store, GOLD_SOURCE, group), voted)
+        assert majority_vote_eval(store, systems, GOLD_SOURCE, group, seed) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cross_group_union_merge_matches_set_oracle(data):
+    store, systems = data.draw(corpora())
+    groups = data.draw(st.lists(st.sampled_from(GROUPS), min_size=1, unique=True))
+    assignments = {g: data.draw(st.sampled_from(systems)) for g in groups}
+    slices = {g: covered(store, s, g) for g, s in assignments.items()}
+    if not all(slices.values()):
+        with pytest.raises(ConfigError, match="has no annotations for group"):
+            cross_group_union_merge(store, assignments, GOLD_SOURCE)
+        return
+    merged = frozenset().union(*slices.values())
+    gold = covered(store, GOLD_SOURCE, ALL_GROUPS)
+    m = cross_group_union_merge(store, assignments, GOLD_SOURCE)
+    assert (m.tp, m.fp, m.fn) == set_confusion(store, gold, merged)

@@ -59,6 +59,48 @@ def test_manifest_malformed_line_reports_lineno(tmp_path):
         load_corpus_manifest(path)
 
 
+def test_manifest_reports_every_malformed_line(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    write_lines(
+        path,
+        [
+            '{"doc_id":"d1","length":5}',
+            "{oops",
+            '{"doc_id":"d2","corpus_id":"x"}',
+            "[1, 2]",
+            '{"doc_id":"d3","length":"many"}',
+            '{"doc_id":"d1","length":9}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_corpus_manifest(path)
+    message = str(err.value)
+    assert message.startswith("4 malformed manifest record(s)")
+    for lineno, problem in ((2, "bad JSON"), (3, "missing field 'length'"),
+                            (4, "expected a JSON object"), (5, "non-numeric length")):
+        assert f"{path}:{lineno}: {problem}" in message
+    assert err.value.position == 2
+
+
+def test_manifest_reports_every_invalid_record(tmp_path):
+    path = tmp_path / "manifest.jsonl"
+    write_lines(
+        path,
+        [
+            '{"doc_id":"d1","length":5}',
+            '{"doc_id":"d2","length":-1}',
+            '{"doc_id":"d1","length":9}',
+            '{"doc_id":"d3","length":4}',
+        ],
+    )
+    with pytest.raises(ValidationError) as err:
+        load_corpus_manifest(path)
+    message = str(err.value)
+    assert message.startswith("2 invalid manifest record(s)")
+    assert f"{path}:2:" in message
+    assert f"{path}:3: duplicate doc_id 'd1' (first at line 1)" in message
+
+
 DOCS = {"d1": DocumentRef("d1", 100, "x")}
 
 
@@ -153,6 +195,34 @@ def test_override_unknown_group(tmp_path):
     write_lines(overrides, ['{"source":"A","native_type":"X","group":"Findings"}'])
     with pytest.raises(ValidationError):
         load_semantic_group_map(groups, overrides)
+
+
+def test_overrides_report_every_bad_line(tmp_path):
+    groups = tmp_path / "groups.txt"
+    write_lines(groups, SEMGROUPS)
+    overrides = tmp_path / "overrides.jsonl"
+    write_lines(
+        overrides,
+        [
+            '{"source":"A","native_type":"X","group":"Findings"}',
+            "{oops",
+            '{"source":"A","group":"Disorders"}',
+            '{"source":"B","native_type":"Y","group":"Nowhere"}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_semantic_group_map(groups, overrides)
+    message = str(err.value)
+    assert message.startswith("2 malformed override record(s)")
+    assert f"{overrides}:2: bad JSON" in message
+    assert f"{overrides}:3: missing field 'native_type'" in message
+    # invalid records are reported once the file parses
+    write_lines(overrides, ['{"source":"A","native_type":"X","group":"Findings"}',
+                            '{"source":"B","native_type":"Y","group":"Nowhere"}'])
+    with pytest.raises(ValidationError) as err:
+        load_semantic_group_map(groups, overrides)
+    assert str(err.value).startswith("2 invalid override record(s)")
+    assert f"{overrides}:1:" in str(err.value) and f"{overrides}:2:" in str(err.value)
 
 
 def test_apply_group_mapping(tmp_path):

@@ -10,6 +10,7 @@ from span_ensembles import (
     char_prf,
     ci_overlap_significant,
     doc_level_cui_prf,
+    error_set,
     mention_level_cui_prf,
     to_char_mask,
     to_cui_mask,
@@ -54,6 +55,18 @@ def test_char_prf_doc_mismatch():
     pred = {"d2": cover("d2", 5)}
     with pytest.raises(ValidationError):
         char_prf(gold, pred)
+
+
+def test_mask_length_mismatch_is_validation_error():
+    short, long = {"d1": cover("d1", 4, (0, 2))}, {"d1": cover("d1", 6, (0, 2))}
+    for score in (char_prf, error_set):
+        with pytest.raises(ValidationError, match="mask length mismatch for doc 'd1': 4 vs 6"):
+            score(short, long)
+    anns = [Annotation("d1", "A", 0, 3, cui="C0000001")]
+    gold = {"d1": to_cui_mask(anns, "d1", 4, seed=0)}
+    pred = {"d1": to_cui_mask(anns, "d1", 6, seed=0)}
+    with pytest.raises(ValidationError, match="mask length mismatch"):
+        mention_level_cui_prf(gold, pred)
 
 
 def test_char_prf_matches_bruteforce():
