@@ -28,15 +28,15 @@ from .errors import (
 from .expr import Leaf, parse, to_string
 from .ingest import (
     DisambiguationPolicy,
-    apply_group_mapping,
-    disambiguate_overlaps,
-    load_annotations,
+    disambiguate_spans,
     load_corpus_manifest,
     load_semantic_group_map,
+    load_spans,
+    map_groups,
     write_annotations,
     write_manifest,
 )
-from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore
+from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore, SpanColumns
 from .report import ComplementarityRow, CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
 from .search import (
     DOC_LEVEL,
@@ -48,7 +48,7 @@ from .search import (
     grid_search,
     majority_vote_eval,
 )
-from .synth import SourceSpec, SynthSpec, generate
+from .synth import SourceSpec, SynthSpec, generate_annotations
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -164,40 +164,29 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 def _build_store(cfg: RunConfig) -> AnnotationStore:
     documents = load_corpus_manifest(cfg.manifest)
     doc_map = {d.doc_id: d for d in documents}
-    annotations = list(load_annotations(cfg.gold, doc_map, expected_source=cfg.gold_source))
-    for name in sorted(cfg.systems):
-        annotations.extend(load_annotations(cfg.systems[name], doc_map, expected_source=name))
+    inputs = [(cfg.gold_source, cfg.gold)]
+    inputs += [(name, cfg.systems[name]) for name in sorted(cfg.systems)]
+    spans = SpanColumns.concat(
+        [load_spans(path, doc_map, expected_source=source) for source, path in inputs]
+    )
 
-    universe: tuple[str, ...] = ()
     if cfg.semgroups is not None:
         gmap = load_semantic_group_map(cfg.semgroups, cfg.overrides)
-        outcome = apply_group_mapping(annotations, gmap)
+        outcome = map_groups(spans, gmap)
         if outcome.dropped:
-            print(
-                f"note: dropped {outcome.dropped} annotation(s) with unmapped semantic types",
-                file=sys.stderr,
-            )
-        annotations = list(outcome.annotations)
+            print(f"note: {outcome.note()}", file=sys.stderr)
+        spans = outcome.spans
         universe = gmap.group_universe
     else:
-        universe = tuple(sorted({a.group for a in annotations if a.group is not None}))
+        universe = spans.groups_present()
 
     # Overlapping concepts from one system resolve by the longest-span /
     # highest-score / seeded cascade; gold spans merge later in mask building.
     policy = DisambiguationPolicy(seed=cfg.seed)
-    by_slice: dict[tuple[str, str], list] = {}
-    for ann in annotations:
-        by_slice.setdefault((ann.source, ann.doc_id), []).append(ann)
-    final = []
-    for (source, _doc_id), slice_anns in sorted(by_slice.items()):
-        if source == cfg.gold_source:
-            final.extend(slice_anns)
-        else:
-            final.extend(disambiguate_overlaps(slice_anns, policy))
-
+    spans = disambiguate_spans(spans, policy, exempt=(cfg.gold_source,))
     return AnnotationStore(
         documents,
-        final,
+        spans,
         group_universe=universe,
         sources=[cfg.gold_source, *cfg.systems],
     )
@@ -327,13 +316,13 @@ def _task_synth(args: argparse.Namespace) -> str:
         emit_scores=args.scores,
         seed=args.seed,
     )
-    store = generate(spec)
+    documents, annotations = generate_annotations(spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(store.documents, out_dir / "manifest.jsonl")
+    write_manifest(documents, out_dir / "manifest.jsonl")
     system_files = {}
-    for source in store.sources:
-        anns = [a for a in store.annotations if a.source == source]
+    for source in sorted({GOLD_SOURCE, *(s.name for s in spec.sources)}):
+        anns = [a for a in annotations if a.source == source]
         filename = f"{source}.jsonl"
         write_annotations(anns, out_dir / filename)
         if source != GOLD_SOURCE:
@@ -346,7 +335,7 @@ def _task_synth(args: argparse.Namespace) -> str:
     }
     (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
     return (
-        f"wrote {len(store.documents)} docs, {len(store.annotations)} annotations, "
+        f"wrote {len(documents)} docs, {len(annotations)} annotations, "
         f"{len(system_files)} systems to {out_dir}\n"
     )
 

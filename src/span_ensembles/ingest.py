@@ -5,49 +5,137 @@ document and one annotation record per span (unknown fields ignored).
 Semantic group files use the published pipe-delimited 4-column format
 (group-abbrev|group-name|TUI|type-name); overrides are JSONL records mapping
 a (source, native_type) pair to a group.
+
+Annotation files are read a chunk of lines at a time into
+:class:`~span_ensembles.model.SpanColumns`, with no Python object per
+record beyond the decoded JSON of one chunk; the record checks run as array
+checks over each chunk.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from . import seeds
 from .errors import ParseError, ValidationError
-from .model import Annotation, DocumentRef, SemanticGroupMap
+from .model import (
+    COLUMNS,
+    CUI_PATTERN,
+    Annotation,
+    DocumentRef,
+    SemanticGroupMap,
+    SpanColumns,
+    bad_cui_message,
+    bad_score_message,
+    bad_span_message,
+    encode_values,
+    overlapping,
+    span_names,
+)
 
 PathLike = Union[str, Path]
 
-_ANNOTATION_FIELDS = ("doc_id", "source", "begin", "end", "group", "native_type", "cui", "score")
+# Lines decoded per json.loads call: big enough to amortize the call, small
+# enough that one chunk's decoded objects stay a few MB.
+CHUNK_LINES = 4096
+
+_INT64 = (-(2**63), 2**63 - 1)
+
+# The types an annotation field's JSON value may have to need no conversion.
+_TEXT, _OPTIONAL_TEXT = {str}, {str, type(None)}
+_PLAIN_TYPES = {
+    "doc_id": _TEXT,
+    "source": _TEXT,
+    "begin": {int},
+    "end": {int},
+    "group": _OPTIONAL_TEXT,
+    "native_type": _OPTIONAL_TEXT,
+    "cui": _OPTIONAL_TEXT,
+    "score": {float, type(None)},
+}
 
 
-def _jsonl_records(path: PathLike, malformed: list[tuple[int, str]]):
-    """Yield (line number, object) per non-blank line.  A line that is not a
-    JSON object is appended to ``malformed`` as (line number, message) and
-    skipped."""
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+def _decode_chunk(lines: list[str]) -> Optional[list]:
+    """The JSON objects of ``lines``, decoded by one ``json.loads`` over the
+    lines joined into an array, or None unless each line is exactly one object.
+
+    The lines are joined by a comma and a newline.  Strict JSON has no raw
+    newline inside a string, so no string spans two lines; and a line that
+    starts with its only "{" and ends with its only "}" can only be one
+    whole object.  So a decode that succeeds is line-aligned.
+    """
+    n = len(lines)
+    text = "[" + ",\n".join(lines) + "]"
+    aligned = (
+        text.count("{") == n == text.count("}")
+        and text.count(",\n{") == n - 1 == text.count("},\n")
+        and text.startswith("[{")
+        and text.endswith("}]")
+    )
+    if not aligned:
+        return None
+    try:
+        records = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return records if len(records) == n else None
+
+
+def _decode_lines(path: PathLike, linenos: list[int], lines: list[str], malformed: list):
+    """Per-line decode: (line numbers, objects) of the lines that are JSON
+    objects; every other line is appended to ``malformed``."""
+    kept_linenos, records = [], []
+    for lineno, line in zip(linenos, lines):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problem = f"bad JSON ({exc.msg})"
+        else:
+            if isinstance(record, dict):
+                kept_linenos.append(lineno)
+                records.append(record)
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem = f"bad JSON ({exc.msg})"
-            else:
-                if isinstance(record, dict):
-                    yield lineno, record
-                    continue
-                problem = "expected a JSON object"
-            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+            problem = "expected a JSON object"
+        malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+    return kept_linenos, records
+
+
+def _jsonl_chunks(path: PathLike, malformed: list) -> Iterator[tuple[list[int], list[dict]]]:
+    """Yield (line numbers, objects) per chunk of up to ``CHUNK_LINES`` lines,
+    blank lines skipped.  A chunk that does not decode at once, line-aligned,
+    is decoded line by line: a line that is not a JSON object is appended to
+    ``malformed`` as (line number, message) and skipped."""
+    with open(path, encoding="utf-8") as handle:
+        first = 1
+        while True:
+            chunk = [line.strip() for line in islice(handle, CHUNK_LINES)]
+            if not chunk:
+                return
+            linenos = [first + i for i, line in enumerate(chunk) if line]
+            lines = [line for line in chunk if line]
+            first += len(chunk)
+            records = _decode_chunk(lines) if lines else []
+            if records is None:
+                linenos, records = _decode_lines(path, linenos, lines, malformed)
+            yield linenos, records
+
+
+def _jsonl_records(path: PathLike, malformed: list) -> Iterator[tuple[int, dict]]:
+    for linenos, records in _jsonl_chunks(path, malformed):
+        yield from zip(linenos, records)
 
 
 def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
     """Raise one ParseError listing every malformed record, else one ValidationError."""
     if malformed:
+        malformed.sort(key=lambda item: item[0])
         raise ParseError(
             f"{len(malformed)} malformed {kind} record(s):\n"
             + "\n".join(message for _, message in malformed),
@@ -57,6 +145,16 @@ def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list
         raise ValidationError(
             f"{len(problems)} invalid {kind} record(s):\n" + "\n".join(problems)
         )
+
+
+def _integer(value) -> int:
+    """A JSON integer that fits in 64 bits; TypeError for anything else
+    (a float, a bool or a string included), ValueError if it does not fit."""
+    if type(value) is not int:
+        raise TypeError(f"not an integer: {value!r}")
+    if not _INT64[0] <= value <= _INT64[1]:
+        raise ValueError(f"out of range: {value}")
+    return value
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
@@ -71,13 +169,17 @@ def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
         try:
             doc = DocumentRef(
                 doc_id=str(record["doc_id"]),
-                length=int(record["length"]),
+                length=_integer(record["length"]),
                 corpus_id=str(record.get("corpus_id", "")),
             )
         except KeyError as exc:
             malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
-        except (TypeError, ValueError):
-            malformed.append((lineno, f"{path}:{lineno}: non-numeric length"))
+        except TypeError:
+            numeric = isinstance(record["length"], (int, float))
+            problem = "non-integer length" if numeric else "non-numeric length"
+            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+        except ValueError:
+            malformed.append((lineno, f"{path}:{lineno}: length beyond 64 bits"))
         except ValidationError as exc:
             problems.append(f"{path}:{lineno}: {exc}")
         else:
@@ -92,71 +194,177 @@ def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
     return docs
 
 
+def _annotation_fields(record: dict) -> tuple:
+    """One record's field values, converted; KeyError for a missing field,
+    TypeError, ValueError or OverflowError for a malformed one."""
+    return (
+        str(record["doc_id"]),
+        str(record["source"]),
+        _integer(record["begin"]),
+        _integer(record["end"]),
+        *(
+            None if record.get(key) is None else str(record[key])
+            for key in ("group", "native_type", "cui")
+        ),
+        None if record.get("score") is None else float(record["score"]),
+    )
+
+
+def _plain(col: str, value) -> bool:
+    """Whether a field value is already what its column holds."""
+    if col in ("begin", "end"):
+        return type(value) is int and _INT64[0] <= value <= _INT64[1]
+    return type(value) in _PLAIN_TYPES[col]
+
+
+def _annotation_values(path: PathLike, linenos: list[int], records: list[dict], malformed: list):
+    """(line numbers, values by column) of a chunk's well-formed records.
+
+    Each field's values are read in one pass; only the records with a value
+    of another type than :data:`_PLAIN_TYPES` (or an offset beyond 64 bits)
+    are converted one by one, and those that fail are appended to
+    ``malformed`` and left out."""
+    values = {col: [r.get(col) for r in records] for col in COLUMNS}
+    odd: set[int] = set()
+    for col, types in _PLAIN_TYPES.items():
+        column = values[col]
+        plain = set(map(type, column)) <= types
+        if plain and col in ("begin", "end") and column:
+            plain = _INT64[0] <= min(column) and max(column) <= _INT64[1]
+        if not plain:
+            odd.update(i for i, v in enumerate(column) if not _plain(col, v))
+    if not odd:
+        return linenos, values
+    bad = set()
+    for i in sorted(odd):
+        lineno = linenos[i]
+        try:
+            fields = _annotation_fields(records[i])
+        except KeyError as exc:
+            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
+            bad.add(i)
+        except (TypeError, ValueError, OverflowError):
+            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
+            bad.add(i)
+        else:
+            for col, value in zip(COLUMNS, fields):
+                values[col][i] = value
+    if bad:
+        keep = [i for i in range(len(records)) if i not in bad]
+        linenos = [linenos[i] for i in keep]
+        values = {col: [column[i] for i in keep] for col, column in values.items()}
+    return linenos, values
+
+
+class _SpanChecks:
+    """The record checks of one annotation file, as array checks over chunks.
+
+    A record's first failing check names its problem, in this order: its
+    span, its CUI, its score, then its document, its bounds in that
+    document, and its source.
+    """
+
+    def __init__(self, path: PathLike, documents: Mapping[str, DocumentRef],
+                 names: dict, expected_source: Optional[str]):
+        self.path = path
+        self.names = names
+        self.n_docs = len(documents)
+        self.lengths = np.array([d.length for d in documents.values()] + [0], dtype=np.int64)
+        self.expected_source = expected_source
+        self.cui_ok = np.ones(1, dtype=bool)  # per CUI code, grown as names are added
+
+    def failures(self, linenos: list[int], values: dict, rows: dict):
+        """(mask of passing rows, problem per failing row in line order)."""
+        cuis = list(self.names["cui"])
+        if len(cuis) > len(self.cui_ok):
+            fresh = [bool(CUI_PATTERN.match(c)) for c in cuis[len(self.cui_ok):]]
+            self.cui_ok = np.concatenate((self.cui_ok, fresh))
+        begin, end, doc = rows["begin"], rows["end"], rows["doc_id"]
+        unknown = doc >= self.n_docs
+        expected = self.names["source"].get(self.expected_source, -1)
+        checks = [
+            (begin < 0) | (end <= begin),
+            ~self.cui_ok[rows["cui"]],
+            np.array([s is not None and not 0.0 <= s <= 1.0 for s in values["score"]], dtype=bool),
+            unknown,
+            end > self.lengths[np.where(unknown, self.n_docs, doc)],
+            np.full(len(begin), self.expected_source is not None) & (rows["source"] != expected),
+        ]
+        failed = np.select(checks, list(range(1, len(checks) + 1)), 0)
+        problems = [
+            f"{self.path}:{linenos[i]}: {self._problem(int(failed[i]), i, values, rows)}"
+            for i in np.flatnonzero(failed).tolist()
+        ]
+        return failed == 0, problems
+
+    def _problem(self, check: int, i: int, values: dict, rows: dict) -> str:
+        begin, end = values["begin"][i], values["end"][i]
+        doc_id, source = values["doc_id"][i], values["source"][i]
+        if check == 1:
+            return bad_span_message(begin, end, source, doc_id)
+        if check == 2:
+            return bad_cui_message(values["cui"][i])
+        if check == 3:
+            return bad_score_message(values["score"][i])
+        if check == 4:
+            return f"unknown doc {doc_id!r}"
+        if check == 5:
+            length = self.lengths[rows["doc_id"][i]]
+            return f"span [{begin}, {end}) exceeds doc {doc_id!r} length {length}"
+        return f"source {source!r} != expected {self.expected_source!r}"
+
+
+def load_spans(
+    path: PathLike,
+    documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
+    expected_source: Optional[str] = None,
+) -> SpanColumns:
+    """Read an annotation file into columns, checking each record against its
+    document.
+
+    ``expected_source`` of None accepts any source; otherwise every record's
+    source must match.  Offending records are collected into one error: a
+    ParseError listing every malformed record (not a JSON object, a missing
+    field, a value of the wrong type, such as an offset that is not an
+    integer), else a ValidationError listing every invalid one.
+    """
+    if not isinstance(documents, Mapping):
+        documents = {d.doc_id: d for d in documents}
+    names = span_names()
+    names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
+    checks = _SpanChecks(path, documents, names, expected_source)
+    parts = []
+    malformed: list[tuple[int, str]] = []
+    problems: list[str] = []
+    for linenos, records in _jsonl_chunks(path, malformed):
+        linenos, values = _annotation_values(path, linenos, records, malformed)
+        rows = encode_values(values, names)
+        passed, failures = checks.failures(linenos, values, rows)
+        problems.extend(failures)
+        parts.append({col: array[passed] for col, array in rows.items()})
+    _raise_collected("annotation", malformed, problems)
+    return SpanColumns.build(parts, names)
+
+
 def load_annotations(
     path: PathLike,
     documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
     expected_source: Optional[str] = None,
 ) -> list[Annotation]:
-    """Read annotation records and validate each against its document.
-
-    ``expected_source`` of None accepts any source; otherwise every record's
-    source must match.  Offending records are collected into one error: a
-    ParseError listing every malformed record (not a JSON object, a missing
-    field, a non-numeric value), else a ValidationError listing every invalid
-    one.
-    """
-    if not isinstance(documents, Mapping):
-        documents = {d.doc_id: d for d in documents}
-    annotations: list[Annotation] = []
-    malformed: list[tuple[int, str]] = []
-    problems: list[str] = []
-    for lineno, record in _jsonl_records(path, malformed):
-        try:
-            ann = Annotation(
-                doc_id=str(record["doc_id"]),
-                source=str(record["source"]),
-                begin=int(record["begin"]),
-                end=int(record["end"]),
-                group=None if record.get("group") is None else str(record["group"]),
-                native_type=None if record.get("native_type") is None else str(record["native_type"]),
-                cui=None if record.get("cui") is None else str(record["cui"]),
-                score=None if record.get("score") is None else float(record["score"]),
-            )
-        except KeyError as exc:
-            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
-            continue
-        except (TypeError, ValueError):
-            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
-            continue
-        except ValidationError as exc:
-            problems.append(f"{path}:{lineno}: {exc}")
-            continue
-        doc = documents.get(ann.doc_id)
-        if doc is None:
-            problems.append(f"{path}:{lineno}: unknown doc {ann.doc_id!r}")
-        elif ann.end > doc.length:
-            problems.append(
-                f"{path}:{lineno}: span [{ann.begin}, {ann.end}) exceeds doc "
-                f"{ann.doc_id!r} length {doc.length}"
-            )
-        elif expected_source is not None and ann.source != expected_source:
-            problems.append(
-                f"{path}:{lineno}: source {ann.source!r} != expected {expected_source!r}"
-            )
-        else:
-            annotations.append(ann)
-    _raise_collected("annotation", malformed, problems)
-    return annotations
+    """Read annotation records and validate each against its document, as
+    :func:`load_spans` does; the records come back in file order."""
+    return load_spans(path, documents, expected_source).annotations()
 
 
 def load_semantic_group_map(
     semgroups_path: PathLike, overrides_path: Optional[PathLike] = None
 ) -> SemanticGroupMap:
     """Parse the pipe-delimited semantic groups file plus optional per-source
-    overrides into one lookup structure.  Bad override lines are collected
-    into one error, as in :func:`load_annotations`."""
+    overrides into one lookup structure.  Bad lines of either file are
+    collected into one error, as in :func:`load_annotations`."""
     tui_to_group: dict[str, str] = {}
     universe: dict[str, None] = {}
+    malformed: list[tuple[int, str]] = []
     with open(semgroups_path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -164,18 +372,19 @@ def load_semantic_group_map(
                 continue
             fields = line.split("|")
             if len(fields) != 4:
-                raise ParseError(
+                malformed.append((
+                    lineno,
                     f"{semgroups_path}:{lineno}: expected 4 pipe-delimited fields, "
                     f"got {len(fields)}",
-                    lineno,
-                )
+                ))
+                continue
             _, group_name, tui, _ = fields
             universe.setdefault(group_name)
             tui_to_group[tui] = group_name
+    _raise_collected("semantic group", malformed, [])
 
     native_to_group: dict[tuple[str, str], str] = {}
     if overrides_path is not None:
-        malformed: list[tuple[int, str]] = []
         problems: list[str] = []
         for lineno, record in _jsonl_records(overrides_path, malformed):
             where = f"{overrides_path}:{lineno}"
@@ -200,37 +409,63 @@ def load_semantic_group_map(
 
 @dataclass(frozen=True)
 class MappingOutcome:
-    """Mapped annotations plus a tally of records dropped for having no mapping."""
+    """Mapped spans plus a tally, per (source, native type), of the records
+    dropped for having no mapping (native type None: neither a type nor a group)."""
 
-    annotations: tuple[Annotation, ...]
+    spans: SpanColumns
     dropped: int
     dropped_types: Counter
+
+    @property
+    def annotations(self) -> tuple[Annotation, ...]:
+        return tuple(self.spans.annotations())
+
+    def note(self) -> str:
+        """One line naming the dropped count, per (source, native type) in order."""
+        tally = sorted(self.dropped_types.items(), key=lambda item: (item[0][0], item[0][1] or ""))
+        per_type = ", ".join(
+            f"{source}/{'(none)' if native is None else native}: {count}"
+            for (source, native), count in tally
+        )
+        return f"dropped {self.dropped} annotation(s) with unmapped semantic types ({per_type})"
+
+
+def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
+    """Assign each span's group: source-specific override first, then the TUI
+    lookup, read from one table indexed by (source, native type).  Unmapped
+    spans are dropped and tallied; spans that already carry a group and no
+    native type pass through unchanged."""
+    group_codes = {g: i for i, g in enumerate(spans.groups)}
+
+    def code(group: Optional[str]) -> int:
+        return 0 if group is None else group_codes.setdefault(group, len(group_codes))
+
+    table = np.array(
+        [[code(gmap.lookup(source, native)) if native is not None else 0
+          for native in spans.native_types] for source in spans.sources],
+        dtype=np.int32,
+    ).reshape(len(spans.sources), len(spans.native_types))
+    typed = spans.native_type != 0
+    group = np.where(typed, table[spans.source, spans.native_type], spans.group)
+    kept = group != 0
+    n_types = len(spans.native_types)
+    pairs, counts = np.unique(
+        spans.source[~kept].astype(np.int64) * n_types + spans.native_type[~kept],
+        return_counts=True,
+    )
+    dropped_types = Counter({
+        (spans.sources[pair // n_types], spans.native_types[pair % n_types]): count
+        for pair, count in zip(pairs.tolist(), counts.tolist())
+    })
+    mapped = replace(spans, group=group.astype(np.int32), groups=tuple(group_codes)).take(kept)
+    return MappingOutcome(spans=mapped, dropped=int((~kept).sum()), dropped_types=dropped_types)
 
 
 def apply_group_mapping(
     annotations: Iterable[Annotation], gmap: SemanticGroupMap
 ) -> MappingOutcome:
-    """Assign each annotation's group: source-specific override first, then the
-    TUI lookup.  Unmapped annotations are dropped and tallied; annotations
-    that already carry a group and no native type pass through unchanged."""
-    mapped: list[Annotation] = []
-    dropped_types: Counter = Counter()
-    for ann in annotations:
-        if ann.native_type is not None:
-            group = gmap.lookup(ann.source, ann.native_type)
-            if group is None:
-                dropped_types[(ann.source, ann.native_type)] += 1
-                continue
-            mapped.append(ann.with_group(group))
-        elif ann.group is not None:
-            mapped.append(ann)
-        else:
-            dropped_types[(ann.source, None)] += 1
-    return MappingOutcome(
-        annotations=tuple(mapped),
-        dropped=sum(dropped_types.values()),
-        dropped_types=dropped_types,
-    )
+    """Group mapping of annotation records (see :func:`map_groups`)."""
+    return map_groups(SpanColumns.from_annotations(annotations), gmap)
 
 
 @dataclass(frozen=True)
@@ -315,6 +550,36 @@ def disambiguate_overlaps(
         kept.extend(spans)
     kept.sort(key=lambda a: (a.group or "", a.begin, a.end))
     return kept
+
+
+def disambiguate_spans(
+    spans: SpanColumns, policy: DisambiguationPolicy, exempt: Iterable[str] = ()
+) -> SpanColumns:
+    """Disambiguate every (source, doc) slice whose source is not exempt.
+
+    A running-max scan finds the (source, doc, group) runs of spans that
+    overlap; only those are passed to :func:`disambiguate_overlaps`, one call
+    per (source, doc) slice.  Its random picks are keyed per (source, doc),
+    and it draws only inside overlap clusters, one group after another in
+    group order; so leaving out the runs without an overlap changes no pick.
+    """
+    exempt = set(exempt)
+    exempt_codes = [i for i, source in enumerate(spans.sources) if source in exempt]
+    flagged = overlapping(spans) & ~np.isin(spans.source, exempt_codes)
+    if not flagged.any():
+        return spans
+    slice_key = spans.source.astype(np.int64) * len(spans.doc_ids) + spans.doc_id
+    run_key = slice_key * len(spans.groups) + spans.group
+    rows = np.flatnonzero(np.isin(run_key, run_key[flagged]))
+    rows = rows[np.argsort(slice_key[rows], kind="stable")]
+    bounds = [0, *(np.flatnonzero(np.diff(slice_key[rows])) + 1).tolist(), len(rows)]
+    anns = spans.take(rows).annotations()
+    keep = np.ones(len(spans), dtype=bool)
+    for lo, hi in zip(bounds, bounds[1:]):
+        kept = {id(a) for a in disambiguate_overlaps(anns[lo:hi], policy)}
+        removed = [row for row, a in zip(rows[lo:hi].tolist(), anns[lo:hi]) if id(a) not in kept]
+        keep[removed] = False
+    return spans.take(keep)
 
 
 def _annotation_record(ann: Annotation) -> dict:

@@ -74,14 +74,32 @@ def _doc_spans(
         yield ann
 
 
+def coverage(spans: Sequence[tuple[np.ndarray, np.ndarray]], length: int) -> np.ndarray:
+    """Coverage of one document by several span sets: row i of the boolean
+    (len(spans), length) result marks the characters inside a half-open span
+    of ``spans[i]``, a (begins, ends) pair of integer arrays; overlapping
+    spans simply merge.  The spans must fit the document: nothing is checked
+    here."""
+    width = length + 1
+    starts = np.concatenate([begins + i * width for i, (begins, _) in enumerate(spans)])
+    stops = np.concatenate([ends + i * width for i, (_, ends) in enumerate(spans)])
+    size = len(spans) * width
+    depth = np.bincount(starts, minlength=size) - np.bincount(stops, minlength=size)
+    return np.cumsum(depth.reshape(len(spans), width), axis=1)[:, :length] > 0
+
+
+def _offsets(annotations: Iterable[Annotation], doc_id: str, doc_length: int):
+    """(begins, ends) arrays of checked annotations (see :func:`_doc_spans`)."""
+    spans = [(ann.begin, ann.end) for ann in _doc_spans(annotations, doc_id, doc_length)]
+    pairs = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
 def to_char_mask(
     annotations: Iterable[Annotation], doc_id: str, doc_length: int
 ) -> CharMask:
     """Coverage mask of a span collection; overlapping input spans simply merge."""
-    bits = np.zeros(doc_length, dtype=bool)
-    for ann in _doc_spans(annotations, doc_id, doc_length):
-        bits[ann.begin : ann.end] = True
-    return CharMask(doc_id, bits)
+    return CharMask(doc_id, coverage([_offsets(annotations, doc_id, doc_length)], doc_length)[0])
 
 
 def mask_to_spans(mask: CharMask) -> tuple[tuple[int, int], ...]:
@@ -250,8 +268,15 @@ def to_cui_mask(
         for ann in _doc_spans(annotations, doc_id, doc_length)
         if ann.cui is not None
     ]
-    runs = _resolve_candidates(entries, doc_id, seed)
-    return CuiMask(doc_id, doc_length, runs)
+    return cui_mask(entries, doc_id, doc_length, seed)
+
+
+def cui_mask(
+    entries: Sequence[tuple[int, int, str, int]], doc_id: str, doc_length: int, seed: int
+) -> CuiMask:
+    """Concept mask of (begin, end, cui, span length) entries that fit the
+    document, resolved as in :func:`to_cui_mask`."""
+    return CuiMask(doc_id, doc_length, _resolve_candidates(entries, doc_id, seed))
 
 
 def merge_cui_layers(layers: Sequence[CuiMask], seed: int) -> CuiMask:

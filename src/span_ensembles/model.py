@@ -1,10 +1,17 @@
-"""Core data model: documents, annotations, semantic groups, and validated stores."""
+"""Core data model: documents, annotations, semantic groups, and validated stores.
+
+A store holds its spans as numpy columns (:class:`SpanColumns`); the
+:class:`Annotation` record is the form spans take at the API edges.
+"""
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Iterable, Mapping, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import ConfigError, ValidationError
 
@@ -50,25 +57,31 @@ class Annotation:
 
     def __post_init__(self):
         if self.begin < 0 or self.end <= self.begin:
-            raise ValidationError(
-                f"bad span [{self.begin}, {self.end}) from source {self.source!r} "
-                f"in doc {self.doc_id!r}"
-            )
+            raise ValidationError(bad_span_message(self.begin, self.end, self.source, self.doc_id))
         if self.cui is not None and not CUI_PATTERN.match(self.cui):
-            raise ValidationError(f"bad concept id {self.cui!r} (expected 'C' + 7 digits)")
+            raise ValidationError(bad_cui_message(self.cui))
         if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score {self.score} outside [0, 1]")
+            raise ValidationError(bad_score_message(self.score))
 
     @property
     def length(self) -> int:
         return self.end - self.begin
 
     def with_group(self, group: str) -> "Annotation":
-        # skips __post_init__ (group is never checked); fields set in order keep the layout compact
-        copy = object.__new__(Annotation)
-        for name in self.__dataclass_fields__:
-            object.__setattr__(copy, name, group if name == "group" else getattr(self, name))
-        return copy
+        return replace(self, group=group)
+
+
+# The record checks' messages, shared by Annotation and the column checks of ingest.
+def bad_span_message(begin: int, end: int, source: str, doc_id: str) -> str:
+    return f"bad span [{begin}, {end}) from source {source!r} in doc {doc_id!r}"
+
+
+def bad_cui_message(cui: str) -> str:
+    return f"bad concept id {cui!r} (expected 'C' + 7 digits)"
+
+
+def bad_score_message(score: float) -> str:
+    return f"score {score} outside [0, 1]"
 
 
 @dataclass(frozen=True)
@@ -106,18 +119,162 @@ class SemanticGroupMap:
         return self.tui_to_group.get(native_type)
 
 
+# The columns of SpanColumns, named after Annotation's fields, and for each
+# coded column the attribute holding its names.
+COLUMNS = ("doc_id", "source", "begin", "end", "group", "native_type", "cui", "score")
+NAMED_COLUMNS = {
+    "doc_id": "doc_ids",
+    "source": "sources",
+    "group": "groups",
+    "native_type": "native_types",
+    "cui": "cuis",
+}
+
+
+def span_names() -> dict[str, dict]:
+    """Empty name -> code tables, one per coded column; code 0 of the optional
+    columns (group, native type, CUI) stands for no value."""
+    return {col: ({} if col in ("doc_id", "source") else {None: 0}) for col in NAMED_COLUMNS}
+
+
+def encode_values(values: Mapping[str, list], names: Mapping[str, dict]) -> dict[str, np.ndarray]:
+    """Column arrays of plain per-row values (names, ints, floats or None),
+    each name coded through ``names``, which grows."""
+    arrays = {}
+    for col in COLUMNS:
+        if col in NAMED_COLUMNS:
+            index = names[col]
+            codes = [index.setdefault(v, len(index)) for v in values[col]]
+            arrays[col] = np.array(codes, dtype=np.int32)
+        elif col == "score":
+            arrays[col] = np.array(values[col], dtype=np.float64)  # None -> NaN
+        else:
+            try:
+                arrays[col] = np.array(values[col], dtype=np.int64)
+            except OverflowError:
+                raise ValidationError("span offsets must fit in 64 bits") from None
+    return arrays
+
+
+@dataclass(frozen=True, eq=False)
+class SpanColumns:
+    """Annotations as parallel numpy columns, one row per span.
+
+    The columns are named after :class:`Annotation`'s fields.  ``doc_id``,
+    ``source``, ``group``, ``native_type`` and ``cui`` hold codes into the
+    name tuples ``doc_ids``, ``sources``, ``groups``, ``native_types`` and
+    ``cuis``; in the last three, name 0 is None.  ``score`` is NaN where
+    there is none.  Every row satisfies the :class:`Annotation` invariants.
+    """
+
+    doc_id: np.ndarray
+    source: np.ndarray
+    begin: np.ndarray
+    end: np.ndarray
+    group: np.ndarray
+    native_type: np.ndarray
+    cui: np.ndarray
+    score: np.ndarray
+    doc_ids: tuple[str, ...]
+    sources: tuple[str, ...]
+    groups: tuple[Optional[str], ...]
+    native_types: tuple[Optional[str], ...]
+    cuis: tuple[Optional[str], ...]
+
+    @classmethod
+    def build(
+        cls, parts: Sequence[Mapping[str, np.ndarray]], names: Mapping[str, dict]
+    ) -> "SpanColumns":
+        """Columns from arrays coded through ``names``, concatenated in order."""
+        if not parts:
+            parts = [encode_values({col: [] for col in COLUMNS}, names)]
+        arrays = {col: np.concatenate([part[col] for part in parts]) for col in COLUMNS}
+        return cls(**arrays, **{attr: tuple(names[col]) for col, attr in NAMED_COLUMNS.items()})
+
+    @classmethod
+    def from_annotations(cls, annotations: Iterable[Annotation]) -> "SpanColumns":
+        anns = list(annotations)
+        names = span_names()
+        values = {col: [getattr(a, col) for a in anns] for col in COLUMNS}
+        return cls.build([encode_values(values, names)], names)
+
+    @classmethod
+    def concat(cls, parts: Sequence["SpanColumns"]) -> "SpanColumns":
+        """Rows of every part in order, their names merged."""
+        names = span_names()
+        recoded = []
+        for part in parts:
+            arrays = {col: getattr(part, col) for col in COLUMNS}
+            for col, attr in NAMED_COLUMNS.items():
+                index = names[col]
+                remap = [index.setdefault(name, len(index)) for name in getattr(part, attr)]
+                arrays[col] = np.array(remap, dtype=np.int32)[arrays[col]]
+            recoded.append(arrays)
+        return cls.build(recoded, names)
+
+    def __len__(self) -> int:
+        return len(self.begin)
+
+    def take(self, rows) -> "SpanColumns":
+        """The rows selected by an index, slice or boolean mask; names kept."""
+        return replace(self, **{col: getattr(self, col)[rows] for col in COLUMNS})
+
+    def annotations(self) -> list[Annotation]:
+        rows = zip(*(getattr(self, col).tolist() for col in COLUMNS))
+        docs, sources = self.doc_ids, self.sources
+        groups, natives, cuis = self.groups, self.native_types, self.cuis
+        return [
+            Annotation(docs[d], sources[s], b, e, groups[g], natives[n], cuis[c],
+                       None if score != score else score)
+            for d, s, b, e, g, n, c, score in rows
+        ]
+
+    def groups_present(self) -> tuple[str, ...]:
+        return tuple(sorted(self.groups[c] for c in np.unique(self.group).tolist() if c))
+
+
+def _sort_rank(names: Sequence[Optional[str]]) -> np.ndarray:
+    """Rank of each name in string order, None ranking as the empty string."""
+    keys = [name or "" for name in names]
+    rank = {key: i for i, key in enumerate(sorted(set(keys)))}
+    return np.array([rank[key] for key in keys], dtype=np.int64)
+
+
+def overlapping(spans: SpanColumns) -> np.ndarray:
+    """Flags the rows that begin before some earlier span of the same (source,
+    doc, group) ends, spans taken in (begin, end) order: a running-max scan."""
+    n = len(spans)
+    order = np.lexsort((spans.end, spans.begin, spans.group, spans.doc_id, spans.source))
+    first = np.zeros(n, dtype=bool)
+    first[:1] = True
+    for key in (spans.source[order], spans.doc_id[order], spans.group[order]):
+        first[1:] |= key[1:] != key[:-1]
+    # Offsets become ranks (below 2n), so lifting each slice by 2n per slice
+    # puts it above the ones before, without overflow: one running max serves all.
+    offsets = np.concatenate((spans.begin[order], spans.end[order]))
+    _, ranks = np.unique(offsets, return_inverse=True)
+    lift = np.cumsum(first) * (2 * n)
+    reach = np.maximum.accumulate(ranks[n:] + lift)
+    flags = np.zeros(n, dtype=bool)
+    flags[order[1:]] = ranks[1:n] + lift[1:] < reach[:-1]
+    return flags
+
+
 class AnnotationStore:
     """Immutable, validated collection of annotations indexed by (source, doc, group).
 
-    Construction validates document references and span bounds.  Per-slice
-    span disjointness is the post-disambiguation invariant and is checked
-    separately via :meth:`verify_disjoint_spans`.
+    Spans are held as :class:`SpanColumns` sorted by (source, doc, begin,
+    end, group, cui), with row offsets per (source, doc).  Construction
+    takes ``Annotation`` records or columns and validates document references,
+    span bounds and groups.  Per-slice span disjointness is the
+    post-disambiguation invariant and is checked separately via
+    :meth:`verify_disjoint_spans`.
     """
 
     def __init__(
         self,
         documents: Iterable[DocumentRef],
-        annotations: Iterable[Annotation],
+        annotations: Union[Iterable[Annotation], SpanColumns],
         group_universe: Iterable[str] = (),
         sources: Iterable[str] = (),
     ):
@@ -132,41 +289,83 @@ class AnnotationStore:
             raise ValidationError(
                 f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
             )
-        known_groups = set(universe)
-        anns = tuple(annotations)
-        for ann in anns:
-            doc = docs.get(ann.doc_id)
-            if doc is None:
-                raise ValidationError(f"annotation references unknown doc {ann.doc_id!r}")
-            if ann.end > doc.length:
-                raise ValidationError(
-                    f"span [{ann.begin}, {ann.end}) exceeds doc {ann.doc_id!r} "
-                    f"length {doc.length}"
-                )
-            if known_groups and ann.group is not None and ann.group not in known_groups:
-                raise ValidationError(
-                    f"annotation group {ann.group!r} not in the group universe"
-                )
+        spans = (
+            annotations if isinstance(annotations, SpanColumns)
+            else SpanColumns.from_annotations(annotations)
+        )
 
-        self._documents = docs
-        self._annotations = anns
+        doc_ids = tuple(sorted(docs))
+        doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+        doc = np.array([doc_index.get(d, -1) for d in spans.doc_ids], dtype=np.int32)[spans.doc_id]
+        lengths = np.array([docs[d].length for d in doc_ids] + [0], dtype=np.int64)
+        unknown = doc < 0
+        exceeds = spans.end > lengths[doc]
+        foreign = [i for i, g in enumerate(spans.groups) if g is not None and g not in universe]
+        bad_group = np.isin(spans.group, foreign if universe else [])
+        bad = unknown | exceeds | bad_group
+        if bad.any():
+            row = int(np.argmax(bad))
+            doc_id = spans.doc_ids[spans.doc_id[row]]
+            if unknown[row]:
+                raise ValidationError(f"annotation references unknown doc {doc_id!r}")
+            if exceeds[row]:
+                raise ValidationError(
+                    f"span [{spans.begin[row]}, {spans.end[row]}) exceeds doc {doc_id!r} "
+                    f"length {docs[doc_id].length}"
+                )
+            raise ValidationError(
+                f"annotation group {spans.groups[spans.group[row]]!r} not in the group universe"
+            )
+
+        present = {spans.sources[s] for s in np.unique(spans.source).tolist()}
+        store_sources = tuple(sorted(set(sources) | present))
+        source_index = {s: i for i, s in enumerate(store_sources)}
+        source_code = [source_index.get(s, -1) for s in spans.sources]
+        source = np.array(source_code, dtype=np.int32)[spans.source]
+        order = np.lexsort((
+            _sort_rank(spans.cuis)[spans.cui],
+            _sort_rank(spans.groups)[spans.group],
+            spans.end,
+            spans.begin,
+            doc,
+            source,
+        ))
+        spans = replace(spans, doc_id=doc, source=source, doc_ids=doc_ids, sources=store_sources)
+        self._set(docs, spans.take(order), universe)
+
+    def _set(self, documents: dict[str, DocumentRef], spans: SpanColumns, universe) -> None:
+        """Hold checked columns already in store order and index them."""
+        self._documents = documents
+        self._spans = spans
         self._group_universe = universe
-        self._sources = tuple(sorted(set(sources) | {a.source for a in anns}))
+        self._doc_index = {doc_id: i for i, doc_id in enumerate(spans.doc_ids)}
+        self._source_index = {s: i for i, s in enumerate(spans.sources)}
+        self._group_code = {g: code for code, g in enumerate(spans.groups) if g is not None}
+        slice_key = spans.source.astype(np.int64) * len(spans.doc_ids) + spans.doc_id
+        self._offsets = np.searchsorted(
+            slice_key, np.arange(len(spans.sources) * len(spans.doc_ids) + 1)
+        ).tolist()
 
-        by_slice: dict[tuple[str, str], list[Annotation]] = {}
-        for ann in anns:
-            by_slice.setdefault((ann.source, ann.doc_id), []).append(ann)
-        for slice_anns in by_slice.values():
-            slice_anns.sort(key=lambda a: (a.begin, a.end, a.group or "", a.cui or ""))
-        self._by_slice = {key: tuple(value) for key, value in by_slice.items()}
+    def _restricted_to(self, group: str) -> "AnnotationStore":
+        """A view holding only the rows of one group (no checks, no sort)."""
+        view = object.__new__(AnnotationStore)
+        code = self._group_code.get(group, -1)
+        rows = self._spans.group == code
+        view._set(self._documents, self._spans.take(rows), self._group_universe)
+        return view
 
     @property
+    def columns(self) -> SpanColumns:
+        """The spans as columns, in store order."""
+        return self._spans
+
+    @cached_property
     def annotations(self) -> tuple[Annotation, ...]:
-        return self._annotations
+        return tuple(self._spans.annotations())
 
     @property
     def sources(self) -> tuple[str, ...]:
-        return self._sources
+        return self._spans.sources
 
     @property
     def group_universe(self) -> tuple[str, ...]:
@@ -174,9 +373,9 @@ class AnnotationStore:
 
     @property
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._documents))
+        return self._spans.doc_ids
 
-    @property
+    @cached_property
     def documents(self) -> tuple[DocumentRef, ...]:
         return tuple(self._documents[d] for d in self.doc_ids)
 
@@ -186,39 +385,45 @@ class AnnotationStore:
         except KeyError:
             raise ValidationError(f"unknown doc {doc_id!r}") from None
 
+    def rows(self, source: str, doc_id: str, group: Optional[str] = None):
+        """Index (a slice or an array) of one source's rows in one document in
+        :attr:`columns`; ``None`` or ``ALL_GROUPS`` keeps every group."""
+        s, d = self._source_index.get(source), self._doc_index.get(doc_id)
+        if s is None or d is None:
+            return slice(0, 0)
+        key = s * len(self._doc_index) + d
+        lo, hi = self._offsets[key], self._offsets[key + 1]
+        if group is None or group == ALL_GROUPS:
+            return slice(lo, hi)
+        return lo + np.flatnonzero(self._spans.group[lo:hi] == self._group_code.get(group, -1))
+
     def annotations_for(
         self, source: str, doc_id: str, group: Optional[str] = None
     ) -> tuple[Annotation, ...]:
         """One source's spans in one document, sorted; ``None`` or ``ALL_GROUPS``
         keeps every group."""
-        anns = self._by_slice.get((source, doc_id), ())
-        if group is None or group == ALL_GROUPS:
-            return anns
-        return tuple(a for a in anns if a.group == group)
+        return tuple(self._spans.take(self.rows(source, doc_id, group)).annotations())
 
     def groups_present(self) -> tuple[str, ...]:
-        return tuple(sorted({a.group for a in self._annotations if a.group is not None}))
+        return self._spans.groups_present()
 
     def count_by_group(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for ann in self._annotations:
-            if ann.group is not None:
-                counts[ann.group] = counts.get(ann.group, 0) + 1
-        return counts
+        counts = np.bincount(self._spans.group, minlength=len(self._spans.groups)).tolist()
+        named = sorted((g, n) for g, n in zip(self._spans.groups, counts) if g is not None and n)
+        return dict(named)
 
     def verify_disjoint_spans(self) -> None:
         """Check the post-disambiguation invariant: no overlapping spans within
         one (source, doc, group) slice."""
-        for (source, doc_id), anns in sorted(self._by_slice.items()):
-            last_end: dict[Optional[str], int] = {}
-            for ann in anns:  # already sorted by begin
-                prev = last_end.get(ann.group, -1)
-                if ann.begin < prev:
-                    raise ValidationError(
-                        f"overlapping spans in slice ({source!r}, {doc_id!r}, "
-                        f"{ann.group!r}) at offset {ann.begin}"
-                    )
-                last_end[ann.group] = max(prev, ann.end)
+        flags = overlapping(self._spans)
+        if flags.any():
+            row = int(np.argmax(flags))
+            spans = self._spans
+            raise ValidationError(
+                f"overlapping spans in slice ({spans.sources[spans.source[row]]!r}, "
+                f"{spans.doc_ids[spans.doc_id[row]]!r}, {spans.groups[spans.group[row]]!r}) "
+                f"at offset {spans.begin[row]}"
+            )
 
 
 def filter_by_group(store: AnnotationStore, group: str) -> AnnotationStore:
@@ -230,10 +435,7 @@ def filter_by_group(store: AnnotationStore, group: str) -> AnnotationStore:
     if group == ALL_GROUPS:
         return store
     check_group(store, group)
-    filtered = [a for a in store.annotations if a.group == group]
-    return AnnotationStore(
-        store.documents, filtered, group_universe=store.group_universe, sources=store.sources
-    )
+    return store._restricted_to(group)
 
 
 def check_group(store: AnnotationStore, group: str) -> None:

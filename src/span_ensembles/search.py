@@ -30,7 +30,7 @@ from .expr import (
     tree_size,
     tree_sources,
 )
-from .masks import CharMask, majority_vote, merge_cui_layers, to_char_mask, to_cui_mask
+from .masks import CharMask, coverage, cui_mask, majority_vote, merge_cui_layers
 from .metrics import (
     CuiMetricsResult,
     MetricsResult,
@@ -106,9 +106,19 @@ def _require_sources(store: AnnotationStore, *sources: str) -> None:
             raise ConfigError(f"source {source!r} not present in the store")
 
 
+def _doc_coverage(
+    store: AnnotationStore, doc: DocumentRef, rows: Sequence[tuple[str, str]]
+) -> np.ndarray:
+    """Coverage of one document by each (source, group) row: a boolean
+    (len(rows), doc.length) matrix, read from the store's checked columns."""
+    spans = store.columns
+    picks = [store.rows(source, doc.doc_id, group) for source, group in rows]
+    return coverage([(spans.begin[p], spans.end[p]) for p in picks], doc.length)
+
+
 def _doc_mask(store: AnnotationStore, source: str, doc: DocumentRef, group: str) -> CharMask:
     """Coverage of one document by one source's spans of ``group``."""
-    return to_char_mask(store.annotations_for(source, doc.doc_id, group), doc.doc_id, doc.length)
+    return CharMask(doc.doc_id, _doc_coverage(store, doc, [(source, group)])[0])
 
 
 def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.ndarray:
@@ -120,7 +130,7 @@ def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.
     weights = 1 << np.arange(len(rows))
     table = np.zeros(2 ** len(rows), dtype=np.int64)
     for doc in store.documents:
-        covered = np.stack([_doc_mask(store, source, doc, group).bits for source, group in rows])
+        covered = _doc_coverage(store, doc, rows)
         table += np.bincount(weights @ covered, minlength=table.size)
     return table.reshape(2, -1)
 
@@ -303,7 +313,7 @@ def cross_group_union_merge(
         if universe and group not in universe:
             raise ConfigError(f"unknown group {group!r}")
         _require_sources(store, source)
-        if not any(store.annotations_for(source, d, group) for d in store.doc_ids):
+        if not any(store.columns.begin[store.rows(source, d, group)].size for d in store.doc_ids):
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
     rows = [(source, group) for group, source in pairs]
     counts = _count_table(store, [*rows, (gold_source, ALL_GROUPS)])
@@ -325,8 +335,9 @@ def majority_vote_eval(
     check_group(store, group)
     totals = np.zeros(3, dtype=np.int64)
     for doc in store.documents:
-        voted = majority_vote([_doc_mask(store, s, doc, group) for s in sources], seed)
-        totals += confusion_counts(_doc_mask(store, gold_source, doc, group).bits, voted.bits)
+        *masks, gold = _doc_coverage(store, doc, [(s, group) for s in (*sources, gold_source)])
+        voted = majority_vote([CharMask(doc.doc_id, bits) for bits in masks], seed)
+        totals += confusion_counts(gold, voted.bits)
     return MetricsResult.from_counts(*totals.tolist())
 
 
@@ -354,9 +365,16 @@ def cui_scores(
     if level not in (DOC_LEVEL, MENTION_LEVEL):
         raise ConfigError(f"unknown level {level!r}; expected 'doc' or 'mention'")
 
+    spans = store.columns
+
+    def concept_spans(source, doc):
+        """(begin, end, cui code) of one source's spans of ``group`` in ``doc``."""
+        picked = store.rows(source, doc.doc_id, group)
+        return zip(*(col[picked].tolist() for col in (spans.begin, spans.end, spans.cui)))
+
     if level == DOC_LEVEL:
         def build(source, doc, *_):
-            return {a.cui for a in store.annotations_for(source, doc.doc_id, group) if a.cui}
+            return {spans.cuis[c] for _, _, c in concept_spans(source, doc) if c}
 
         def merge(sets):
             return set().union(*sets)
@@ -364,8 +382,10 @@ def cui_scores(
         score = doc_level_cui_prf
     else:
         def build(source, doc, *key):
-            anns = store.annotations_for(source, doc.doc_id, group)
-            return to_cui_mask(anns, doc.doc_id, doc.length, seeds.digest(seed, *key))
+            entries = [
+                (b, e, spans.cuis[c], e - b) for b, e, c in concept_spans(source, doc) if c
+            ]
+            return cui_mask(entries, doc.doc_id, doc.length, seeds.digest(seed, *key))
 
         def merge(layers):
             return merge_cui_layers(layers, seed)

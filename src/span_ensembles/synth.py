@@ -248,8 +248,9 @@ def _doc_id(index: int) -> str:
     return f"doc-{index:05d}"
 
 
-def generate(spec: SynthSpec) -> AnnotationStore:
-    """Build a store holding gold plus one derived annotation set per source."""
+def generate_annotations(spec: SynthSpec) -> tuple[list[DocumentRef], list[Annotation]]:
+    """Documents, then gold plus one derived annotation set per source, in
+    generation order: per document, gold and then each source, by begin."""
     _validate(spec)
     documents = [
         DocumentRef(_doc_id(i), spec.doc_length, spec.corpus_id) for i in range(spec.n_docs)
@@ -260,6 +261,12 @@ def generate(spec: SynthSpec) -> AnnotationStore:
         annotations.extend(gold)
         for src in spec.sources:
             annotations.extend(_derive_source_annotations(spec, src, doc.doc_id, gold))
+    return documents, annotations
+
+
+def generate(spec: SynthSpec) -> AnnotationStore:
+    """Build a store holding gold plus one derived annotation set per source."""
+    documents, annotations = generate_annotations(spec)
     return AnnotationStore(
         documents,
         annotations,

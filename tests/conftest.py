@@ -3,11 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from collections.abc import Mapping
 
 import numpy as np
 
-from span_ensembles import And, CharMask, Leaf, MetricsResult, Or, seeds
+from span_ensembles import (
+    And,
+    Annotation,
+    CharMask,
+    Leaf,
+    MetricsResult,
+    Or,
+    ParseError,
+    ValidationError,
+    seeds,
+)
 
 
 def rand_mask(rng: random.Random, doc_id: str, length: int, density: float = 0.4) -> CharMask:
@@ -136,3 +148,84 @@ def quadratic_resolve_candidates(entries, doc_id: str, doc_length: int, seed: in
         else:
             merged.append([begin, end, cui, origin_length])
     return tuple(tuple(run) for run in merged)
+
+
+def scan_jsonl(path, malformed):
+    """Reference JSONL reader: one ``json.loads`` per non-blank line, yielding
+    (line number, object); any other line goes to ``malformed``."""
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"bad JSON ({exc.msg})"
+            else:
+                if isinstance(record, dict):
+                    yield lineno, record
+                    continue
+                problem = "expected a JSON object"
+            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+
+
+def _offset(value):
+    if type(value) is not int or not -(2**63) <= value < 2**63:
+        raise TypeError(value)
+    return value
+
+
+def scan_annotations(path, documents, expected_source=None):
+    """Reference annotation loader: the per-line scan, one ``Annotation`` per
+    record, checked record by record; every offending record is collected
+    into one ParseError (malformed), else one ValidationError (invalid)."""
+    if not isinstance(documents, Mapping):
+        documents = {d.doc_id: d for d in documents}
+    annotations, malformed, problems = [], [], []
+    for lineno, record in scan_jsonl(path, malformed):
+        try:
+            ann = Annotation(
+                doc_id=str(record["doc_id"]),
+                source=str(record["source"]),
+                begin=_offset(record["begin"]),
+                end=_offset(record["end"]),
+                group=None if record.get("group") is None else str(record["group"]),
+                native_type=None if record.get("native_type") is None else str(record["native_type"]),
+                cui=None if record.get("cui") is None else str(record["cui"]),
+                score=None if record.get("score") is None else float(record["score"]),
+            )
+        except KeyError as exc:
+            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
+            continue
+        except (TypeError, ValueError, OverflowError):
+            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
+            continue
+        except ValidationError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+            continue
+        doc = documents.get(ann.doc_id)
+        if doc is None:
+            problems.append(f"{path}:{lineno}: unknown doc {ann.doc_id!r}")
+        elif ann.end > doc.length:
+            problems.append(
+                f"{path}:{lineno}: span [{ann.begin}, {ann.end}) exceeds doc "
+                f"{ann.doc_id!r} length {doc.length}"
+            )
+        elif expected_source is not None and ann.source != expected_source:
+            problems.append(
+                f"{path}:{lineno}: source {ann.source!r} != expected {expected_source!r}"
+            )
+        else:
+            annotations.append(ann)
+    if malformed:
+        raise ParseError(
+            f"{len(malformed)} malformed annotation record(s):\n"
+            + "\n".join(message for _, message in malformed),
+            malformed[0][0],
+        )
+    if problems:
+        raise ValidationError(
+            f"{len(problems)} invalid annotation record(s):\n" + "\n".join(problems)
+        )
+    return annotations

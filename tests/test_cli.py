@@ -310,3 +310,64 @@ def test_malformed_annotations_exit_parse_code(corpus, capsys, tmp_path):
     assert code == 3
     assert captured.out == ""
     assert f"{bad}:2:" in captured.err and f"{bad}:4:" in captured.err
+
+
+def test_float_offsets_exit_parse_code(corpus, capsys, tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    good = (corpus / "A.jsonl").read_text().splitlines()
+    record = json.loads(good[0])
+    record["begin"] += 0.5
+    bad.write_text("\n".join([good[1], json.dumps(record)]) + "\n")
+    code = main(
+        ["ner-eval", "--manifest", str(corpus / "manifest.jsonl"),
+         "--gold", str(corpus / "gold.jsonl"), "--system", f"A={bad}"]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{bad}:2: malformed annotation record" in captured.err
+
+
+def test_bad_semgroups_lines_exit_parse_code(corpus, capsys, tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_text("ANAT|Anatomy|T017|Anatomical Structure\nANAT\nDISO|Disorders|T047\n")
+    code = main(["ner-eval", "--config", str(corpus / "config.json"), "--semgroups", str(groups)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"{groups}:2:" in captured.err and f"{groups}:3:" in captured.err
+
+
+def test_dropped_note_counts_each_source_and_native_type(tmp_path, capsys):
+    (tmp_path / "manifest.jsonl").write_text('{"doc_id":"d1","length":50,"corpus_id":"t"}\n')
+    (tmp_path / "gold.jsonl").write_text(
+        '{"doc_id":"d1","source":"gold","begin":0,"end":5,"group":"Anatomy"}\n'
+    )
+    spans = {
+        "A": [("T017", 0), ("T777", 6), ("T888", 12), ("T777", 18), (None, 24)],
+        "B": [("T888", 0), ("T017", 6), ("T888", 12), ("T888", 18)],
+    }
+    for source, records in spans.items():
+        lines = []
+        for native, begin in records:
+            record = {"doc_id": "d1", "source": source, "begin": begin, "end": begin + 4}
+            if native is not None:
+                record["native_type"] = native
+            lines.append(json.dumps(record))
+        (tmp_path / f"{source}.jsonl").write_text("\n".join(lines) + "\n")
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    code = main(
+        [
+            "ner-eval",
+            "--manifest", str(tmp_path / "manifest.jsonl"),
+            "--gold", str(tmp_path / "gold.jsonl"),
+            "--system", f"B={tmp_path / 'B.jsonl'}",
+            "--system", f"A={tmp_path / 'A.jsonl'}",
+            "--semgroups", str(tmp_path / "groups.txt"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == (
+        "note: dropped 7 annotation(s) with unmapped semantic types "
+        "(A/(none): 1, A/T777: 2, A/T888: 1, B/T888: 3)\n"
+    )

@@ -372,3 +372,54 @@ def test_load_annotations_reports_every_malformed_record(tmp_path):
         assert f"{path}:{lineno}:" in message
     assert f"{path}:1:" not in message and f"{path}:3:" not in message
     assert err.value.position == 2
+
+
+def test_semantic_group_map_lists_every_bad_line(tmp_path):
+    path = tmp_path / "groups.txt"
+    write_lines(path, [SEMGROUPS[0], "ANAT", "DISO|Disorders|T047", SEMGROUPS[3]])
+    with pytest.raises(ParseError) as err:
+        load_semantic_group_map(path)
+    message = str(err.value)
+    assert message.startswith("2 malformed semantic group record(s)")
+    assert f"{path}:2: expected 4 pipe-delimited fields, got 1" in message
+    assert f"{path}:3: expected 4 pipe-delimited fields, got 3" in message
+    assert err.value.position == 2
+
+
+def test_offsets_and_lengths_must_be_integers(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_lines(
+        path,
+        [
+            '{"doc_id":"d1","source":"A","begin":5.7,"end":9.9}',
+            '{"doc_id":"d1","source":"A","begin":true,"end":4}',
+            '{"doc_id":"d1","source":"A","begin":0,"end":"12"}',
+            '{"doc_id":"d1","source":"A","begin":0,"end":12}',
+            '{"doc_id":"d1","source":"A","begin":5.0,"end":9}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_annotations(path, DOCS)
+    message = str(err.value)
+    assert message.startswith("4 malformed annotation record(s)")
+    for lineno in (1, 2, 3, 5):
+        assert f"{path}:{lineno}: malformed annotation record" in message
+    assert f"{path}:4:" not in message
+
+    manifest = tmp_path / "manifest.jsonl"
+    write_lines(
+        manifest,
+        [
+            '{"doc_id":"d1","length":5.5}',
+            '{"doc_id":"d2","length":true}',
+            '{"doc_id":"d3","length":"12"}',
+            '{"doc_id":"d4","length":12}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_corpus_manifest(manifest)
+    message = str(err.value)
+    assert message.startswith("3 malformed manifest record(s)")
+    assert f"{manifest}:1: non-integer length" in message
+    assert f"{manifest}:2: non-integer length" in message
+    assert f"{manifest}:3: non-numeric length" in message

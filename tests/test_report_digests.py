@@ -6,6 +6,13 @@ and ``ner-eval`` (all with ``--group each``) on a small fixed ``synth``
 corpus, so a refactor that changes any report byte fails here.  Four systems
 make majority-vote ties occur; two seeds move the tie coin.
 
+A second table pins ``ner-eval``, ``search``, ``vote`` and ``cui-eval`` at
+both levels on a small mapped concept corpus that this module writes from a
+seeded ``random.Random`` (not ``synth``): systems emit native types mapped
+through a groups file and per-source overrides, some types stay unmapped,
+and system spans carry scores and concept ids and overlap, so group mapping,
+disambiguation and concept resolution all shape the reports.
+
 A deliberate report change updates the table below and says why in
 ``CHANGES.md``.
 """
@@ -13,6 +20,8 @@ A deliberate report change updates the table below and says why in
 from __future__ import annotations
 
 import hashlib
+import json
+import random
 
 import pytest
 
@@ -66,3 +75,149 @@ def test_report_digest(corpus, tmp_path, task, fmt, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(task, fmt, seed)]
+
+
+MAPPED_DIGESTS = {
+    ('ner-eval', 'csv', 3): "5b117a9b69f073e5dc83fad4e868abe990fff507f46993c5fc144bef84a2fcc4",
+    ('ner-eval', 'csv', 5): "9ab3828b12f9189f6609d402e1b5a1b0a00f7b673e08efa31bfc9d73ca9f9d82",
+    ('ner-eval', 'markdown', 3): "7128242318470aabdea1b3dbd2e258d5c7134594d7ba1f7743faff42c3b81905",
+    ('ner-eval', 'markdown', 5): "480b831129fbb09a37fb9dc31a69cbc3005662e9875327489dbea50444c02cd5",
+    ('ner-eval', 'json', 3): "b10e38ac1246cde6c0652ee851410105a9016710852b2734b4cf106f29a37991",
+    ('ner-eval', 'json', 5): "630437cb5282cb511c1bf219ba4aa6e21bf3ccfce60349943142e8e9fdcf3c1b",
+    ('search', 'csv', 3): "5e968f26274447e23989866c97bddd3209250b08b4c93a452305adb1b0fb8258",
+    ('search', 'csv', 5): "8b39c18b497d1072295ebd0fd76f1721974a6161c0c5294a931f15ed160bec2a",
+    ('search', 'markdown', 3): "8eef940c0d16e66dfa4741b2ff91618441ec1c67abc3ac68d8def7e8c177de37",
+    ('search', 'markdown', 5): "c088aa67e4989ff5c84b90c86208cddd75ba0c8210704ec7ed9488670f5612b7",
+    ('search', 'json', 3): "751385557b90e48f74dad0f3fd41e64491cb4a0460bd84273960c272d03e9842",
+    ('search', 'json', 5): "6048353ac75dd5fae087adefcc31526b950b0b91b94e4d2a897c2763f861f5e6",
+    ('vote', 'csv', 3): "e6898f46abe6cc9631393e995a77a9d1278d1afc0eac4711cb1e1d99abb9511f",
+    ('vote', 'csv', 5): "fc17b2d432ae1fcb64e421896cd9a66d2a13543a95138a5b5328e0983c7a57eb",
+    ('vote', 'markdown', 3): "24ea6f9f7ba6bdf08a6f0d55a26e86eb26c7b71cb14dc857b580eb0c162a6b39",
+    ('vote', 'markdown', 5): "e2e931f153b4c785368209d4d3c173e48a818af2d063311dbfa927e7cbe609d5",
+    ('vote', 'json', 3): "bbe2f5b848622d6179d58404e79e293d6cdabcad67ce42e706d30f050d83011d",
+    ('vote', 'json', 5): "2c9c96f1b2b47cbcba3b017531d157be73f2b5e60e5694a81e00a9ffe1e3cdaa",
+    ('cui-doc', 'csv', 3): "4cb9e95bb4527a60f00bb63a455a03ac18149e96ed137a93e9ce848c83989326",
+    ('cui-doc', 'csv', 5): "414cb8ec0928dfff497c55df669af75f1cf22a7f17809db9ad57d7b733d844b3",
+    ('cui-doc', 'markdown', 3): "0d1c82353e7414e9ed237d5670d9cf680a902fdbe6e4e9e80e6cb5e4b7739059",
+    ('cui-doc', 'markdown', 5): "e9b4cf0937461b11ff8461743472da6a92c6c504c330b1e2e5c7acf126cfe2e4",
+    ('cui-doc', 'json', 3): "1b6c7f9852c2f04443e5a1addfed43174a9df67efc165f2c6c1b7f6b622332c6",
+    ('cui-doc', 'json', 5): "3596ee550dd2d1e50aed63ea900a321eca5363a2807ba30d3d3dfac9d4e83e3c",
+    ('cui-mention', 'csv', 3): "4f28297b029da8a7b99193e9d42f8ce3ba3a506d9d0d5cf4ac2947940f0c95d7",
+    ('cui-mention', 'csv', 5): "7624e3eef3e78d7c605d9e31528852e3a25a3269a3e4881603a4697cf6caec28",
+    ('cui-mention', 'markdown', 3): "5dd815d0139275ef6b5888cc22c31b4d31284cef8f53ed7fbcf1398958e0fc3f",
+    ('cui-mention', 'markdown', 5): "e6e8644b474715fe2f91df6bd277b19ac7da2c54394c6e6058c7f756bf2acef9",
+    ('cui-mention', 'json', 3): "6207121dc37e2c7fd39991c1a1b0c795705620fb50e2a8b40c2d0c37a3a951d7",
+    ('cui-mention', 'json', 5): "9cb0bd74869e6c65fe3b8ae1ea694fd010116bcc7a243ed78d4acd0625003350",
+}
+
+MAPPED_CALLS = {
+    "ner-eval": ["ner-eval"],
+    "search": ["search", "--top-k", "4"],
+    "vote": ["vote"],
+    "cui-doc": ["cui-eval", "--level", "doc", "--expr", "((A|B)|C)"],
+    "cui-mention": ["cui-eval", "--level", "mention", "--expr", "((A|B)|C)"],
+}
+
+GROUP_LINES = [
+    "ANAT|Anatomy|T017|Anatomical Structure",
+    "ANAT|Anatomy|T023|Body Part, Organ, or Organ Component",
+    "DISO|Disorders|T047|Disease or Syndrome",
+    "DISO|Disorders|T191|Neoplastic Process",
+    "PROC|Procedures|T060|Diagnostic Procedure",
+    "PROC|Procedures|T061|Therapeutic or Preventive Procedure",
+]
+GROUP_TYPES = {"Anatomy": ["T017", "T023"], "Disorders": ["T047", "T191"],
+               "Procedures": ["T060", "T061"]}
+OVERRIDES = [
+    {"source": "B", "native_type": "b-organ", "group": "Anatomy"},
+    {"source": "B", "native_type": "b-finding", "group": "Disorders"},
+    {"source": "C", "native_type": "T047", "group": "Procedures"},  # beats the TUI lookup
+]
+NATIVE_LABELS = {
+    "A": {g: types for g, types in GROUP_TYPES.items()},
+    "B": {"Anatomy": ["b-organ", "T023"], "Disorders": ["b-finding"], "Procedures": ["T060"]},
+    "C": {g: types for g, types in GROUP_TYPES.items()},
+}
+
+
+def _write_jsonl(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
+def mapped_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("mapped-corpus")
+    rng = random.Random(1234)
+    groups = sorted(GROUP_TYPES)
+    cuis = [f"C{n:07d}" for n in rng.sample(range(1, 10**6), 9)]
+    docs = [{"doc_id": f"m{i}", "length": rng.randrange(150, 300), "corpus_id": "mapped"}
+            for i in range(6)]
+    gold, systems = [], {name: [] for name in NATIVE_LABELS}
+    for doc in docs:
+        begin = 0
+        while True:
+            begin += rng.randrange(2, 25)
+            end = begin + rng.randrange(2, 12)
+            if end > doc["length"]:
+                break
+            group = rng.choice(groups)
+            cui = rng.choice(cuis)
+            gold.append({"doc_id": doc["doc_id"], "source": "gold", "begin": begin,
+                         "end": end, "group": group, "cui": cui})
+            if rng.random() < 0.15:  # an overlapping gold span with another concept
+                gold.append({"doc_id": doc["doc_id"], "source": "gold", "begin": begin + 1,
+                             "end": min(end + 3, doc["length"]), "group": group,
+                             "cui": rng.choice(cuis)})
+            for name, labels in NATIVE_LABELS.items():
+                if rng.random() < 0.25:
+                    continue
+                shift = rng.randrange(-2, 3)
+                b = min(max(begin + shift, 0), doc["length"] - 1)
+                e = min(max(end + rng.randrange(-2, 3), b + 1), doc["length"])
+                record = {"doc_id": doc["doc_id"], "source": name, "begin": b, "end": e}
+                roll = rng.random()
+                if roll < 0.08:
+                    record["native_type"] = "T999" if name != "B" else "b-unknown"
+                elif roll < 0.12:
+                    record["group"] = group  # already grouped, no native type
+                elif roll < 0.14:
+                    pass  # neither: dropped in mapping
+                else:
+                    record["native_type"] = rng.choice(labels[group])
+                if rng.random() < 0.85:
+                    record["cui"] = cui if rng.random() < 0.8 else rng.choice(cuis)
+                if rng.random() < 0.7:
+                    record["score"] = rng.choice([0.25, 0.5, 0.75, round(rng.random(), 3)])
+                systems[name].append(record)
+                move = rng.randrange(-3, 4)
+                if rng.random() < 0.3 and move and 0 <= b + move and e + move <= doc["length"]:
+                    # an overlapping twin of equal length and score: a seeded tie-break
+                    twin = dict(record, begin=b + move, end=e + move)
+                    if rng.random() < 0.5:
+                        twin["cui"] = rng.choice(cuis)
+                    systems[name].append(twin)
+    _write_jsonl(out / "manifest.jsonl", docs)
+    _write_jsonl(out / "gold.jsonl", gold)
+    for name, records in systems.items():
+        rng.shuffle(records)
+        _write_jsonl(out / f"{name}.jsonl", records)
+    _write_jsonl(out / "overrides.jsonl", OVERRIDES)
+    (out / "groups.txt").write_text("\n".join(GROUP_LINES) + "\n", encoding="utf-8")
+    config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl",
+              "systems": {name: f"{name}.jsonl" for name in systems},
+              "semgroups": "groups.txt", "overrides": "overrides.jsonl"}
+    (out / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("call,fmt,seed", sorted(MAPPED_DIGESTS))
+def test_mapped_report_digest(mapped_corpus, tmp_path, call, fmt, seed):
+    out = tmp_path / "report"
+    code = main(
+        [
+            *MAPPED_CALLS[call], "--config", str(mapped_corpus / "config.json"),
+            "--group", "each", "--seed", str(seed), "--format", fmt, "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == MAPPED_DIGESTS[(call, fmt, seed)]
