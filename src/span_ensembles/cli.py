@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedOperatorError,
     ValidationError,
 )
-from .expr import Leaf, parse, to_string
+from .expr import Leaf, parse, to_string, tree_sources
 from .ingest import (
     DisambiguationPolicy,
     disambiguate_spans,
@@ -47,6 +47,7 @@ from .search import (
     evaluate_expression,
     grid_search,
     majority_vote_eval,
+    prepare_tables,
 )
 from .synth import SourceSpec, SynthSpec, generate_annotations
 
@@ -210,8 +211,10 @@ def _groups_to_run(cfg: RunConfig, store: AnnotationStore) -> list[str]:
 
 def _task_ner_eval(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
+    groups = _groups_to_run(cfg, store)
+    prepare_tables(store, cfg.selected, cfg.gold_source, groups)
     rows = []
-    for group in _groups_to_run(cfg, store):
+    for group in groups:
         for name in cfg.selected:
             metrics = evaluate_expression(store, Leaf(name), cfg.gold_source, group)
             rows.append(SystemRow(corpus, group, name, metrics))
@@ -221,8 +224,10 @@ def _task_ner_eval(cfg: RunConfig, store: AnnotationStore) -> str:
 def _task_ensemble_eval(cfg: RunConfig, store: AnnotationStore, expr_text: str) -> str:
     corpus = _corpus_label(cfg, store)
     tree = parse(expr_text, known_sources=cfg.selected)
+    groups = _groups_to_run(cfg, store)
+    prepare_tables(store, tree_sources(tree), cfg.gold_source, groups)
     rows = []
-    for group in _groups_to_run(cfg, store):
+    for group in groups:
         metrics = evaluate_expression(store, tree, cfg.gold_source, group)
         rows.append(SystemRow(corpus, group, to_string(tree), metrics))
     return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
@@ -230,9 +235,8 @@ def _task_ensemble_eval(cfg: RunConfig, store: AnnotationStore, expr_text: str) 
 
 def _task_search(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespace) -> str:
     corpus = _corpus_label(cfg, store)
-    blocks = []
-    for group in _groups_to_run(cfg, store):
-        config = SearchConfig(
+    configs = [
+        SearchConfig(
             sources=cfg.selected,
             group=group,
             min_size=args.min_size,
@@ -243,7 +247,13 @@ def _task_search(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespac
             top_k=args.top_k,
             beat_singles_f1_only=args.f1_only,
         )
-        blocks.append(PanelBlock(corpus, group, grid_search(store, cfg.gold_source, config)))
+        for group in _groups_to_run(cfg, store)
+    ]
+    prepare_tables(store, cfg.selected, cfg.gold_source, [c.group for c in configs])
+    blocks = [
+        PanelBlock(corpus, config.group, grid_search(store, cfg.gold_source, config))
+        for config in configs
+    ]
     return emit_table(blocks, report_mod.ENSEMBLE_PANELS, cfg.fmt)
 
 
@@ -272,8 +282,10 @@ def _task_cui_eval(cfg: RunConfig, store: AnnotationStore, args: argparse.Namesp
 
 def _task_complementarity(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
+    groups = _groups_to_run(cfg, store)
+    prepare_tables(store, cfg.selected, cfg.gold_source, groups)
     rows = []
-    for group in _groups_to_run(cfg, store):
+    for group in groups:
         scores = complementarity_scores(store, cfg.selected, cfg.gold_source, group)
         for (a, b), (rate, restricted) in scores.items():
             rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))

@@ -2,14 +2,19 @@
 
 Every document is a binary inside/outside vector (one cell per character) or,
 for concept matching, a vector of concept labels.  Union, intersection, and
-majority vote work on these vectors; all randomized tie-breaks are keyed
-per character so results are independent of evaluation order.
+majority vote work on these vectors.  The scoring tasks build them for a
+block of documents laid end to end: :func:`coverage_patterns` gives each
+character's coverage pattern by several span sets in one boundary sweep, and
+:func:`_resolve_candidates` resolves labelled intervals to runs with array
+operations.  All randomized tie-breaks are keyed per character, on the
+document and the index in it, so results are independent of evaluation order
+and of where blocks end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -74,24 +79,41 @@ def _doc_spans(
         yield ann
 
 
-def coverage(spans: Sequence[tuple[np.ndarray, np.ndarray]], length: int) -> np.ndarray:
-    """Coverage of one document by several span sets: row i of the boolean
-    (len(spans), length) result marks the characters inside a half-open span
-    of ``spans[i]``, a (begins, ends) pair of integer arrays; overlapping
-    spans simply merge.  The spans must fit the document: nothing is checked
-    here."""
-    width = length + 1
-    starts = np.concatenate([begins + i * width for i, (begins, _) in enumerate(spans)])
-    stops = np.concatenate([ends + i * width for i, (_, ends) in enumerate(spans)])
-    size = len(spans) * width
-    depth = np.bincount(starts, minlength=size) - np.bincount(stops, minlength=size)
-    return np.cumsum(depth.reshape(len(spans), width), axis=1)[:, :length] > 0
+def coverage_patterns(spans: Sequence[tuple[np.ndarray, np.ndarray]], length: int) -> np.ndarray:
+    """Coverage pattern of each of ``length`` characters by several span sets.
+
+    Bit j of the int64 result is set where a half-open span of ``spans[j]``,
+    a (begins, ends) pair of integer arrays sorted by begin, covers the
+    character.  Each set's overlapping or touching spans first merge (a
+    running max of their ends), so the set adds 2^j once where it starts
+    covering and takes it away where it stops: one ``bincount`` of those
+    steps and a cumulative sum give every pattern.  The spans must fit in
+    ``length``: nothing is checked here.
+    """
+    points, steps = [], []
+    for j, (begins, ends) in enumerate(spans):
+        if not len(begins):
+            continue
+        reach = np.maximum.accumulate(ends)
+        starts = np.ones(len(begins), dtype=bool)
+        starts[1:] = begins[1:] > reach[:-1]
+        lasts = np.ones_like(starts)
+        lasts[:-1] = starts[1:]
+        weight = np.full(np.count_nonzero(starts), 2.0**j)
+        points += [begins[starts], reach[lasts]]
+        steps += [weight, -weight]
+    if not points:
+        return np.zeros(length, dtype=np.int64)
+    # float steps are exact: every partial sum is an integer below 2^len(spans)
+    delta = np.bincount(np.concatenate(points), np.concatenate(steps), minlength=length + 1)
+    return np.cumsum(delta[:length], out=delta[:length]).astype(np.int64)
 
 
 def _offsets(annotations: Iterable[Annotation], doc_id: str, doc_length: int):
-    """(begins, ends) arrays of checked annotations (see :func:`_doc_spans`)."""
+    """(begins, ends) arrays of checked annotations (see :func:`_doc_spans`),
+    sorted by begin."""
     spans = [(ann.begin, ann.end) for ann in _doc_spans(annotations, doc_id, doc_length)]
-    pairs = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    pairs = np.array(sorted(spans), dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1]
 
 
@@ -99,7 +121,8 @@ def to_char_mask(
     annotations: Iterable[Annotation], doc_id: str, doc_length: int
 ) -> CharMask:
     """Coverage mask of a span collection; overlapping input spans simply merge."""
-    return CharMask(doc_id, coverage([_offsets(annotations, doc_id, doc_length)], doc_length)[0])
+    spans = [_offsets(annotations, doc_id, doc_length)]
+    return CharMask(doc_id, coverage_patterns(spans, doc_length) > 0)
 
 
 def mask_to_spans(mask: CharMask) -> tuple[tuple[int, int], ...]:
@@ -119,9 +142,27 @@ def intersect(a: CharMask, b: CharMask) -> CharMask:
     return CharMask(a.doc_id, a.bits & b.bits)
 
 
+def locate(starts: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(document, index in it) of each offset in a block of documents laid
+    end to end, document i starting at ``starts[i]``."""
+    doc = np.searchsorted(starts, offsets, side="right") - 1
+    return doc, offsets - starts[doc]
+
+
+def tie_coins(
+    seed: int, starts: np.ndarray, doc_ids: Sequence[str], offsets: np.ndarray
+) -> np.ndarray:
+    """The seeded majority-vote coin of each tie character at ``offsets`` in
+    a block of documents laid end to end (document i starts at
+    ``starts[i]``): one boolean per character, keyed on (seed, doc,
+    character index in the doc)."""
+    keys = zip(*(column.tolist() for column in locate(starts, offsets)))
+    return np.array([seeds.pick_index(2, seed, doc_ids[d], idx) for d, idx in keys], dtype=bool)
+
+
 def majority_vote(masks: Sequence[CharMask], seed: int) -> CharMask:
-    """Per-character majority over k masks; exact ties (k even) break by a
-    seeded per-character coin keyed on (seed, doc, character index)."""
+    """Per-character majority over k masks; exact ties (k even) break by
+    :func:`tie_coins`."""
     if len(masks) < 2:
         raise ValidationError("majority vote needs at least 2 masks")
     first = masks[0]
@@ -132,9 +173,8 @@ def majority_vote(masks: Sequence[CharMask], seed: int) -> CharMask:
     for mask in masks:
         counts += mask.bits
     bits = counts * 2 > k
-    if k % 2 == 0:
-        for idx in np.flatnonzero(counts * 2 == k):
-            bits[idx] = bool(seeds.pick_index(2, seed, first.doc_id, int(idx)))
+    tied = np.flatnonzero(counts * 2 == k)
+    bits[tied] = tie_coins(seed, np.array([0, first.length]), (first.doc_id,), tied)
     return CharMask(first.doc_id, bits)
 
 
@@ -206,53 +246,99 @@ class CuiMask:
         )
 
 
+class Runs(NamedTuple):
+    """Labelled runs as parallel arrays, sorted and disjoint: run i covers
+    ``begin[i]`` to ``end[i] - 1`` with label code ``label[i]``, and
+    ``origin[i]`` is the longest span length its label came from."""
+
+    begin: np.ndarray
+    end: np.ndarray
+    label: np.ndarray
+    origin: np.ndarray
+
+    @classmethod
+    def concat(cls, parts: Sequence["Runs"]) -> "Runs":
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
+
+
+def _group_starts(*keys: np.ndarray) -> np.ndarray:
+    """Positions where any of the sorted parallel ``keys`` changes value,
+    position 0 included (the arrays must not be empty)."""
+    new = np.zeros(len(keys[0]), dtype=bool)
+    new[0] = True
+    for key in keys:
+        new[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(new)
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, rank) of each of ``counts.sum()`` items handed out in order:
+    owner j gets ``counts[j]`` items, ranked 0, 1, ... among them."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _resolve_candidates(
-    entries: Sequence[tuple[int, int, str, int]], doc_id: str, seed: int
-) -> tuple[CuiRun, ...]:
-    """Resolve possibly-conflicting labeled intervals to one label per character.
+    votes: Runs, starts: np.ndarray, doc_ids: Sequence[str], seed: int
+) -> Runs:
+    """Resolve possibly-conflicting labelled intervals to one label per character.
 
-    ``entries`` are (begin, end, cui, origin_length) votes.  Per character:
-    most votes wins; ties go to the label with the longest originating span;
-    remaining ties to a seeded per-character pick.  One sweep over the
-    segments between span boundaries keeps the entries covering the current
-    segment active.
+    ``votes`` are (begin, end, label, origin length) intervals over a block
+    of documents laid end to end: document i starts at ``starts[i]`` and
+    ``starts`` ends with the block's length.  Label codes must sort as the
+    label names do.  Per character: most votes wins; ties go to the label
+    with the longest originating span; remaining ties to a seeded pick among
+    them in label order, keyed on (seed, doc, character index in the doc).
+    Segments lie between interval boundaries; one sort of the (segment,
+    label, origin) votes counts votes and finds the longest origin.  Equal
+    labels on adjacent segments merge into one run, never across a document
+    start.
     """
-    pending = sorted(entries, reverse=True)  # popped from the end in begin order
-    boundaries = sorted({e[0] for e in entries} | {e[1] for e in entries})
-    active: list[tuple[int, int, str, int]] = []
-    merged: list[list] = []  # [begin, end, cui, origin] runs
-
-    def emit(begin: int, end: int, cui: str, origin_length: int) -> None:
-        if merged and merged[-1][1] == begin and merged[-1][2] == cui:
-            merged[-1][1] = end
-            merged[-1][3] = max(merged[-1][3], origin_length)
-        else:
-            merged.append([begin, end, cui, origin_length])
-
-    for seg_begin, seg_end in zip(boundaries, boundaries[1:]):
-        active = [e for e in active if e[1] > seg_begin]
-        while pending and pending[-1][0] == seg_begin:
-            active.append(pending.pop())
-        if not active:
-            continue
-        votes: dict[str, int] = {}
-        origin: dict[str, int] = {}
-        for _, _, cui, origin_length in active:
-            votes[cui] = votes.get(cui, 0) + 1
-            origin[cui] = max(origin.get(cui, 0), origin_length)
-        best_votes = max(votes.values())
-        tied = [c for c, v in votes.items() if v == best_votes]
-        if len(tied) > 1:
-            best_len = max(origin[c] for c in tied)
-            tied = [c for c in tied if origin[c] == best_len]
-        if len(tied) == 1:
-            emit(seg_begin, seg_end, tied[0], origin[tied[0]])
-        else:
-            tied.sort()
-            for idx in range(seg_begin, seg_end):
-                winner = tied[seeds.pick_index(len(tied), seed, doc_id, idx)]
-                emit(idx, idx + 1, winner, origin[winner])
-    return tuple(CuiRun(b, e, c, o) for b, e, c, o in merged)
+    if not len(votes.begin):
+        return votes
+    points = np.unique(np.concatenate((votes.begin, votes.end)))
+    first = np.searchsorted(points, votes.begin)
+    entry, rank = _expand(np.searchsorted(points, votes.end) - first)  # one per segment covered
+    segment = first[entry] + rank
+    label, origin = votes.label[entry], votes.origin[entry]
+    order = np.lexsort((origin, label, segment))
+    segment, label, origin = segment[order], label[order], origin[order]
+    # one candidate per (segment, label): its votes and longest origin
+    groups = _group_starts(segment, label)
+    count = np.diff(np.append(groups, len(segment)))
+    origin = origin[np.append(groups[1:], len(segment)) - 1]
+    segment, label = segment[groups], label[groups]
+    # candidates by segment, then best first: votes, origin, label order
+    order = np.lexsort((label, -origin, -count, segment))
+    segment, label, count, origin = segment[order], label[order], count[order], origin[order]
+    best = _group_starts(segment)
+    seg_of = _expand(np.diff(np.append(best, len(segment))))[0]
+    level = (count == count[best][seg_of]) & (origin == origin[best][seg_of])
+    tied = np.add.reduceat(level.astype(np.int64), best)
+    # one piece per segment, or one per character where the winner is a seeded pick
+    seg_begin, seg_end = points[segment[best]], points[segment[best] + 1]
+    pieces = np.where(tied > 1, seg_end - seg_begin, 1)
+    piece_seg, rank = _expand(pieces)
+    begin = seg_begin[piece_seg] + rank
+    split = tied[piece_seg] > 1
+    end = np.where(split, begin + 1, seg_end[piece_seg])
+    doc, index = locate(starts, begin)
+    winner = best[piece_seg]
+    at = np.flatnonzero(split)
+    keys = zip(tied[piece_seg[at]].tolist(), doc[at].tolist(), index[at].tolist())
+    picks = [seeds.pick_index(n, seed, doc_ids[d], idx) for n, d, idx in keys]
+    winner[at] += np.array(picks, dtype=np.int64)
+    label, origin = label[winner], origin[winner]
+    joined = np.zeros(len(begin), dtype=bool)
+    joined[1:] = (begin[1:] == end[:-1]) & (label[1:] == label[:-1])
+    joined &= index > 0  # never across a document start
+    runs = np.flatnonzero(~joined)
+    return Runs(
+        begin[runs],
+        end[np.append(runs[1:], len(begin)) - 1],
+        label[runs],
+        np.maximum.reduceat(origin, runs),
+    )
 
 
 def to_cui_mask(
@@ -276,7 +362,16 @@ def cui_mask(
 ) -> CuiMask:
     """Concept mask of (begin, end, cui, span length) entries that fit the
     document, resolved as in :func:`to_cui_mask`."""
-    return CuiMask(doc_id, doc_length, _resolve_candidates(entries, doc_id, seed))
+    names = sorted({cui for _, _, cui, _ in entries})
+    code = {name: i for i, name in enumerate(names)}
+    votes = np.array([(b, e, code[c], o) for b, e, c, o in entries], dtype=np.int64)
+    votes = Runs(*votes.reshape(-1, 4).T)
+    runs = _resolve_candidates(votes, np.array([0, doc_length]), (doc_id,), seed)
+    return CuiMask(
+        doc_id,
+        doc_length,
+        tuple(CuiRun(b, e, names[c], o) for b, e, c, o in zip(*(col.tolist() for col in runs))),
+    )
 
 
 def merge_cui_layers(layers: Sequence[CuiMask], seed: int) -> CuiMask:
@@ -301,5 +396,4 @@ def merge_cui_layers(layers: Sequence[CuiMask], seed: int) -> CuiMask:
         for layer in layers
         for run in layer.runs
     ]
-    runs = _resolve_candidates(entries, first.doc_id, seed)
-    return CuiMask(first.doc_id, first.length, runs)
+    return cui_mask(entries, first.doc_id, first.length, seed)

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Mapping, Optional
+from typing import AbstractSet, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .masks import CharMask, CuiMask
+from .masks import CharMask, CuiMask, Runs
 
 Z_95 = 1.96
 
@@ -162,6 +162,13 @@ class CuiMetricsResult:
             degenerate=any(m.degenerate for m in per_label.values()),
         )
 
+    @classmethod
+    def from_count_array(cls, names: Sequence[str], counts: np.ndarray) -> "CuiMetricsResult":
+        """From a (3, n) array of tp, fp and fn per label code, code i naming
+        ``names[i]``; labels with no count at all are not in the universe."""
+        present = np.flatnonzero(counts.any(axis=0)).tolist()
+        return cls.from_label_counts({names[i]: tuple(counts[:, i].tolist()) for i in present})
+
 
 def doc_level_cui_prf(
     gold: Mapping[str, AbstractSet[str]], pred: Mapping[str, AbstractSet[str]]
@@ -185,6 +192,31 @@ def doc_level_cui_prf(
     )
 
 
+def _labels(runs: Runs, length: int) -> np.ndarray:
+    """Label code + 1 of each of ``length`` characters, 0 outside the runs,
+    which must be disjoint."""
+    step = runs.label + 1.0
+    points = np.concatenate((runs.begin, runs.end))
+    delta = np.bincount(points, np.concatenate((step, -step)), minlength=length + 1)
+    return np.cumsum(delta[:length], out=delta[:length]).astype(np.int64)
+
+
+def label_counts(gold: Runs, preds: Sequence[Runs], length: int, size: int) -> list[np.ndarray]:
+    """Mention-level tp, fp and fn per label code (the rows of a (3, size)
+    array) of each of ``preds`` against ``gold``, all sets of disjoint
+    labelled runs over ``length`` characters: tp counts the characters both
+    label alike, fp the characters the prediction labels otherwise than gold
+    (OUTSIDE included), fn the reverse."""
+    g = _labels(gold, length)
+    gold_total = np.bincount(g, minlength=size + 1)[1:]
+    counts = []
+    for pred in preds:
+        p = _labels(pred, length)
+        tp = np.bincount(g[g == p], minlength=size + 1)[1:]
+        counts.append(np.stack([tp, np.bincount(p, minlength=size + 1)[1:] - tp, gold_total - tp]))
+    return counts
+
+
 def mention_level_cui_prf(
     gold: Mapping[str, CuiMask], pred: Mapping[str, CuiMask]
 ) -> CuiMetricsResult:
@@ -195,28 +227,16 @@ def mention_level_cui_prf(
     OUTSIDE itself is never scored.
     """
     _check_same_masks(gold, pred)
-    counts: dict[str, list[int]] = {}
+    masks = [*gold.values(), *pred.values()]
+    names = sorted({run.cui for mask in masks for run in mask.runs})
+    code = {name: i for i, name in enumerate(names)}
+
+    def runs(mask: CuiMask) -> Runs:
+        rows = [(r.begin, r.end, code[r.cui], r.origin_length) for r in mask.runs]
+        return Runs(*np.array(rows, dtype=np.int64).reshape(-1, 4).T)
+
+    counts = np.zeros((3, len(names)), dtype=np.int64)
     for doc_id in sorted(gold):
-        g, p = gold[doc_id], pred[doc_id]
-        for run in g.runs:
-            counts.setdefault(run.cui, [0, 0, 0])[2] += run.end - run.begin
-        for run in p.runs:
-            counts.setdefault(run.cui, [0, 0, 0])[1] += run.end - run.begin
-        # characters where both carry the same label move from fp and fn to tp
-        first = 0
-        for run in p.runs:
-            while first < len(g.runs) and g.runs[first].end <= run.begin:
-                first += 1
-            at = first
-            while at < len(g.runs) and g.runs[at].begin < run.end:
-                other = g.runs[at]
-                if other.cui == run.cui:
-                    shared = min(run.end, other.end) - max(run.begin, other.begin)
-                    slot = counts[run.cui]
-                    slot[0] += shared
-                    slot[1] -= shared
-                    slot[2] -= shared
-                at += 1
-    return CuiMetricsResult.from_label_counts(
-        {cui: (tp, fp, fn) for cui, (tp, fp, fn) in counts.items()}
-    )
+        length = gold[doc_id].length
+        counts += label_counts(runs(gold[doc_id]), [runs(pred[doc_id])], length, len(names))[0]
+    return CuiMetricsResult.from_count_array(names, counts)

@@ -242,21 +242,25 @@ def _sort_rank(names: Sequence[Optional[str]]) -> np.ndarray:
 
 def overlapping(spans: SpanColumns) -> np.ndarray:
     """Flags the rows that begin before some earlier span of the same (source,
-    doc, group) ends, spans taken in (begin, end) order: a running-max scan."""
-    n = len(spans)
-    order = np.lexsort((spans.end, spans.begin, spans.group, spans.doc_id, spans.source))
-    first = np.zeros(n, dtype=bool)
-    first[:1] = True
-    for key in (spans.source[order], spans.doc_id[order], spans.group[order]):
-        first[1:] |= key[1:] != key[:-1]
-    # Offsets become ranks (below 2n), so lifting each slice by 2n per slice
-    # puts it above the ones before, without overflow: one running max serves all.
-    offsets = np.concatenate((spans.begin[order], spans.end[order]))
-    _, ranks = np.unique(offsets, return_inverse=True)
-    lift = np.cumsum(first) * (2 * n)
-    reach = np.maximum.accumulate(ranks[n:] + lift)
-    flags = np.zeros(n, dtype=bool)
-    flags[order[1:]] = ranks[1:n] + lift[1:] < reach[:-1]
+    doc, group) ends, spans taken in (begin, end) order: a running-max scan,
+    one source at a time, so its temporaries scale with the largest source."""
+    flags = np.zeros(len(spans), dtype=bool)
+    for code in np.unique(spans.source).tolist():
+        rows = np.flatnonzero(spans.source == code)
+        n = len(rows)
+        doc, group = spans.doc_id[rows], spans.group[rows]
+        begin, end = spans.begin[rows], spans.end[rows]
+        order = np.lexsort((end, begin, group, doc))
+        first = np.zeros(n, dtype=bool)
+        first[:1] = True
+        for key in (doc[order], group[order]):
+            first[1:] |= key[1:] != key[:-1]
+        # Offsets become ranks (below 2n), so lifting each slice by 2n per slice
+        # puts it above the ones before, without overflow: one running max serves all.
+        _, ranks = np.unique(np.concatenate((begin[order], end[order])), return_inverse=True)
+        lift = np.cumsum(first) * (2 * n)
+        reach = np.maximum.accumulate(ranks[n:] + lift)
+        flags[rows[order[1:]]] = ranks[1:n] + lift[1:] < reach[:-1]
     return flags
 
 
@@ -385,14 +389,35 @@ class AnnotationStore:
         except KeyError:
             raise ValidationError(f"unknown doc {doc_id!r}") from None
 
+    @cached_property
+    def derived(self) -> dict:
+        """Results that callers derive from this store and keep with it, by
+        key; the store never changes, so they stay valid while it lives."""
+        return {}
+
+    @cached_property
+    def doc_lengths(self) -> np.ndarray:
+        """Length of each document, in :attr:`doc_ids` order."""
+        return np.array([doc.length for doc in self.documents], dtype=np.int64)
+
     def rows(self, source: str, doc_id: str, group: Optional[str] = None):
         """Index (a slice or an array) of one source's rows in one document in
         :attr:`columns`; ``None`` or ``ALL_GROUPS`` keeps every group."""
-        s, d = self._source_index.get(source), self._doc_index.get(doc_id)
-        if s is None or d is None:
+        d = self._doc_index.get(doc_id)
+        if d is None:
             return slice(0, 0)
-        key = s * len(self._doc_index) + d
-        lo, hi = self._offsets[key], self._offsets[key + 1]
+        return self.span_rows(source, d, d + 1, group)
+
+    def span_rows(self, source: str, first: int, stop: int, group: Optional[str] = None):
+        """Index (a slice or an array) of one source's rows in documents
+        ``first`` to ``stop - 1`` (positions in :attr:`doc_ids`) in
+        :attr:`columns`, in store order; ``None`` or ``ALL_GROUPS`` keeps
+        every group."""
+        s = self._source_index.get(source)
+        if s is None:
+            return slice(0, 0)
+        base = s * len(self._doc_index)
+        lo, hi = self._offsets[base + first], self._offsets[base + stop]
         if group is None or group == ALL_GROUPS:
             return slice(lo, hi)
         return lo + np.flatnonzero(self._spans.group[lo:hi] == self._group_code.get(group, -1))

@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence
 
 from .errors import ConfigError
@@ -153,8 +154,18 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
+# Tokens of the indented JSON encoder joined at a time.
+JSON_BATCH = 4096
+
+
 def _json_text(layout: str, rows: list, key: str = "rows") -> str:
-    return json.dumps({"layout": layout, key: rows}, indent=2, sort_keys=True)
+    """``json.dumps(..., indent=2, sort_keys=True)``, joined in batches: the
+    indented encoder is pure Python and yields a small string per token, and
+    holding them all until one join left a few MB of them scattered over the
+    allocator's arenas, so a process's peak memory grew by steps from call to
+    call."""
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode({"layout": layout, key: rows})
+    return "".join("".join(batch) for batch in iter(lambda: list(islice(tokens, JSON_BATCH)), []))
 
 
 def _md_cell(text: str) -> str:

@@ -4,14 +4,21 @@ The search evaluates every distinct read-once combination of the configured
 sources (or a seeded stratified sample of them) against the gold standard,
 then reports top-k lists per metric, the precision/recall Pareto set,
 single-system baselines, and the ensembles that beat every single system.
+
+Every task walks the store's documents in blocks of at most
+:data:`BLOCK_CHARS` characters, laid end to end, so its per-character
+arrays never outgrow a block (or the one document longer than it) and no
+task loops over documents or spans in Python.  Character scores come from
+count tables built by one boundary sweep per block; majority vote reads the
+same coverage patterns, and concept layers resolve a block at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import groupby
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -30,21 +37,18 @@ from .expr import (
     tree_size,
     tree_sources,
 )
-from .masks import CharMask, coverage, cui_mask, majority_vote, merge_cui_layers
-from .metrics import (
-    CuiMetricsResult,
-    MetricsResult,
-    confusion_counts,
-    doc_level_cui_prf,
-    mention_level_cui_prf,
-)
-from .model import ALL_GROUPS, AnnotationStore, DocumentRef, check_group
+from .masks import CharMask, Runs, _resolve_candidates, coverage_patterns, locate, tie_coins
+from .metrics import CuiMetricsResult, MetricsResult, confusion_counts, label_counts
+from .model import ALL_GROUPS, AnnotationStore, check_group
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
 
 DOC_LEVEL = "doc"
 MENTION_LEVEL = "mention"
+
+# Most characters in one block of documents; a longer document is a block alone.
+BLOCK_CHARS = 2**16
 
 
 @dataclass(frozen=True)
@@ -106,33 +110,105 @@ def _require_sources(store: AnnotationStore, *sources: str) -> None:
             raise ConfigError(f"source {source!r} not present in the store")
 
 
-def _doc_coverage(
-    store: AnnotationStore, doc: DocumentRef, rows: Sequence[tuple[str, str]]
+@dataclass(frozen=True)
+class _Block:
+    """Documents ``first`` to ``stop - 1`` of a store laid end to end:
+    document ``first + i`` starts at ``starts[i]``, and ``starts`` ends with
+    the block's length."""
+
+    store: AnnotationStore
+    first: int
+    stop: int
+    starts: np.ndarray
+
+    @property
+    def length(self) -> int:
+        return int(self.starts[-1])
+
+    @property
+    def doc_ids(self) -> tuple[str, ...]:
+        return self.store.doc_ids[self.first : self.stop]
+
+    def spans(self, source: str, group: str) -> tuple:
+        """(rows, begins, ends) of one source's spans of ``group`` in the
+        block: their rows in the store's columns, in store order (so sorted by
+        begin), and their offsets shifted to the block."""
+        rows = self.store.span_rows(source, self.first, self.stop, group)
+        columns = self.store.columns
+        shift = self.starts[columns.doc_id[rows] - self.first]
+        return rows, columns.begin[rows] + shift, columns.end[rows] + shift
+
+    def patterns(self, rows: Sequence[tuple[str, str]]) -> np.ndarray:
+        """Coverage pattern of each character by the (source, group) ``rows``:
+        bit j is set where ``rows[j]`` covers it."""
+        return coverage_patterns([self.spans(s, g)[1:] for s, g in rows], self.length)
+
+
+def _blocks(store: AnnotationStore) -> Iterator[_Block]:
+    """The store's documents in order, in blocks of at most :data:`BLOCK_CHARS`
+    characters; a longer document is a block of its own."""
+    ends = np.concatenate(([0], np.cumsum(store.doc_lengths)))
+    first = 0
+    while first < len(store.doc_ids):
+        fits = int(np.searchsorted(ends, ends[first] + BLOCK_CHARS, side="right")) - 1
+        stop = max(fits, first + 1)
+        yield _Block(store, first, stop, ends[first : stop + 1] - ends[first])
+        first = stop
+
+
+def _count_tables(
+    store: AnnotationStore, row_sets: Sequence[Sequence[tuple[str, str]]]
+) -> list[np.ndarray]:
+    """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``,
+    for every row set in one pass over the blocks: a row set is (source,
+    group) pairs, gold last, and bit j of p is set where ``rows[j]`` covers
+    the character."""
+    for rows in row_sets:
+        for _, group in rows:
+            check_group(store, group)
+    tables = [np.zeros(2 ** len(rows), dtype=np.int64) for rows in row_sets]
+    for block in _blocks(store):
+        for rows, table in zip(row_sets, tables):
+            table += np.bincount(block.patterns(rows), minlength=table.size)
+    return [table.reshape(2, -1) for table in tables]
+
+
+def prepare_tables(
+    store: AnnotationStore, sources: Sequence[str], gold_source: str, groups: Sequence[str]
+) -> None:
+    """Build the count table over (sources..., gold) of every group in one
+    pass, and keep them with the store: the scoring calls on this store for
+    these groups (``grid_search``, ``evaluate_expression``,
+    ``complementarity_scores``) then read their tables from these."""
+    _require_sources(store, gold_source, *sources)
+    sources = tuple(sources)
+    row_sets = [[(s, group) for s in (*sources, gold_source)] for group in groups]
+    for group, table in zip(groups, _count_tables(store, row_sets)):
+        store.derived["count table", gold_source, group] = (sources, table)
+
+
+def _project(table: np.ndarray, have: tuple[str, ...], want: Sequence[str]) -> np.ndarray:
+    """The count table over ``want``, sources of ``have`` in any order, summed
+    from the table over ``have``."""
+    patterns = np.arange(table.shape[1])
+    target = np.zeros_like(patterns)
+    for bit, source in enumerate(want):
+        target |= (patterns >> have.index(source) & 1) << bit
+    projected = np.zeros((2, 2 ** len(want)), dtype=np.int64)
+    np.add.at(projected, (slice(None), target), table)
+    return projected
+
+
+def _table(
+    store: AnnotationStore, sources: Sequence[str], gold_source: str, group: str
 ) -> np.ndarray:
-    """Coverage of one document by each (source, group) row: a boolean
-    (len(rows), doc.length) matrix, read from the store's checked columns."""
-    spans = store.columns
-    picks = [store.rows(source, doc.doc_id, group) for source, group in rows]
-    return coverage([(spans.begin[p], spans.end[p]) for p in picks], doc.length)
-
-
-def _doc_mask(store: AnnotationStore, source: str, doc: DocumentRef, group: str) -> CharMask:
-    """Coverage of one document by one source's spans of ``group``."""
-    return CharMask(doc.doc_id, _doc_coverage(store, doc, [(source, group)])[0])
-
-
-def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.ndarray:
-    """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``:
-    ``rows`` are (source, group) pairs, gold last, and bit j of p is set where
-    ``rows[j]`` covers the character.  Built one document at a time."""
-    for _, group in rows:
-        check_group(store, group)
-    weights = 1 << np.arange(len(rows))
-    table = np.zeros(2 ** len(rows), dtype=np.int64)
-    for doc in store.documents:
-        covered = _doc_coverage(store, doc, rows)
-        table += np.bincount(weights @ covered, minlength=table.size)
-    return table.reshape(2, -1)
+    """The count table over (sources..., gold) in ``group``: projected from
+    the table :func:`prepare_tables` kept, when it covers the sources, or
+    else built."""
+    kept = store.derived.get(("count table", gold_source, group))
+    if kept is not None and set(sources) <= set(kept[0]):
+        return _project(kept[1], kept[0], sources)
+    return _count_tables(store, [[(s, group) for s in (*sources, gold_source)]])[0]
 
 
 @lru_cache(maxsize=1)
@@ -208,7 +284,7 @@ def grid_search(
     max_size = config.max_size if config.max_size is not None else len(config.sources)
     pool = tuple(sorted(config.sources))
 
-    counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
+    counts = _table(store, pool, gold_source, config.group)
     expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)
     rows = list(range(len(sizes)))
     if config.mode == SAMPLED:
@@ -260,7 +336,12 @@ def corpus_masks(
 ) -> dict[str, CharMask]:
     """Per-document coverage masks for one source, optionally group-filtered."""
     check_group(store, group)
-    return {doc.doc_id: _doc_mask(store, source, doc, group) for doc in store.documents}
+    masks = {}
+    for block in _blocks(store):
+        bits = block.patterns([(source, group)]) > 0
+        bounds = zip(block.doc_ids, block.starts[:-1].tolist(), block.starts[1:].tolist())
+        masks.update((doc_id, CharMask(doc_id, bits[lo:hi])) for doc_id, lo, hi in bounds)
+    return masks
 
 
 def evaluate_expression(
@@ -269,7 +350,7 @@ def evaluate_expression(
     """Score one Boolean combination against gold at character level."""
     sources = tree_sources(tree)
     _require_sources(store, gold_source, *sources)
-    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
+    counts = _table(store, sources, gold_source, group)
     fp, tp = counts[:, evaluate(tree, pattern_columns(sources))].sum(axis=1).tolist()
     return MetricsResult.from_counts(tp, fp, int(counts[1].sum()) - tp)
 
@@ -282,7 +363,7 @@ def complementarity_scores(
     scored on A's errors, the characters whose A bit differs from gold; B's
     fp and fn there are the errors A and B share."""
     _require_sources(store, gold_source, *sources)
-    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
+    counts = _table(store, sources, gold_source, group)
     columns = pattern_columns(sources)
     scores = {}
     for a in sources:
@@ -313,10 +394,10 @@ def cross_group_union_merge(
         if universe and group not in universe:
             raise ConfigError(f"unknown group {group!r}")
         _require_sources(store, source)
-        if not any(store.columns.begin[store.rows(source, d, group)].size for d in store.doc_ids):
+        if not store.columns.begin[store.span_rows(source, 0, len(store.doc_ids), group)].size:
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
     rows = [(source, group) for group, source in pairs]
-    counts = _count_table(store, [*rows, (gold_source, ALL_GROUPS)])
+    counts = _count_tables(store, [[*rows, (gold_source, ALL_GROUPS)]])[0]
     fp, tp = counts[:, 1:].sum(axis=1).tolist()
     return MetricsResult.from_counts(tp, fp, int(counts[1, 0]))
 
@@ -328,17 +409,74 @@ def majority_vote_eval(
     group: str = ALL_GROUPS,
     seed: int = 0,
 ) -> MetricsResult:
-    """Score the per-character majority vote of the given sources."""
+    """Score the per-character majority vote of the given sources.
+
+    Characters that more (fewer) than half the sources cover are counted
+    from their coverage patterns; each exact tie (k even) draws its seeded
+    coin, keyed on (seed, doc, character index in the doc)."""
     if len(sources) < 2:
         raise ValidationError("majority vote needs at least 2 sources")
     _require_sources(store, gold_source, *sources)
     check_group(store, group)
+    k = len(sources)
+    rows = [(s, group) for s in (*sources, gold_source)]
+    votes = np.array([bin(p).count("1") for p in range(2**k)])  # by system pattern
+    tie = np.tile(votes * 2 == k, 2)  # by pattern, gold bit included
+
+    def block_counts(block: _Block) -> tuple[np.ndarray, tuple[int, int, int]]:
+        """The block's count table, and tp/fp/fn of its tie characters."""
+        patterns = block.patterns(rows)
+        tied = np.flatnonzero(tie[patterns])
+        coins = tie_coins(seed, block.starts, block.doc_ids, tied)
+        table = np.bincount(patterns, minlength=2 ** (k + 1))
+        return table, confusion_counts(patterns[tied] >> k == 1, coins)
+
+    table = np.zeros(2 ** (k + 1), dtype=np.int64)
     totals = np.zeros(3, dtype=np.int64)
-    for doc in store.documents:
-        *masks, gold = _doc_coverage(store, doc, [(s, group) for s in (*sources, gold_source)])
-        voted = majority_vote([CharMask(doc.doc_id, bits) for bits in masks], seed)
-        totals += confusion_counts(gold, voted.bits)
+    for block in _blocks(store):
+        block_table, tie_totals = block_counts(block)
+        table += block_table
+        totals += tie_totals
+    table = table.reshape(2, -1)
+    wins, losses = votes * 2 > k, votes * 2 < k
+    totals += [table[1, wins].sum(), table[0, wins].sum(), table[1, losses].sum()]
     return MetricsResult.from_counts(*totals.tolist())
+
+
+def _doc_level_counts(block: _Block, gold: Runs, operands: list[Runs], size: int):
+    """tp/fp/fn per concept (a (3, size) array) of each operand and of their
+    union, against gold, with documents as the units: a concept counts once
+    per document of the block that holds it."""
+
+    def concepts(runs: Runs) -> np.ndarray:
+        return np.unique(locate(block.starts, runs.begin)[0] * size + runs.label)
+
+    truth = concepts(gold)
+    predicted = [concepts(runs) for runs in operands]
+    if len(predicted) > 1:
+        predicted.append(reduce(np.union1d, predicted))
+    return [
+        np.stack([
+            np.bincount(keys % size, minlength=size)
+            for keys in (np.intersect1d(truth, p), np.setdiff1d(p, truth), np.setdiff1d(truth, p))
+        ])
+        for p in predicted
+    ]
+
+
+def _mention_level_counts(block: _Block, gold: Runs, operands: list[Runs], size: int, keys):
+    """tp/fp/fn per concept (a (3, size) array) of each operand's concept
+    layer and of their merge, against gold's, with characters as the units.
+    ``keys`` are the seeds of gold's layer, each operand's and the merge."""
+
+    def resolve(runs: Runs, seed: int) -> Runs:
+        return _resolve_candidates(runs, block.starts, block.doc_ids, seed)
+
+    truth = resolve(gold, keys[0])
+    layers = [resolve(runs, seed) for runs, seed in zip(operands, keys[1:])]
+    if len(layers) > 1:
+        layers.append(resolve(Runs.concat(layers), keys[-1]))
+    return label_counts(truth, layers, block.length, size)
 
 
 def cui_scores(
@@ -354,9 +492,10 @@ def cui_scores(
     Document level: the predicted concept set per document is the union of
     the operands' sets.  Mention level: operand concept masks are merged via
     the majority / longest-span / seeded cascade, then scored per character.
-    Gold and every operand are built once; a single operand is scored from
-    its own layer, which is what merging one layer gives.  Intersection
-    nodes are rejected: their concept semantics are undefined.
+    Gold, every operand and the merge are built a block at a time, once per
+    group; a single operand is scored from its own layer, which is what
+    merging one layer gives.  Intersection nodes are rejected: their concept
+    semantics are undefined.
     """
     assert_union_only(tree)
     operands = tree_sources(tree)
@@ -365,40 +504,33 @@ def cui_scores(
     if level not in (DOC_LEVEL, MENTION_LEVEL):
         raise ConfigError(f"unknown level {level!r}; expected 'doc' or 'mention'")
 
-    spans = store.columns
+    columns = store.columns
+    names = sorted(cui for cui in columns.cuis if cui is not None)
+    rank = {cui: i for i, cui in enumerate(names)}
+    label_of = np.array([rank.get(cui, -1) for cui in columns.cuis], dtype=np.int64)
 
-    def concept_spans(source, doc):
-        """(begin, end, cui code) of one source's spans of ``group`` in ``doc``."""
-        picked = store.rows(source, doc.doc_id, group)
-        return zip(*(col[picked].tolist() for col in (spans.begin, spans.end, spans.cui)))
+    def labelled(block: _Block, source: str) -> Runs:
+        """One source's concept spans of ``group`` in the block; label codes
+        sort as the CUIs do."""
+        rows, begins, ends = block.spans(source, group)
+        labels = label_of[columns.cui[rows]]
+        keep = labels >= 0
+        return Runs(begins[keep], ends[keep], labels[keep], (ends - begins)[keep])
 
-    if level == DOC_LEVEL:
-        def build(source, doc, *_):
-            return {spans.cuis[c] for _, _, c in concept_spans(source, doc) if c}
-
-        def merge(sets):
-            return set().union(*sets)
-
-        score = doc_level_cui_prf
-    else:
-        def build(source, doc, *key):
-            entries = [
-                (b, e, spans.cuis[c], e - b) for b, e, c in concept_spans(source, doc) if c
-            ]
-            return cui_mask(entries, doc.doc_id, doc.length, seeds.digest(seed, *key))
-
-        def merge(layers):
-            return merge_cui_layers(layers, seed)
-
-        score = mention_level_cui_prf
-    docs = store.documents
-    gold = {doc.doc_id: build(gold_source, doc, "gold-layer") for doc in docs}
-    preds = {s: {doc.doc_id: build(s, doc, "layer", s) for doc in docs} for s in operands}
-    singles = {source: score(gold, preds[source]) for source in operands}
-    if len(operands) == 1:
-        return singles[operands[0]], singles
-    ensemble = {doc.doc_id: merge([preds[s][doc.doc_id] for s in operands]) for doc in docs}
-    return score(gold, ensemble), singles
+    size = max(len(names), 1)
+    layer_seeds = [seeds.digest(seed, "layer", s) for s in operands]
+    keys = [seeds.digest(seed, "gold-layer"), *layer_seeds, seed]
+    scored = len(operands) + 1 if len(operands) > 1 else 1  # the operands, then their ensemble
+    counts = np.zeros((scored, 3, size), dtype=np.int64)
+    for block in _blocks(store):
+        gold = labelled(block, gold_source)
+        operand_runs = [labelled(block, s) for s in operands]
+        if level == DOC_LEVEL:
+            counts += _doc_level_counts(block, gold, operand_runs, size)
+        else:
+            counts += _mention_level_counts(block, gold, operand_runs, size, keys)
+    results = [CuiMetricsResult.from_count_array(names, c) for c in counts]
+    return results[-1], dict(zip(operands, results))
 
 
 def cui_ensemble_eval(

@@ -108,6 +108,46 @@ def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:
     return {table(t) for t in trees(variables)}
 
 
+def doc_coverage(store, doc, rows) -> np.ndarray:
+    """Coverage of one document by each (source, group) row, span by span: a
+    boolean (len(rows), doc.length) matrix."""
+    covered = np.zeros((len(rows), doc.length), dtype=bool)
+    for j, (source, group) in enumerate(rows):
+        for ann in store.annotations_for(source, doc.doc_id, group):
+            covered[j, ann.begin : ann.end] = True
+    return covered
+
+
+def per_document_count_table(store, rows) -> np.ndarray:
+    """Reference count table ``H[g][p]``, built one document at a time:
+    ``rows`` are (source, group) pairs, gold last, and bit j of the pattern
+    p is set where ``rows[j]`` covers the character."""
+    weights = 1 << np.arange(len(rows))
+    table = np.zeros(2 ** len(rows), dtype=np.int64)
+    for doc in store.documents:
+        table += np.bincount(weights @ doc_coverage(store, doc, rows), minlength=table.size)
+    return table.reshape(2, -1)
+
+
+def per_document_vote(store, sources, gold_source, group, seed) -> MetricsResult:
+    """Reference majority vote, one document and one character at a time:
+    more than half the sources covering wins, an exact tie takes the coin
+    ``seeds.pick_index(2, seed, doc, index in the doc)``."""
+    tp = fp = fn = 0
+    for doc in store.documents:
+        *systems, gold = doc_coverage(store, doc, [(s, group) for s in (*sources, gold_source)])
+        votes = np.sum(systems, axis=0) if systems else np.zeros(doc.length, dtype=int)
+        for idx in range(doc.length):
+            if votes[idx] * 2 == len(sources):
+                voted = bool(seeds.pick_index(2, seed, doc.doc_id, idx))
+            else:
+                voted = votes[idx] * 2 > len(sources)
+            tp += bool(voted and gold[idx])
+            fp += bool(voted and not gold[idx])
+            fn += bool(gold[idx] and not voted)
+    return MetricsResult.from_counts(tp, fp, fn)
+
+
 def quadratic_resolve_candidates(entries, doc_id: str, doc_length: int, seed: int):
     """Reference label resolution: every boundary segment rescans every entry.
 

@@ -30,7 +30,7 @@ from span_ensembles import (
     load_annotations,
 )
 from span_ensembles.ingest import disambiguate_spans, load_spans, map_groups
-from span_ensembles.model import SpanColumns
+from span_ensembles.model import SpanColumns, overlapping
 from conftest import scan_annotations
 
 DOCS = {d.doc_id: d for d in (DocumentRef("d1", 40), DocumentRef("d2", 25), DocumentRef("d[3]", 10))}
@@ -202,3 +202,16 @@ def test_column_mapping_and_disambiguation_match_records(anns, seed):
         for a in (group if source == "gold" else disambiguate_overlaps(group, policy))
     ]
     assert sorted(kept, key=repr) == sorted(reference, key=repr)
+
+
+@settings(max_examples=200, deadline=None)
+@given(annotation_lists())
+def test_overlapping_matches_pairwise_oracle(anns):
+    # rows of the three sources interleave in the columns, as in no store
+    flags = overlapping(SpanColumns.from_annotations(anns)).tolist()
+    for i, a in enumerate(anns):
+        # a row is flagged when an earlier span of its slice, in (begin, end)
+        # order, reaches past its begin
+        earlier = [b for j, b in enumerate(anns) if (b.begin, b.end, j) < (a.begin, a.end, i)
+                   and (b.source, b.doc_id, b.group) == (a.source, a.doc_id, a.group)]
+        assert flags[i] == any(b.end > a.begin for b in earlier), (i, a)

@@ -2,18 +2,23 @@
 
 ``grid_search``, ``evaluate_expression``, ``complementarity_scores`` and
 ``cross_group_union_merge`` read a table of characters counted by (gold bit,
-coverage pattern); ``majority_vote_eval`` votes one document at a time from
-the same coverage rows.  Here every score is recomputed on small random
-corpora with overlapping spans, several groups and k <= 4 systems: from the
-raw annotations with plain Python sets (``conftest.set_eval``) and
-per-character counting (``brute_confusion``), or from the per-document mask
-path (``corpus_masks``, ``error_set``, ``comp_rate``, ``conftest.comp_prf``,
-``majority_vote``, ``char_prf``).
+coverage pattern); ``majority_vote_eval`` reads the same coverage patterns.
+All of them walk the documents in blocks of at most ``search.BLOCK_CHARS``
+characters.  Here every score is recomputed on small random corpora with
+zero-length documents, documents without spans, overlapping spans, several
+groups and k <= 4 systems: from the raw annotations with plain Python sets
+(``conftest.set_eval``) and per-character counting (``brute_confusion``),
+from the per-document mask path (``corpus_masks``, ``error_set``,
+``comp_rate``, ``conftest.comp_prf``, ``majority_vote``, ``char_prf``), or
+from the per-document table and vote kept in ``conftest``, under block
+budgets from 1 character up.
 """
 
 from __future__ import annotations
 
 import pytest
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,9 +42,16 @@ from span_ensembles import (
     majority_vote_eval,
     parse,
 )
+from span_ensembles import search
 from span_ensembles.model import GOLD_SOURCE
-from span_ensembles.search import SAMPLED, ScoredEnsemble, _pareto_front
-from conftest import brute_confusion, comp_prf, set_eval
+from span_ensembles.search import SAMPLED, ScoredEnsemble, _count_tables, _pareto_front, _table
+from conftest import (
+    brute_confusion,
+    comp_prf,
+    per_document_count_table,
+    per_document_vote,
+    set_eval,
+)
 
 GROUPS = ("G1", "G2")
 NAMES = ("A", "B", "zeta", "x2")
@@ -63,6 +75,11 @@ def corpora(draw, min_systems=1):
                 end = draw(st.integers(begin + 1, doc.length))
                 group = draw(st.sampled_from((*GROUPS, None)))
                 anns.append(Annotation(doc.doc_id, source, begin, end, group=group))
+        if doc.length > 1 and draw(st.booleans()):
+            # one system's overlapping spans in two groups: disjoint per group, not under ALL
+            begin = draw(st.integers(0, doc.length - 2))
+            anns.append(Annotation(doc.doc_id, systems[0], begin, doc.length, group=GROUPS[0]))
+            anns.append(Annotation(doc.doc_id, systems[0], begin + 1, doc.length, group=GROUPS[1]))
     store = AnnotationStore(docs, anns, group_universe=GROUPS, sources=(GOLD_SOURCE, *systems))
     return store, systems
 
@@ -187,3 +204,39 @@ def test_cross_group_union_merge_matches_set_oracle(data):
     gold = covered(store, GOLD_SOURCE, ALL_GROUPS)
     m = cross_group_union_merge(store, assignments, GOLD_SOURCE)
     assert (m.tp, m.fp, m.fn) == set_confusion(store, gold, merged)
+
+
+def block_budgets():
+    """Block sizes from one character up to beyond every drawn corpus."""
+    return st.one_of(st.integers(1, 12), st.integers(13, 150))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_block_tables_match_per_document_oracle(data):
+    store, systems = data.draw(corpora())
+    budget = data.draw(block_budgets(), label="budget")
+    groups = (*GROUPS, ALL_GROUPS)
+    row_sets = [[(s, g) for s in (*systems, GOLD_SOURCE)] for g in groups]
+    row_sets.append([(systems[0], GROUPS[0]), (systems[-1], GROUPS[1]), (GOLD_SOURCE, ALL_GROUPS)])
+    with mock.patch.object(search, "BLOCK_CHARS", budget):
+        tables = _count_tables(store, row_sets)
+        for rows, table in zip(row_sets, tables):
+            assert table.tolist() == per_document_count_table(store, rows).tolist(), rows
+        # tables kept by prepare_tables, read back for any subset in any order
+        want = data.draw(st.permutations(systems)).copy()[: data.draw(st.integers(1, len(systems)))]
+        search.prepare_tables(store, systems, GOLD_SOURCE, groups)
+        for group in groups:
+            rows = [(s, group) for s in (*want, GOLD_SOURCE)]
+            kept = _table(store, want, GOLD_SOURCE, group)
+            assert kept.tolist() == per_document_count_table(store, rows).tolist(), (group, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora(min_systems=2), st.sampled_from((0, 1, 7)), block_budgets())
+def test_block_vote_matches_per_document_oracle(corpus, seed, budget):
+    store, systems = corpus
+    with mock.patch.object(search, "BLOCK_CHARS", budget):
+        for group in (*GROUPS, ALL_GROUPS):
+            expected = per_document_vote(store, systems, GOLD_SOURCE, group, seed)
+            assert majority_vote_eval(store, systems, GOLD_SOURCE, group, seed) == expected

@@ -13,7 +13,14 @@ through a groups file and per-source overrides, some types stay unmapped,
 and system spans carry scores and concept ids and overlap, so group mapping,
 disambiguation and concept resolution all shape the reports.
 
-A deliberate report change updates the table below and says why in
+A third table pins ``search`` and ``vote`` (``--group each``) with six
+systems, so vote ties occur and the search space is the k=6 one, on a
+``synth`` corpus of 80,000 characters: more than one default scoring block
+(``search.BLOCK_CHARS``).  Every table is also re-checked with the block
+budget patched to 1 character and to one that splits the corpus partway
+through its document list, so a bug at a block boundary changes a digest.
+
+A deliberate report change updates the tables below and says why in
 ``CHANGES.md``.
 """
 
@@ -25,6 +32,7 @@ import random
 
 import pytest
 
+from span_ensembles import report, search
 from span_ensembles.cli import main
 
 DIGESTS = {
@@ -75,6 +83,24 @@ def test_report_digest(corpus, tmp_path, task, fmt, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[(task, fmt, seed)]
+
+
+# The synth corpus is 8 documents of 300 characters: 1,000 splits it after
+# its third and sixth documents.
+@pytest.mark.parametrize("budget", [1, 1000])
+@pytest.mark.parametrize("task,fmt,seed", sorted(DIGESTS))
+def test_report_digest_in_small_blocks(corpus, tmp_path, monkeypatch, budget, task, fmt, seed):
+    monkeypatch.setattr(search, "BLOCK_CHARS", budget)
+    test_report_digest(corpus, tmp_path, task, fmt, seed)
+
+
+# JSON reports are joined from batches of encoder tokens; a batch of 1 and
+# one of 7 split every report many times over, mid-object included.
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("task,fmt,seed", sorted(k for k in DIGESTS if k[1] == "json"))
+def test_json_digest_in_small_batches(corpus, tmp_path, monkeypatch, batch, task, fmt, seed):
+    monkeypatch.setattr(report, "JSON_BATCH", batch)
+    test_report_digest(corpus, tmp_path, task, fmt, seed)
 
 
 MAPPED_DIGESTS = {
@@ -221,3 +247,61 @@ def test_mapped_report_digest(mapped_corpus, tmp_path, call, fmt, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == MAPPED_DIGESTS[(call, fmt, seed)]
+
+
+# The mapped corpus is 6 documents of 150-299 characters: 500 puts two or
+# three in a block.
+@pytest.mark.parametrize("budget", [1, 500])
+@pytest.mark.parametrize("call,fmt,seed", sorted(MAPPED_DIGESTS))
+def test_mapped_report_digest_in_small_blocks(
+    mapped_corpus, tmp_path, monkeypatch, budget, call, fmt, seed
+):
+    monkeypatch.setattr(search, "BLOCK_CHARS", budget)
+    test_mapped_report_digest(mapped_corpus, tmp_path, call, fmt, seed)
+
+
+SIX_DIGESTS = {
+    ("search", "csv", 3): "920de90ed690d91c7578b59c7bfb7c7cd3136b94949257b6f2d378416dbe1245",
+    ("search", "csv", 5): "e4972c3ce5902c043246e6dfe4fc40dcf6c4f4b4d542e9d772e327bd52702dc5",
+    ("search", "markdown", 3): "bf353423ea6c1836c546ddf2c4b92b58db19804c883be3e105d9558ac90450cc",
+    ("search", "markdown", 5): "6b50c912ee6328d5161f57120360c1f4e68716c3ddab7f178f5892cc6c15ed0b",
+    ("search", "json", 3): "a994ac837780343033a000b683d7788f0fea3f300bb19d36dd569ee505b50157",
+    ("search", "json", 5): "021bb4002708b1e84320ec36bdff2da34d3492f17db20887733fec5b62ac7c62",
+    ("vote", "csv", 3): "b8d6a05f9e915b542722ddb7e7230b29bf07adcf718e626cf11b9bd8ebd5ab22",
+    ("vote", "csv", 5): "795ff47e945a99fe7aa5bcb88a4919f9ddac9e421159f095dfd13081db454dcb",
+    ("vote", "markdown", 3): "a4fd86417c8952bf303f59b70b4f3ea4423846da5c2c8848826c01c750126f98",
+    ("vote", "markdown", 5): "d9b388853c93d9516c66eada7bafe33435a7112a31e148c7db27e7b521da3200",
+    ("vote", "json", 3): "6da20d741411e5fa1fc7295e40b7b9f643b5a350e6cd451c072b7de77354dde9",
+    ("vote", "json", 5): "5b8b1a999783a38706a24e56bb97c39e12bea88f0d346ba0faf4a1070e95fb4e",
+}
+
+SIX_CALLS = {"search": ["search", "--top-k", "4"], "vote": ["vote"]}
+
+
+@pytest.fixture(scope="module")
+def six_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("six-corpus")
+    code = main(
+        [
+            "synth", "--out-dir", str(out), "--docs", "40", "--doc-length", "2000",
+            "--source", "A:0.2:1.0:1", "--source", "B:0.3:2.0:0",
+            "--source", "C:0.1:0.5:2", "--source", "D:0.4:3.0:1",
+            "--source", "E:0.25:1.5:1", "--source", "F:0.35:2.5:2",
+            "--density", "20", "--groups", "G1,G2,G3", "--seed", "33",
+        ]
+    )
+    assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("task,fmt,seed", sorted(SIX_DIGESTS))
+def test_six_system_report_digest(six_corpus, tmp_path, task, fmt, seed):
+    out = tmp_path / "report"
+    code = main(
+        [
+            *SIX_CALLS[task], "--config", str(six_corpus / "config.json"), "--group", "each",
+            "--seed", str(seed), "--format", fmt, "--out", str(out),
+        ]
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIX_DIGESTS[(task, fmt, seed)]
