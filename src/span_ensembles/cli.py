@@ -31,12 +31,12 @@ from .ingest import (
     disambiguate_spans,
     load_corpus_manifest,
     load_semantic_group_map,
-    load_spans,
+    load_span_files,
     map_groups,
     write_annotations,
     write_manifest,
 )
-from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore, SpanColumns
+from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore
 from .report import ComplementarityRow, CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
 from .search import (
     DOC_LEVEL,
@@ -167,16 +167,15 @@ def _build_store(cfg: RunConfig) -> AnnotationStore:
     doc_map = {d.doc_id: d for d in documents}
     inputs = [(cfg.gold_source, cfg.gold)]
     inputs += [(name, cfg.systems[name]) for name in sorted(cfg.systems)]
-    spans = SpanColumns.concat(
-        [load_spans(path, doc_map, expected_source=source) for source, path in inputs]
-    )
+    spans = load_span_files(inputs, doc_map)
 
+    keep = None
     if cfg.semgroups is not None:
         gmap = load_semantic_group_map(cfg.semgroups, cfg.overrides)
         outcome = map_groups(spans, gmap)
         if outcome.dropped:
             print(f"note: {outcome.note()}", file=sys.stderr)
-        spans = outcome.spans
+        spans, keep = outcome.columns, outcome.kept
         universe = gmap.group_universe
     else:
         universe = spans.groups_present()
@@ -184,10 +183,11 @@ def _build_store(cfg: RunConfig) -> AnnotationStore:
     # Overlapping concepts from one system resolve by the longest-span /
     # highest-score / seeded cascade; gold spans merge later in mask building.
     policy = DisambiguationPolicy(seed=cfg.seed)
-    spans = disambiguate_spans(spans, policy, exempt=(cfg.gold_source,))
-    return AnnotationStore(
+    keep = disambiguate_spans(spans, policy, exempt=(cfg.gold_source,), keep=keep)
+    return AnnotationStore.adopt(
         documents,
         spans,
+        keep,
         group_universe=universe,
         sources=[cfg.gold_source, *cfg.systems],
     )

@@ -8,16 +8,20 @@ a (source, native_type) pair to a group.
 
 Annotation files are read a chunk of lines at a time into
 :class:`~span_ensembles.model.SpanColumns`, with no Python object per
-record beyond the decoded JSON of one chunk; the record checks run as array
-checks over each chunk.
+record beyond the decoded JSON of one chunk: a chunk's raw lines become one
+JSON array, each field is read in one pass, names are coded through one
+table shared by every file, and the record checks run as array checks.
+Group mapping and disambiguation return row masks, so the columns are never
+copied until the store gathers them, once, into its order.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -63,21 +67,25 @@ _PLAIN_TYPES = {
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
-    """The JSON objects of ``lines``, decoded by one ``json.loads`` over the
-    lines joined into an array, or None unless each line is exactly one object.
+    """The JSON objects of ``lines`` (as read, line ends included), decoded
+    by one ``json.loads`` over the lines joined into an array, or None unless
+    each line is exactly one object.
 
-    The lines are joined by a comma and a newline.  Strict JSON has no raw
-    newline inside a string, so no string spans two lines; and a line that
-    starts with its only "{" and ends with its only "}" can only be one
-    whole object.  So a decode that succeeds is line-aligned.
+    The lines are joined by commas, each keeping its line end as JSON
+    whitespace.  Strict JSON has no raw newline inside a string, so no
+    string spans two lines.  If every line starts with "{" and ends with "}"
+    and the chunk holds no other "}", a decode that succeeds found one
+    unquoted "{" per "}", so each line opens one object and its "}" closes
+    it: the decode is line-aligned.  A blank line, or one with space around
+    its object, fails the check.
     """
     n = len(lines)
-    text = "[" + ",\n".join(lines) + "]"
+    text = "[" + ",".join(lines) + "]"
     aligned = (
-        text.count("{") == n == text.count("}")
-        and text.count(",\n{") == n - 1 == text.count("},\n")
+        text.count("}") == n
+        and text.count("}\n,{") == n - 1
         and text.startswith("[{")
-        and text.endswith("}]")
+        and text.endswith(("}]", "}\n]"))
     )
     if not aligned:
         return None
@@ -88,11 +96,15 @@ def _decode_chunk(lines: list[str]) -> Optional[list]:
     return records if len(records) == n else None
 
 
-def _decode_lines(path: PathLike, linenos: list[int], lines: list[str], malformed: list):
+def _decode_lines(path: PathLike, first: int, chunk: list[str], malformed: list):
     """Per-line decode: (line numbers, objects) of the lines that are JSON
-    objects; every other line is appended to ``malformed``."""
+    objects, blank lines skipped; every other line is appended to
+    ``malformed``."""
     kept_linenos, records = [], []
-    for lineno, line in zip(linenos, lines):
+    for lineno, line in enumerate(chunk, start=first):
+        line = line.strip()
+        if not line:
+            continue
         try:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -107,24 +119,24 @@ def _decode_lines(path: PathLike, linenos: list[int], lines: list[str], malforme
     return kept_linenos, records
 
 
-def _jsonl_chunks(path: PathLike, malformed: list) -> Iterator[tuple[list[int], list[dict]]]:
+def _jsonl_chunks(path: PathLike, malformed: list) -> Iterator[tuple[Sequence[int], list[dict]]]:
     """Yield (line numbers, objects) per chunk of up to ``CHUNK_LINES`` lines,
     blank lines skipped.  A chunk that does not decode at once, line-aligned,
     is decoded line by line: a line that is not a JSON object is appended to
-    ``malformed`` as (line number, message) and skipped."""
+    ``malformed`` as (line number, message) and skipped.  Lines end at
+    "\n", "\r\n" or "\r" (universal newlines), as in any text-mode read."""
     with open(path, encoding="utf-8") as handle:
         first = 1
         while True:
-            chunk = [line.strip() for line in islice(handle, CHUNK_LINES)]
+            chunk = list(islice(handle, CHUNK_LINES))
             if not chunk:
                 return
-            linenos = [first + i for i, line in enumerate(chunk) if line]
-            lines = [line for line in chunk if line]
-            first += len(chunk)
-            records = _decode_chunk(lines) if lines else []
+            records = _decode_chunk(chunk)
             if records is None:
-                linenos, records = _decode_lines(path, linenos, lines, malformed)
-            yield linenos, records
+                yield _decode_lines(path, first, chunk, malformed)
+            else:
+                yield range(first, first + len(chunk)), records
+            first += len(chunk)
 
 
 def _jsonl_records(path: PathLike, malformed: list) -> Iterator[tuple[int, dict]]:
@@ -217,24 +229,26 @@ def _plain(col: str, value) -> bool:
     return type(value) in _PLAIN_TYPES[col]
 
 
-def _annotation_values(path: PathLike, linenos: list[int], records: list[dict], malformed: list):
-    """(line numbers, values by column) of a chunk's well-formed records.
+def _annotation_values(path: PathLike, linenos: Sequence[int], records: list[dict], malformed: list):
+    """(line numbers, values by column, value types by column) of a chunk's
+    well-formed records.
 
     Each field's values are read in one pass; only the records with a value
     of another type than :data:`_PLAIN_TYPES` (or an offset beyond 64 bits)
     are converted one by one, and those that fail are appended to
     ``malformed`` and left out."""
-    values = {col: [r.get(col) for r in records] for col in COLUMNS}
+    values = {col: list(map(dict.get, records, repeat(col))) for col in COLUMNS}
+    types = {col: set(map(type, column)) for col, column in values.items()}
     odd: set[int] = set()
-    for col, types in _PLAIN_TYPES.items():
+    for col, plain_types in _PLAIN_TYPES.items():
         column = values[col]
-        plain = set(map(type, column)) <= types
+        plain = types[col] <= plain_types
         if plain and col in ("begin", "end") and column:
             plain = _INT64[0] <= min(column) and max(column) <= _INT64[1]
         if not plain:
             odd.update(i for i, v in enumerate(column) if not _plain(col, v))
     if not odd:
-        return linenos, values
+        return linenos, values, types
     bad = set()
     for i in sorted(odd):
         lineno = linenos[i]
@@ -253,7 +267,7 @@ def _annotation_values(path: PathLike, linenos: list[int], records: list[dict], 
         keep = [i for i in range(len(records)) if i not in bad]
         linenos = [linenos[i] for i in keep]
         values = {col: [column[i] for i in keep] for col, column in values.items()}
-    return linenos, values
+    return linenos, values, {col: set(map(type, column)) for col, column in values.items()}
 
 
 class _SpanChecks:
@@ -273,29 +287,34 @@ class _SpanChecks:
         self.expected_source = expected_source
         self.cui_ok = np.ones(1, dtype=bool)  # per CUI code, grown as names are added
 
-    def failures(self, linenos: list[int], values: dict, rows: dict):
-        """(mask of passing rows, problem per failing row in line order)."""
+    def failures(self, linenos: Sequence[int], values: dict, types: dict, rows: dict):
+        """Problem per failing row, in line order."""
         cuis = list(self.names["cui"])
         if len(cuis) > len(self.cui_ok):
             fresh = [bool(CUI_PATTERN.match(c)) for c in cuis[len(self.cui_ok):]]
             self.cui_ok = np.concatenate((self.cui_ok, fresh))
-        begin, end, doc = rows["begin"], rows["end"], rows["doc_id"]
+        begin, end, doc, score = rows["begin"], rows["end"], rows["doc_id"], rows["score"]
         unknown = doc >= self.n_docs
         expected = self.names["source"].get(self.expected_source, -1)
+        # NaN stands for no score; a JSON NaN, a score that is not None, fails
+        bad_score = ~((score >= 0.0) & (score <= 1.0))
+        if type(None) in types["score"]:
+            bad_score &= ~np.fromiter(
+                map(operator.is_, values["score"], repeat(None)), dtype=bool, count=len(score)
+            )
         checks = [
             (begin < 0) | (end <= begin),
             ~self.cui_ok[rows["cui"]],
-            np.array([s is not None and not 0.0 <= s <= 1.0 for s in values["score"]], dtype=bool),
+            bad_score,
             unknown,
             end > self.lengths[np.where(unknown, self.n_docs, doc)],
             np.full(len(begin), self.expected_source is not None) & (rows["source"] != expected),
         ]
         failed = np.select(checks, list(range(1, len(checks) + 1)), 0)
-        problems = [
+        return [
             f"{self.path}:{linenos[i]}: {self._problem(int(failed[i]), i, values, rows)}"
             for i in np.flatnonzero(failed).tolist()
         ]
-        return failed == 0, problems
 
     def _problem(self, check: int, i: int, values: dict, rows: dict) -> str:
         begin, end = values["begin"][i], values["end"][i]
@@ -328,21 +347,34 @@ def load_spans(
     field, a value of the wrong type, such as an offset that is not an
     integer), else a ValidationError listing every invalid one.
     """
+    return load_span_files([(expected_source, path)], documents)
+
+
+def load_span_files(
+    files: Iterable[tuple[Optional[str], PathLike]],
+    documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
+) -> SpanColumns:
+    """Read annotation files, given as (expected source, path) pairs, into one
+    set of columns, their rows in file order, as :func:`load_spans` reads
+    each.  All files code their names through one table, so no file's
+    columns are recoded; the first file with an offending record raises.
+    """
     if not isinstance(documents, Mapping):
         documents = {d.doc_id: d for d in documents}
     names = span_names()
     names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
-    checks = _SpanChecks(path, documents, names, expected_source)
     parts = []
-    malformed: list[tuple[int, str]] = []
-    problems: list[str] = []
-    for linenos, records in _jsonl_chunks(path, malformed):
-        linenos, values = _annotation_values(path, linenos, records, malformed)
-        rows = encode_values(values, names)
-        passed, failures = checks.failures(linenos, values, rows)
-        problems.extend(failures)
-        parts.append({col: array[passed] for col, array in rows.items()})
-    _raise_collected("annotation", malformed, problems)
+    for expected_source, path in files:
+        checks = _SpanChecks(path, documents, names, expected_source)
+        malformed: list[tuple[int, str]] = []
+        problems: list[str] = []
+        for linenos, records in _jsonl_chunks(path, malformed):
+            linenos, values, types = _annotation_values(path, linenos, records, malformed)
+            rows = encode_values(values, names)
+            problems.extend(checks.failures(linenos, values, types, rows))
+            if not (problems or malformed):  # else the file is refused: keep no rows
+                parts.append(rows)
+        _raise_collected("annotation", malformed, problems)
     return SpanColumns.build(parts, names)
 
 
@@ -409,12 +441,25 @@ def load_semantic_group_map(
 
 @dataclass(frozen=True)
 class MappingOutcome:
-    """Mapped spans plus a tally, per (source, native type), of the records
-    dropped for having no mapping (native type None: neither a type nor a group)."""
+    """Spans with their groups mapped, the rows kept, and a tally, per
+    (source, native type), of the records dropped for having no mapping
+    (native type None: neither a type nor a group).
 
-    spans: SpanColumns
-    dropped: int
+    ``columns`` holds every input row, a dropped one with no group;
+    ``kept`` masks the rows that have one."""
+
+    columns: SpanColumns
+    kept: np.ndarray
     dropped_types: Counter
+
+    @property
+    def spans(self) -> SpanColumns:
+        """The kept rows."""
+        return self.columns.take(self.kept)
+
+    @property
+    def dropped(self) -> int:
+        return len(self.kept) - int(np.count_nonzero(self.kept))
 
     @property
     def annotations(self) -> tuple[Annotation, ...]:
@@ -433,8 +478,9 @@ class MappingOutcome:
 def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
     """Assign each span's group: source-specific override first, then the TUI
     lookup, read from one table indexed by (source, native type).  Unmapped
-    spans are dropped and tallied; spans that already carry a group and no
-    native type pass through unchanged."""
+    spans are masked out and tallied; spans that already carry a group and
+    no native type pass through unchanged.  No row is copied but the group
+    column."""
     group_codes = {g: i for i, g in enumerate(spans.groups)}
 
     def code(group: Optional[str]) -> int:
@@ -457,8 +503,8 @@ def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
         (spans.sources[pair // n_types], spans.native_types[pair % n_types]): count
         for pair, count in zip(pairs.tolist(), counts.tolist())
     })
-    mapped = replace(spans, group=group.astype(np.int32), groups=tuple(group_codes)).take(kept)
-    return MappingOutcome(spans=mapped, dropped=int((~kept).sum()), dropped_types=dropped_types)
+    mapped = replace(spans, group=group.astype(np.int32), groups=tuple(group_codes))
+    return MappingOutcome(columns=mapped, kept=kept, dropped_types=dropped_types)
 
 
 def apply_group_mapping(
@@ -553,33 +599,43 @@ def disambiguate_overlaps(
 
 
 def disambiguate_spans(
-    spans: SpanColumns, policy: DisambiguationPolicy, exempt: Iterable[str] = ()
-) -> SpanColumns:
-    """Disambiguate every (source, doc) slice whose source is not exempt.
+    spans: SpanColumns,
+    policy: DisambiguationPolicy,
+    exempt: Iterable[str] = (),
+    keep: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The rows that survive disambiguation of every (source, doc) slice whose
+    source is not exempt, as a boolean mask: the rows of ``keep`` (all if
+    None) less those it removes.
 
-    A running-max scan finds the (source, doc, group) runs of spans that
-    overlap; only those are passed to :func:`disambiguate_overlaps`, one call
-    per (source, doc) slice.  Its random picks are keyed per (source, doc),
-    and it draws only inside overlap clusters, one group after another in
-    group order; so leaving out the runs without an overlap changes no pick.
+    Only the members of clusters of two or more overlapping spans, found by
+    one running-max scan over the kept rows, reach
+    :func:`disambiguate_overlaps`: one call per (source, doc) slice, rows in
+    row order, their records made ``CHUNK_LINES`` rows at a time.  A span in
+    no such cluster overlaps nothing, so it is never removed, joins no
+    cluster in any round and takes no random pick; as the picks are keyed per
+    (source, doc), leaving it out changes none of them.
     """
+    keep = np.ones(len(spans), dtype=bool) if keep is None else keep.copy()
     exempt = set(exempt)
     exempt_codes = [i for i, source in enumerate(spans.sources) if source in exempt]
-    flagged = overlapping(spans) & ~np.isin(spans.source, exempt_codes)
-    if not flagged.any():
-        return spans
-    slice_key = spans.source.astype(np.int64) * len(spans.doc_ids) + spans.doc_id
-    run_key = slice_key * len(spans.groups) + spans.group
-    rows = np.flatnonzero(np.isin(run_key, run_key[flagged]))
-    rows = rows[np.argsort(slice_key[rows], kind="stable")]
-    bounds = [0, *(np.flatnonzero(np.diff(slice_key[rows])) + 1).tolist(), len(rows)]
-    anns = spans.take(rows).annotations()
-    keep = np.ones(len(spans), dtype=bool)
+    members = overlapping(spans, keep & ~np.isin(spans.source, exempt_codes), openers=True)
+    rows = np.flatnonzero(members)
+    if not len(rows):
+        return keep
+    slice_key = spans.source[rows].astype(np.int64) * len(spans.doc_ids) + spans.doc_id[rows]
+    by_slice = np.argsort(slice_key, kind="stable")
+    rows, slice_key = rows[by_slice], slice_key[by_slice]
+    bounds = [0, *(np.flatnonzero(np.diff(slice_key)) + 1).tolist(), len(rows)]
+    first, anns = 0, []  # the records of rows[first:first + len(anns)]
     for lo, hi in zip(bounds, bounds[1:]):
-        kept = {id(a) for a in disambiguate_overlaps(anns[lo:hi], policy)}
-        removed = [row for row, a in zip(rows[lo:hi].tolist(), anns[lo:hi]) if id(a) not in kept]
+        if hi > first + len(anns):
+            first, anns = lo, spans.take(rows[lo : max(hi, lo + CHUNK_LINES)]).annotations()
+        in_slice = anns[lo - first : hi - first]
+        kept = {id(a) for a in disambiguate_overlaps(in_slice, policy)}
+        removed = [row for row, a in zip(rows[lo:hi].tolist(), in_slice) if id(a) not in kept]
         keep[removed] = False
-    return spans.take(keep)
+    return keep
 
 
 def _annotation_record(ann: Annotation) -> dict:

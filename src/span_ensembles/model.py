@@ -139,18 +139,25 @@ def span_names() -> dict[str, dict]:
 
 def encode_values(values: Mapping[str, list], names: Mapping[str, dict]) -> dict[str, np.ndarray]:
     """Column arrays of plain per-row values (names, ints, floats or None),
-    each name coded through ``names``, which grows."""
+    each name coded through ``names``, which grows by the names it lacks in
+    order of first appearance."""
     arrays = {}
     for col in COLUMNS:
+        column = values[col]
         if col in NAMED_COLUMNS:
             index = names[col]
-            codes = [index.setdefault(v, len(index)) for v in values[col]]
-            arrays[col] = np.array(codes, dtype=np.int32)
+            fresh = dict.fromkeys(column)
+            for name in fresh:
+                index.setdefault(name, len(index))
+            if len(fresh) == 1:
+                arrays[col] = np.full(len(column), index[next(iter(fresh))], dtype=np.int32)
+            else:
+                arrays[col] = np.fromiter(map(index.__getitem__, column), np.int32, len(column))
         elif col == "score":
-            arrays[col] = np.array(values[col], dtype=np.float64)  # None -> NaN
+            arrays[col] = np.array(column, dtype=np.float64)  # None -> NaN
         else:
             try:
-                arrays[col] = np.array(values[col], dtype=np.int64)
+                arrays[col] = np.array(column, dtype=np.int64)
             except OverflowError:
                 raise ValidationError("span offsets must fit in 64 bits") from None
     return arrays
@@ -182,13 +189,15 @@ class SpanColumns:
     cuis: tuple[Optional[str], ...]
 
     @classmethod
-    def build(
-        cls, parts: Sequence[Mapping[str, np.ndarray]], names: Mapping[str, dict]
-    ) -> "SpanColumns":
-        """Columns from arrays coded through ``names``, concatenated in order."""
+    def build(cls, parts: list[dict[str, np.ndarray]], names: Mapping[str, dict]) -> "SpanColumns":
+        """Columns from arrays coded through ``names``, concatenated in order.
+
+        Each column leaves ``parts`` as it is concatenated, so no more than
+        one column is held twice.
+        """
         if not parts:
             parts = [encode_values({col: [] for col in COLUMNS}, names)]
-        arrays = {col: np.concatenate([part[col] for part in parts]) for col in COLUMNS}
+        arrays = {col: np.concatenate([part.pop(col) for part in parts]) for col in COLUMNS}
         return cls(**arrays, **{attr: tuple(names[col]) for col, attr in NAMED_COLUMNS.items()})
 
     @classmethod
@@ -197,20 +206,6 @@ class SpanColumns:
         names = span_names()
         values = {col: [getattr(a, col) for a in anns] for col in COLUMNS}
         return cls.build([encode_values(values, names)], names)
-
-    @classmethod
-    def concat(cls, parts: Sequence["SpanColumns"]) -> "SpanColumns":
-        """Rows of every part in order, their names merged."""
-        names = span_names()
-        recoded = []
-        for part in parts:
-            arrays = {col: getattr(part, col) for col in COLUMNS}
-            for col, attr in NAMED_COLUMNS.items():
-                index = names[col]
-                remap = [index.setdefault(name, len(index)) for name in getattr(part, attr)]
-                arrays[col] = np.array(remap, dtype=np.int32)[arrays[col]]
-            recoded.append(arrays)
-        return cls.build(recoded, names)
 
     def __len__(self) -> int:
         return len(self.begin)
@@ -237,30 +232,90 @@ def _sort_rank(names: Sequence[Optional[str]]) -> np.ndarray:
     """Rank of each name in string order, None ranking as the empty string."""
     keys = [name or "" for name in names]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-    return np.array([rank[key] for key in keys], dtype=np.int64)
+    return np.array([rank[key] for key in keys], dtype=np.int32)
 
 
-def overlapping(spans: SpanColumns) -> np.ndarray:
+def packed_lexsort(keys: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.lexsort(keys)`` for non-negative integer (or boolean) keys: the
+    order that sorts by the last key, then the one before it, and so on,
+    ties kept in row order.
+
+    The keys are packed by bit width, the last key highest, into as few
+    uint64 words as hold them, so that the words compare as the keys do;
+    chained stable argsorts, least significant word first, give the order.
+    A key whose values are all 0 takes no bits.
+    """
+    words: list[np.ndarray] = []
+    used = 64
+    for key in reversed(keys):
+        if not len(key):
+            continue
+        if key.min() < 0:
+            raise ValueError("packed_lexsort takes non-negative keys only")
+        width = int(key.max()).bit_length()
+        if not width:
+            continue
+        if used + width > 64:
+            words.append(key.astype(np.uint64))
+            used = width
+        else:
+            words[-1] <<= np.uint64(width)
+            words[-1] |= key.astype(np.uint64)
+            used += width
+    if not words:
+        return np.arange(len(keys[0]))
+    order = np.argsort(words.pop(), kind="stable")
+    while words:
+        order = order[np.argsort(words.pop()[order], kind="stable")]
+    return order
+
+
+def overlapping(
+    spans: SpanColumns, keep: Optional[np.ndarray] = None, openers: bool = False
+) -> np.ndarray:
     """Flags the rows that begin before some earlier span of the same (source,
-    doc, group) ends, spans taken in (begin, end) order: a running-max scan,
-    one source at a time, so its temporaries scale with the largest source."""
+    doc, group) ends, spans taken in (begin, end) order.
+
+    Only the rows that ``keep`` (a boolean mask; all if None) holds are
+    scanned.  With ``openers``, the row that opens each flagged row's cluster
+    (the last unflagged row before it) is flagged too, so the flags mark
+    every member of a cluster of two or more overlapping spans and nothing
+    else.  A running-max scan, one source at a time, so its temporaries
+    scale with the largest source.
+    """
     flags = np.zeros(len(spans), dtype=bool)
-    for code in np.unique(spans.source).tolist():
-        rows = np.flatnonzero(spans.source == code)
-        n = len(rows)
-        doc, group = spans.doc_id[rows], spans.group[rows]
-        begin, end = spans.begin[rows], spans.end[rows]
-        order = np.lexsort((end, begin, group, doc))
+    for code in range(len(spans.sources)):
+        in_source = spans.source == code
+        if keep is not None:
+            in_source &= keep
+        rows = np.flatnonzero(in_source)
+        if not len(rows):
+            continue
+        keys = (spans.end[rows], spans.begin[rows], spans.group[rows], spans.doc_id[rows])
+        order = rows[packed_lexsort(keys)]
+        del keys, rows  # not held through the scan below
+        n = len(order)
         first = np.zeros(n, dtype=bool)
-        first[:1] = True
-        for key in (doc[order], group[order]):
+        first[0] = True
+        for column in (spans.doc_id, spans.group):
+            key = column[order]
             first[1:] |= key[1:] != key[:-1]
-        # Offsets become ranks (below 2n), so lifting each slice by 2n per slice
-        # puts it above the ones before, without overflow: one running max serves all.
-        _, ranks = np.unique(np.concatenate((begin[order], end[order])), return_inverse=True)
-        lift = np.cumsum(first) * (2 * n)
-        reach = np.maximum.accumulate(ranks[n:] + lift)
-        flags[rows[order[1:]]] = ranks[1:n] + lift[1:] < reach[:-1]
+        begin, end = spans.begin[order], spans.end[order]
+        top = int(end.max()) + 1
+        if top * (int(np.count_nonzero(first)) + 1) >= 2**63:
+            # Offsets become ranks (below 2n), so that the lift below cannot overflow.
+            _, ranks = np.unique(np.concatenate((begin, end)), return_inverse=True)
+            begin, end, top = ranks[:n], ranks[n:], 2 * n
+        # Lifting each slice by ``top`` per slice puts it above the ones before:
+        # one running max serves all.
+        lift = np.cumsum(first) * top
+        reach = np.maximum.accumulate(end + lift)
+        flagged = np.zeros(n, dtype=bool)
+        flagged[1:] = begin[1:] + lift[1:] < reach[:-1]
+        if openers:
+            # a slice's first row is never flagged, so an opener is in its slice
+            flagged[:-1] |= flagged[1:]
+        flags[order] = flagged
     return flags
 
 
@@ -268,11 +323,12 @@ class AnnotationStore:
     """Immutable, validated collection of annotations indexed by (source, doc, group).
 
     Spans are held as :class:`SpanColumns` sorted by (source, doc, begin,
-    end, group, cui), with row offsets per (source, doc).  Construction
-    takes ``Annotation`` records or columns and validates document references,
-    span bounds and groups.  Per-slice span disjointness is the
-    post-disambiguation invariant and is checked separately via
-    :meth:`verify_disjoint_spans`.
+    end, group, cui), with row offsets per (source, doc); the order is one
+    :func:`packed_lexsort` and one gather.  Construction takes ``Annotation``
+    records or columns (copied) and validates document references, span
+    bounds and groups; :meth:`adopt` takes columns over without a copy.
+    Per-slice span disjointness is the post-disambiguation invariant and is
+    checked separately via :meth:`verify_disjoint_spans`.
     """
 
     def __init__(
@@ -282,6 +338,34 @@ class AnnotationStore:
         group_universe: Iterable[str] = (),
         sources: Iterable[str] = (),
     ):
+        if isinstance(annotations, SpanColumns):
+            spans = replace(annotations, **{col: getattr(annotations, col).copy() for col in COLUMNS})
+        else:
+            spans = SpanColumns.from_annotations(annotations)
+        self._take_over(documents, spans, np.ones(len(spans), dtype=bool), group_universe, sources)
+
+    @classmethod
+    def adopt(
+        cls,
+        documents: Iterable[DocumentRef],
+        spans: SpanColumns,
+        keep: np.ndarray,
+        group_universe: Iterable[str] = (),
+        sources: Iterable[str] = (),
+    ) -> "AnnotationStore":
+        """A store of the rows of ``spans`` that the boolean mask ``keep``
+        marks, checked as the constructor checks them.
+
+        The store takes the columns over: it recodes and reorders their
+        arrays in place and holds the first rows of each, so the set-up
+        never holds the columns twice.  Nothing else may use ``spans``
+        afterwards.
+        """
+        store = object.__new__(cls)
+        store._take_over(documents, spans, keep, group_universe, sources)
+        return store
+
+    def _take_over(self, documents, spans: SpanColumns, keep: np.ndarray, group_universe, sources):
         docs: dict[str, DocumentRef] = {}
         for doc in documents:
             if doc.doc_id in docs:
@@ -293,20 +377,16 @@ class AnnotationStore:
             raise ValidationError(
                 f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
             )
-        spans = (
-            annotations if isinstance(annotations, SpanColumns)
-            else SpanColumns.from_annotations(annotations)
-        )
 
         doc_ids = tuple(sorted(docs))
         doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-        doc = np.array([doc_index.get(d, -1) for d in spans.doc_ids], dtype=np.int32)[spans.doc_id]
-        lengths = np.array([docs[d].length for d in doc_ids] + [0], dtype=np.int64)
-        unknown = doc < 0
-        exceeds = spans.end > lengths[doc]
+        doc_code = np.array([doc_index.get(d, -1) for d in spans.doc_ids], dtype=np.int32)
+        lengths = np.array([docs[d].length if d in docs else 0 for d in spans.doc_ids], dtype=np.int64)
+        unknown = (doc_code < 0)[spans.doc_id]
+        exceeds = spans.end > lengths[spans.doc_id]
         foreign = [i for i, g in enumerate(spans.groups) if g is not None and g not in universe]
         bad_group = np.isin(spans.group, foreign if universe else [])
-        bad = unknown | exceeds | bad_group
+        bad = (unknown | exceeds | bad_group) & keep
         if bad.any():
             row = int(np.argmax(bad))
             doc_id = spans.doc_ids[spans.doc_id[row]]
@@ -321,21 +401,29 @@ class AnnotationStore:
                 f"annotation group {spans.groups[spans.group[row]]!r} not in the group universe"
             )
 
-        present = {spans.sources[s] for s in np.unique(spans.source).tolist()}
+        present = {spans.sources[s] for s in np.unique(spans.source[keep]).tolist()}
         store_sources = tuple(sorted(set(sources) | present))
         source_index = {s: i for i, s in enumerate(store_sources)}
-        source_code = [source_index.get(s, -1) for s in spans.sources]
-        source = np.array(source_code, dtype=np.int32)[spans.source]
-        order = np.lexsort((
+        source_code = np.array([source_index.get(s, 0) for s in spans.sources], dtype=np.int32)
+        # Rows left out (their document or source may be unknown) sort last.
+        np.take(np.maximum(doc_code, 0), spans.doc_id, out=spans.doc_id)
+        np.take(source_code, spans.source, out=spans.source)
+        order = packed_lexsort((
             _sort_rank(spans.cuis)[spans.cui],
             _sort_rank(spans.groups)[spans.group],
             spans.end,
             spans.begin,
-            doc,
-            source,
-        ))
-        spans = replace(spans, doc_id=doc, source=source, doc_ids=doc_ids, sources=store_sources)
-        self._set(docs, spans.take(order), universe)
+            spans.doc_id,
+            spans.source,
+            ~keep,
+        ))[: np.count_nonzero(keep)]
+        held = {}
+        for col in COLUMNS:
+            column = getattr(spans, col)
+            column[: len(order)] = column[order]
+            held[col] = column[: len(order)]
+        spans = replace(spans, **held, doc_ids=doc_ids, sources=store_sources)
+        self._set(docs, spans, universe)
 
     def _set(self, documents: dict[str, DocumentRef], spans: SpanColumns, universe) -> None:
         """Hold checked columns already in store order and index them."""

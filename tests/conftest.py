@@ -18,8 +18,10 @@ from span_ensembles import (
     Or,
     ParseError,
     ValidationError,
+    disambiguate_overlaps,
     seeds,
 )
+from span_ensembles.model import overlapping
 
 
 def rand_mask(rng: random.Random, doc_id: str, length: int, density: float = 0.4) -> CharMask:
@@ -269,3 +271,27 @@ def scan_annotations(path, documents, expected_source=None):
             f"{len(problems)} invalid annotation record(s):\n" + "\n".join(problems)
         )
     return annotations
+
+
+def whole_run_disambiguation(spans, policy, exempt=()) -> np.ndarray:
+    """Reference disambiguation of columns: every (source, doc, group) run
+    that holds an overlap is passed whole to ``disambiguate_overlaps``, its
+    spans that overlap nothing included, one call per (source, doc) slice
+    with the rows in row order.  Returns the mask of the rows kept."""
+    exempt = set(exempt)
+    exempt_codes = [i for i, source in enumerate(spans.sources) if source in exempt]
+    keep = np.ones(len(spans), dtype=bool)
+    flagged = overlapping(spans) & ~np.isin(spans.source, exempt_codes)
+    if not flagged.any():
+        return keep
+    slice_key = spans.source.astype(np.int64) * len(spans.doc_ids) + spans.doc_id
+    run_key = slice_key * len(spans.groups) + spans.group
+    rows = np.flatnonzero(np.isin(run_key, run_key[flagged]))
+    rows = rows[np.argsort(slice_key[rows], kind="stable")]
+    bounds = [0, *(np.flatnonzero(np.diff(slice_key[rows])) + 1).tolist(), len(rows)]
+    anns = spans.take(rows).annotations()
+    for lo, hi in zip(bounds, bounds[1:]):
+        kept = {id(a) for a in disambiguate_overlaps(anns[lo:hi], policy)}
+        removed = [row for row, a in zip(rows[lo:hi].tolist(), anns[lo:hi]) if id(a) not in kept]
+        keep[removed] = False
+    return keep

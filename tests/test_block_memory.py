@@ -1,11 +1,16 @@
-"""Memory of the block walk: scoring tasks hold per-character arrays for one
-block of documents (``search.BLOCK_CHARS`` characters) at a time, so the peak
-of building count tables, votes and concept layers does not grow with the
-number of documents.  Measured with ``tracemalloc`` on a corpus of two blocks
-and on one ten times larger."""
+"""Memory of the block walk and of the set-up.
+
+Scoring tasks hold per-character arrays for one block of documents
+(``search.BLOCK_CHARS`` characters) at a time, so the peak of building count
+tables, votes and concept layers does not grow with the number of documents.
+The set-up (reading, disambiguation and the store) holds the columns once
+plus temporaries, so its peak grows with the columns it ends with.  Both are
+measured with ``tracemalloc`` on a corpus and on one ten times larger."""
 
 from __future__ import annotations
 
+import json
+import random
 import tracemalloc
 
 from span_ensembles import (
@@ -16,7 +21,8 @@ from span_ensembles import (
     majority_vote_eval,
     parse,
 )
-from span_ensembles.model import GOLD_SOURCE
+from span_ensembles.cli import _build_store, _resolve_run_config, build_parser
+from span_ensembles.model import COLUMNS, GOLD_SOURCE
 from span_ensembles.search import _count_tables, cui_scores
 
 SOURCES = ("A", "B", "C", "D")
@@ -65,3 +71,52 @@ def test_peak_does_not_grow_with_documents():
     for name, peak in small.items():
         # one array over the large corpus, even of booleans, is 800,000 bytes
         assert large[name] <= peak + 256 * 1024, (name, peak, large[name])
+
+
+def write_corpus(directory, n_docs: int):
+    """Gold and four systems over ``n_docs`` documents of 2,000 characters,
+    100 spans of 3-9 characters per document and source at random, so that
+    each system's spans overlap and disambiguation removes some; returns the
+    config file."""
+    rng = random.Random(n_docs)
+    directory.mkdir()
+    doc_ids = [f"doc-{i:05d}" for i in range(n_docs)]
+    (directory / "manifest.jsonl").write_text(
+        "".join(json.dumps({"doc_id": d, "length": 2000}) + "\n" for d in doc_ids)
+    )
+    for source in (GOLD_SOURCE, *SOURCES):
+        lines = []
+        for doc_id in doc_ids:
+            for _ in range(100):
+                begin = rng.randrange(1990)
+                record = {"doc_id": doc_id, "source": source, "begin": begin,
+                          "end": begin + rng.randint(3, 9), "group": rng.choice(GROUPS),
+                          "score": rng.choice([None, 0.5, 0.75])}
+                lines.append(json.dumps(record) + "\n")
+        (directory / f"{source}.jsonl").write_text("".join(lines))
+    config = {"gold": f"{GOLD_SOURCE}.jsonl", "manifest": "manifest.jsonl",
+              "systems": {name: f"{name}.jsonl" for name in SOURCES}}
+    (directory / "config.json").write_text(json.dumps(config))
+    return directory / "config.json"
+
+
+def set_up_peak(config) -> tuple[int, int]:
+    """(traced peak of building the store, bytes of the store's columns)."""
+    cfg = _resolve_run_config(build_parser().parse_args(["ner-eval", "--config", str(config)]))
+    tracemalloc.start()
+    try:
+        store = _build_store(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, sum(getattr(store.columns, col).nbytes for col in COLUMNS)
+
+
+def test_set_up_peak_grows_with_the_columns(tmp_path):
+    small_peak, small_bytes = set_up_peak(write_corpus(tmp_path / "small", 40))
+    large_peak, large_bytes = set_up_peak(write_corpus(tmp_path / "large", 400))
+    # one copy of the columns, plus the temporaries of sorting and of one
+    # source's overlap scan, but never the columns twice
+    assert large_peak - small_peak <= 2 * (large_bytes - small_bytes), (
+        small_peak, small_bytes, large_peak, large_bytes
+    )

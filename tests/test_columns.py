@@ -6,7 +6,10 @@ arrays; ``conftest.scan_annotations`` is the per-line scan it replaced, one
 spread across chunk edges, both must give the same records or the same
 error.  A store built from columns must hold the same slices as one built
 from ``Annotation`` records, and the group mapping and disambiguation of
-columns must keep exactly what the per-record functions keep.
+columns must keep exactly what the per-record functions keep.  The packed
+sort must give ``np.lexsort``'s order, and disambiguation of cluster
+members only must keep the rows that ``conftest.whole_run_disambiguation``
+(every run with an overlap passed whole) keeps.
 """
 
 from __future__ import annotations
@@ -14,8 +17,9 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from span_ensembles import (
@@ -30,8 +34,8 @@ from span_ensembles import (
     load_annotations,
 )
 from span_ensembles.ingest import disambiguate_spans, load_spans, map_groups
-from span_ensembles.model import SpanColumns, overlapping
-from conftest import scan_annotations
+from span_ensembles.model import COLUMNS, SpanColumns, overlapping, packed_lexsort
+from conftest import scan_annotations, whole_run_disambiguation
 
 DOCS = {d.doc_id: d for d in (DocumentRef("d1", 40), DocumentRef("d2", 25), DocumentRef("d[3]", 10))}
 GROUPS = ("G1", "G2", "G{3}")
@@ -78,16 +82,19 @@ def records(draw, malformed=True):
 @st.composite
 def jsonl_files(draw):
     """Lines of a JSONL file: records, bad JSON, non-objects, blank lines, two
-    objects on one line and one record split across two lines, each line
-    ended by LF or CRLF.  Half the files hold only well-formed records and
-    blank lines, so that their invalid records are reported."""
+    objects on one line and one record split across two lines.  A record may
+    be followed by spaces after its "}"; each line ends in LF, CRLF or a lone
+    CR, and the last one may end in none; line 1 may start with a UTF-8 byte
+    order mark.  Half the files hold only well-formed records and blank
+    lines, so that their invalid records are reported."""
     broken = draw(st.booleans())
     kinds = ["record"] * 8 + ["blank"] + (["bad", "array", "two", "split"] if broken else [])
     lines = []
     for _ in range(draw(st.integers(0, 14))):
         kind = draw(st.sampled_from(kinds))
         if kind == "record":
-            lines.append(json.dumps(draw(records(malformed=broken))))
+            trailing = draw(st.sampled_from(["", "", "", "", " ", " \t "]))
+            lines.append(json.dumps(draw(records(malformed=broken))) + trailing)
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
         elif kind == "bad":
@@ -101,7 +108,12 @@ def jsonl_files(draw):
             text = json.dumps(draw(records()))
             cut = draw(st.integers(1, len(text) - 1))
             lines.extend([text[:cut], text[cut:]])
-    return [line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines]
+    if lines and draw(st.integers(0, 7)) == 0:
+        lines[0] = "\ufeff" + lines[0]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\n", "\r\n", "\r"])) for _ in lines]
+    if ends and draw(st.booleans()):
+        ends[-1] = ""
+    return [line + end for line, end in zip(lines, ends)]
 
 
 def outcome(load, path, expected_source):
@@ -112,8 +124,22 @@ def outcome(load, path, expected_source):
 
 
 @settings(max_examples=400, deadline=None)
-@given(jsonl_files(), st.sampled_from([None, "A"]), st.sampled_from([1, 2, 3, 4096]))
-def test_chunked_reader_matches_line_scan(tmp_path_factory, lines, expected_source, chunk_lines):
+@given(
+    jsonl_files(),
+    st.sampled_from([None, "A"]),
+    st.sampled_from([1, 2, 3, 4096]),
+    st.sampled_from([None, "ending", "opening"]),
+)
+def test_chunked_reader_matches_line_scan(
+    tmp_path_factory, lines, expected_source, chunk_lines, blank_line
+):
+    if blank_line is not None and len(lines) >= chunk_lines:
+        # a blank line ending the first chunk or opening the second
+        at = chunk_lines - 1 if blank_line == "ending" else chunk_lines
+        lines = list(lines)
+        if at and not lines[at - 1].endswith("\n"):  # nor a lone CR before the blank line
+            lines[at - 1] = lines[at - 1].rstrip("\r") + "\n"
+        lines.insert(at, "\n")
     path = tmp_path_factory.mktemp("jsonl") / "a.jsonl"
     path.write_bytes("".join(lines).encode("utf-8"))
     with pytest.MonkeyPatch.context() as patch:
@@ -155,7 +181,11 @@ def annotation_lists(draw):
 def test_store_from_columns_matches_store_from_records(tmp_path_factory, anns):
     path = tmp_path_factory.mktemp("store") / "all.jsonl"
     ingest.write_annotations(anns, path)
-    from_columns = AnnotationStore(DOCS.values(), load_spans(path, DOCS), group_universe=GROUPS)
+    columns = load_spans(path, DOCS)
+    loaded = {col: getattr(columns, col).tobytes() for col in COLUMNS}
+    from_columns = AnnotationStore(DOCS.values(), columns, group_universe=GROUPS)
+    # the constructor sorts a copy; only AnnotationStore.adopt reorders in place
+    assert {col: getattr(columns, col).tobytes() for col in COLUMNS} == loaded
     from_records = AnnotationStore(DOCS.values(), anns, group_universe=GROUPS)
     assert from_columns.sources == from_records.sources
     for source in from_records.sources:
@@ -193,7 +223,8 @@ def test_column_mapping_and_disambiguation_match_records(anns, seed):
     assert outcome.dropped_types == dropped and outcome.dropped == sum(dropped.values())
 
     policy = DisambiguationPolicy(seed=seed)
-    kept = disambiguate_spans(outcome.spans, policy, exempt=("gold",)).annotations()
+    kept = outcome.spans.take(disambiguate_spans(outcome.spans, policy, exempt=("gold",)))
+    kept = kept.annotations()
     slices: dict = {}
     for ann in expected:
         slices.setdefault((ann.source, ann.doc_id), []).append(ann)
@@ -215,3 +246,124 @@ def test_overlapping_matches_pairwise_oracle(anns):
         earlier = [b for j, b in enumerate(anns) if (b.begin, b.end, j) < (a.begin, a.end, i)
                    and (b.source, b.doc_id, b.group) == (a.source, a.doc_id, a.group)]
         assert flags[i] == any(b.end > a.begin for b in earlier), (i, a)
+
+
+def test_overlapping_with_offsets_near_the_int64_limit():
+    # Lifting the third slice above the second by the largest end would
+    # overflow int64 and drop it below the first: offsets become ranks.
+    big = 2**62
+    anns = [
+        Annotation("d1", "A", 0, 1, group="G1"),
+        Annotation("d1", "A", 0, 1, group="G2"),
+        Annotation("d2", "A", 0, big, group="G1"),
+        Annotation("d2", "A", big - 1, big + 1, group="G1"),
+        Annotation("d2", "A", big, big + 2, group="G1"),
+    ]
+    flags = overlapping(SpanColumns.from_annotations(anns)).tolist()
+    assert flags == [False, False, False, True, True]
+
+
+@st.composite
+def sort_keys(draw):
+    """1-6 keys of one length, each a few distinct values (heavy ties) below a
+    bound of up to 2**63 - 1, so that keys fill and split uint64 words."""
+    n = draw(st.integers(0, 60))
+    keys = []
+    for _ in range(draw(st.integers(1, 6))):
+        top = draw(st.sampled_from([0, 1, 2, 7, 1000, 2**31 - 1, 2**40, 2**63 - 1]))
+        pool = draw(st.lists(st.integers(0, top), min_size=1, max_size=draw(st.integers(1, 5))))
+        key = np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=np.int64)
+        if top <= 1 and draw(st.booleans()):
+            key = key.astype(bool)
+        elif top < 2**31 and draw(st.booleans()):
+            key = key.astype(np.int32)
+        keys.append(key)
+    return keys
+
+
+@settings(max_examples=500, deadline=None)
+@given(sort_keys())
+@example([np.array([], dtype=np.int64)])
+@example([np.array([], dtype=np.int64), np.array([], dtype=np.int32)])
+@example([np.array([5], dtype=np.int64), np.array([2**63 - 1], dtype=np.int64)])
+def test_packed_lexsort_is_lexsort(keys):
+    # equal keys keep row order: the whole order must agree, not just the sort
+    assert packed_lexsort(keys).tolist() == np.lexsort(keys).tolist()
+
+
+def test_packed_lexsort_refuses_negative_keys():
+    with pytest.raises(ValueError):
+        packed_lexsort([np.array([3, -1, 2])])
+
+
+@st.composite
+def tied_spans(draw):
+    """Spans of A, B and gold over two documents, from few lengths and two
+    scores, so that clusters hold ties of equal length and score, several
+    per slice and group, and some clusters need more than one round; plus
+    a mask of the rows to keep, as group mapping leaves one."""
+    anns = []
+    for doc in (DocumentRef("d1", 40), DocumentRef("d2", 16)):
+        for source in ("A", "B", "gold"):
+            for _ in range(draw(st.integers(0, 12))):
+                begin = draw(st.integers(0, doc.length - 2))
+                length = draw(st.sampled_from([2, 4, 4, 6]))
+                anns.append(Annotation(
+                    doc.doc_id, source, begin, min(begin + length, doc.length),
+                    group=draw(st.sampled_from(["G1", "G1", "G2", None])),
+                    cui=draw(st.sampled_from([None, None, "C0000001"])),
+                    score=draw(st.sampled_from([None, 0.5, 0.5])),
+                ))
+    anns = draw(st.permutations(anns))
+    keep = draw(st.lists(st.booleans(), min_size=len(anns), max_size=len(anns)))
+    return anns, np.array(keep, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_spans(), st.sampled_from([3, 5]) | st.integers(0, 1000), st.sampled_from([1, 3, 4096]))
+def test_cluster_only_disambiguation_keeps_what_whole_runs_keep(spans_and_keep, seed, batch):
+    anns, keep = spans_and_keep
+    spans = SpanColumns.from_annotations(anns)
+    policy = DisambiguationPolicy(seed=seed)
+    with pytest.MonkeyPatch.context() as patch:  # records are made a batch of rows at a time
+        patch.setattr(ingest, "CHUNK_LINES", batch)
+        got = disambiguate_spans(spans, policy, exempt=("gold",))
+        masked = disambiguate_spans(spans, policy, exempt=("gold",), keep=keep)
+    assert got.tolist() == whole_run_disambiguation(spans, policy, exempt=("gold",)).tolist()
+    # rows left out by a mask take no part, as if they were not there
+    got = masked
+    assert not (got & ~keep).any()
+    expected = whole_run_disambiguation(spans.take(keep), policy, exempt=("gold",))
+    assert got[keep].tolist() == expected.tolist()
+
+
+def test_cluster_only_disambiguation_passes_cluster_members_only(monkeypatch):
+    """One slice: in G1 a cluster that takes two rounds ([0, 10) wins, then
+    [12, 16) and [14, 18) tie), a tied pair and a singleton; in G2 a tied
+    pair and a singleton; one span with no group.  Only the eight members of
+    the multi-span clusters reach ``disambiguate_overlaps``, and every seed
+    keeps what the whole runs keep."""
+    spans = SpanColumns.from_annotations([
+        Annotation("d1", "A", begin, end, group=group, score=score)
+        for begin, end, group, score in [
+            (0, 10, "G1", 0.5), (9, 13, "G1", 0.5), (12, 16, "G1", 0.5), (14, 18, "G1", 0.5),
+            (30, 34, "G1", 0.5), (32, 36, "G1", 0.5), (50, 55, "G1", 0.5),
+            (0, 5, "G2", None), (3, 8, "G2", None), (20, 25, "G2", None),
+            (40, 42, None, None),
+        ]
+    ])
+    passed = []
+    calls = ingest.disambiguate_overlaps
+    monkeypatch.setattr(
+        ingest, "disambiguate_overlaps", lambda anns, policy: passed.append(len(anns)) or calls(anns, policy)
+    )
+    outcomes = set()
+    for seed in (3, 5, *range(12)):
+        policy = DisambiguationPolicy(seed=seed)
+        kept = disambiguate_spans(spans, policy)
+        assert kept.tolist() == whole_run_disambiguation(spans, policy).tolist()
+        # [9, 13) lost round one; one of the round-two tie survives
+        assert kept[[0, 6, 9, 10]].all() and not kept[1] and kept[[2, 3]].sum() == 1
+        outcomes.add(tuple(kept.tolist()))
+    assert set(passed) == {8}
+    assert len(outcomes) > 1  # the seeded ties decide which rows stay
