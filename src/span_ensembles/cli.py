@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedOperatorError,
     ValidationError,
 )
-from .expr import Leaf, parse, to_string, tree_sources
+from .expr import parse, to_string
 from .ingest import (
     DisambiguationPolicy,
     disambiguate_spans,
@@ -47,7 +47,6 @@ from .search import (
     evaluate_expression,
     grid_search,
     majority_vote_eval,
-    prepare_tables,
 )
 from .synth import SourceSpec, SynthSpec, generate_annotations
 
@@ -123,10 +122,15 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         systems[name] = Path(raw)
     if not systems:
         raise ConfigError("no system annotation files given")
+    gold_source = data.get("gold_source") or GOLD_SOURCE
+    if gold_source in systems:
+        raise ConfigError(f"system {gold_source!r} has the gold source's name")
 
     selected = tuple(systems)
-    if args.systems:
+    if args.systems is not None:
         selected = tuple(s.strip() for s in args.systems.split(",") if s.strip())
+        if not selected:
+            raise ConfigError(f"--systems {args.systems!r} selects no system")
         unknown = [s for s in selected if s not in systems]
         if unknown:
             raise ConfigError(f"--systems names unknown systems: {unknown}")
@@ -153,7 +157,7 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         semgroups=semgroups,
         overrides=overrides,
         corpus_id=args.corpus_id or data.get("corpus_id") or "",
-        gold_source=data.get("gold_source") or GOLD_SOURCE,
+        gold_source=gold_source,
         group=group,
         seed=args.seed,
         fmt=args.format,
@@ -196,38 +200,39 @@ def _build_store(cfg: RunConfig) -> AnnotationStore:
 def _corpus_label(cfg: RunConfig, store: AnnotationStore) -> str:
     if cfg.corpus_id:
         return cfg.corpus_id
-    for doc in store.documents:
-        if doc.corpus_id:
-            return doc.corpus_id
-    return "corpus"
+    ids = sorted({doc.corpus_id for doc in store.documents if doc.corpus_id})
+    if len(ids) > 1:
+        raise ConfigError(
+            f"the manifest pools corpora {', '.join(map(repr, ids))}; "
+            "name the pool with --corpus-id or config corpus_id"
+        )
+    return ids[0] if ids else "corpus"
 
 
 def _groups_to_run(cfg: RunConfig, store: AnnotationStore) -> list[str]:
-    if cfg.group != EACH_GROUP:
-        return [cfg.group]
     universe = store.group_universe or store.groups_present()
-    return list(universe) + [ALL_GROUPS]
+    if cfg.group == EACH_GROUP:
+        return [*universe, ALL_GROUPS]
+    if cfg.group != ALL_GROUPS and cfg.group not in universe:
+        raise ConfigError(f"unknown group {cfg.group!r}; known: {', '.join(universe) or 'none'}")
+    return [cfg.group]
 
 
 def _task_ner_eval(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
-    groups = _groups_to_run(cfg, store)
-    prepare_tables(store, cfg.selected, cfg.gold_source, groups)
     rows = []
-    for group in groups:
-        for name in cfg.selected:
-            metrics = evaluate_expression(store, Leaf(name), cfg.gold_source, group)
-            rows.append(SystemRow(corpus, group, name, metrics))
+    for group in _groups_to_run(cfg, store):
+        config = SearchConfig(sources=cfg.selected, group=group, max_size=1)
+        singles = grid_search(store, cfg.gold_source, config).singles
+        rows.extend(SystemRow(corpus, group, name, singles[name]) for name in cfg.selected)
     return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
 
 
 def _task_ensemble_eval(cfg: RunConfig, store: AnnotationStore, expr_text: str) -> str:
     corpus = _corpus_label(cfg, store)
     tree = parse(expr_text, known_sources=cfg.selected)
-    groups = _groups_to_run(cfg, store)
-    prepare_tables(store, tree_sources(tree), cfg.gold_source, groups)
     rows = []
-    for group in groups:
+    for group in _groups_to_run(cfg, store):
         metrics = evaluate_expression(store, tree, cfg.gold_source, group)
         rows.append(SystemRow(corpus, group, to_string(tree), metrics))
     return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
@@ -249,7 +254,6 @@ def _task_search(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespac
         )
         for group in _groups_to_run(cfg, store)
     ]
-    prepare_tables(store, cfg.selected, cfg.gold_source, [c.group for c in configs])
     blocks = [
         PanelBlock(corpus, config.group, grid_search(store, cfg.gold_source, config))
         for config in configs
@@ -282,10 +286,8 @@ def _task_cui_eval(cfg: RunConfig, store: AnnotationStore, args: argparse.Namesp
 
 def _task_complementarity(cfg: RunConfig, store: AnnotationStore) -> str:
     corpus = _corpus_label(cfg, store)
-    groups = _groups_to_run(cfg, store)
-    prepare_tables(store, cfg.selected, cfg.gold_source, groups)
     rows = []
-    for group in groups:
+    for group in _groups_to_run(cfg, store):
         scores = complementarity_scores(store, cfg.selected, cfg.gold_source, group)
         for (a, b), (rate, restricted) in scores.items():
             rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))

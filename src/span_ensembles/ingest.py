@@ -453,17 +453,8 @@ class MappingOutcome:
     dropped_types: Counter
 
     @property
-    def spans(self) -> SpanColumns:
-        """The kept rows."""
-        return self.columns.take(self.kept)
-
-    @property
     def dropped(self) -> int:
         return len(self.kept) - int(np.count_nonzero(self.kept))
-
-    @property
-    def annotations(self) -> tuple[Annotation, ...]:
-        return tuple(self.spans.annotations())
 
     def note(self) -> str:
         """One line naming the dropped count, per (source, native type) in order."""
@@ -505,13 +496,6 @@ def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
     })
     mapped = replace(spans, group=group.astype(np.int32), groups=tuple(group_codes))
     return MappingOutcome(columns=mapped, kept=kept, dropped_types=dropped_types)
-
-
-def apply_group_mapping(
-    annotations: Iterable[Annotation], gmap: SemanticGroupMap
-) -> MappingOutcome:
-    """Group mapping of annotation records (see :func:`map_groups`)."""
-    return map_groups(SpanColumns.from_annotations(annotations), gmap)
 
 
 @dataclass(frozen=True)

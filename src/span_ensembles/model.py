@@ -67,9 +67,6 @@ class Annotation:
     def length(self) -> int:
         return self.end - self.begin
 
-    def with_group(self, group: str) -> "Annotation":
-        return replace(self, group=group)
-
 
 # The record checks' messages, shared by Annotation and the column checks of ingest.
 def bad_span_message(begin: int, end: int, source: str, doc_id: str) -> str:
@@ -422,29 +419,16 @@ class AnnotationStore:
             column = getattr(spans, col)
             column[: len(order)] = column[order]
             held[col] = column[: len(order)]
-        spans = replace(spans, **held, doc_ids=doc_ids, sources=store_sources)
-        self._set(docs, spans, universe)
-
-    def _set(self, documents: dict[str, DocumentRef], spans: SpanColumns, universe) -> None:
-        """Hold checked columns already in store order and index them."""
-        self._documents = documents
-        self._spans = spans
+        self._spans = spans = replace(spans, **held, doc_ids=doc_ids, sources=store_sources)
+        self._documents = docs
         self._group_universe = universe
-        self._doc_index = {doc_id: i for i, doc_id in enumerate(spans.doc_ids)}
-        self._source_index = {s: i for i, s in enumerate(spans.sources)}
+        self._doc_index = doc_index
+        self._source_index = source_index
         self._group_code = {g: code for code, g in enumerate(spans.groups) if g is not None}
         slice_key = spans.source.astype(np.int64) * len(spans.doc_ids) + spans.doc_id
         self._offsets = np.searchsorted(
             slice_key, np.arange(len(spans.sources) * len(spans.doc_ids) + 1)
         ).tolist()
-
-    def _restricted_to(self, group: str) -> "AnnotationStore":
-        """A view holding only the rows of one group (no checks, no sort)."""
-        view = object.__new__(AnnotationStore)
-        code = self._group_code.get(group, -1)
-        rows = self._spans.group == code
-        view._set(self._documents, self._spans.take(rows), self._group_universe)
-        return view
 
     @property
     def columns(self) -> SpanColumns:
@@ -476,12 +460,6 @@ class AnnotationStore:
             return self._documents[doc_id]
         except KeyError:
             raise ValidationError(f"unknown doc {doc_id!r}") from None
-
-    @cached_property
-    def derived(self) -> dict:
-        """Results that callers derive from this store and keep with it, by
-        key; the store never changes, so they stay valid while it lives."""
-        return {}
 
     @cached_property
     def doc_lengths(self) -> np.ndarray:
@@ -537,18 +515,6 @@ class AnnotationStore:
                 f"{spans.doc_ids[spans.doc_id[row]]!r}, {spans.groups[spans.group[row]]!r}) "
                 f"at offset {spans.begin[row]}"
             )
-
-
-def filter_by_group(store: AnnotationStore, group: str) -> AnnotationStore:
-    """Restrict a store to annotations of one semantic group.
-
-    ``ALL_GROUPS`` returns the store unchanged; the document set is never
-    filtered.
-    """
-    if group == ALL_GROUPS:
-        return store
-    check_group(store, group)
-    return store._restricted_to(group)
 
 
 def check_group(store: AnnotationStore, group: str) -> None:

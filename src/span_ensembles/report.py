@@ -2,7 +2,7 @@
 matching, complementarity.
 
 Markdown output rounds to 2 decimals for display; CSV and JSON keep full
-precision and the raw counts, so anything reported can be re-derived exactly.
+precision and the raw counts, so anything reported can be recomputed exactly.
 Row order is deterministic everywhere: (corpus, group, combination), except
 complementarity, which keeps the order its rows are given in.
 """

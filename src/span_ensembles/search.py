@@ -1,4 +1,4 @@
-"""Grid search over the ensemble space and the derived evaluation tasks.
+"""Grid search over the ensemble space and the other evaluation tasks.
 
 The search evaluates every distinct read-once combination of the configured
 sources (or a seeded stratified sample of them) against the gold standard,
@@ -156,59 +156,16 @@ def _blocks(store: AnnotationStore) -> Iterator[_Block]:
         first = stop
 
 
-def _count_tables(
-    store: AnnotationStore, row_sets: Sequence[Sequence[tuple[str, str]]]
-) -> list[np.ndarray]:
+def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.ndarray:
     """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``,
-    for every row set in one pass over the blocks: a row set is (source,
-    group) pairs, gold last, and bit j of p is set where ``rows[j]`` covers
-    the character."""
-    for rows in row_sets:
-        for _, group in rows:
-            check_group(store, group)
-    tables = [np.zeros(2 ** len(rows), dtype=np.int64) for rows in row_sets]
+    in one pass over the blocks: ``rows`` are (source, group) pairs, gold
+    last, and bit j of p is set where ``rows[j]`` covers the character."""
+    for _, group in rows:
+        check_group(store, group)
+    table = np.zeros(2 ** len(rows), dtype=np.int64)
     for block in _blocks(store):
-        for rows, table in zip(row_sets, tables):
-            table += np.bincount(block.patterns(rows), minlength=table.size)
-    return [table.reshape(2, -1) for table in tables]
-
-
-def prepare_tables(
-    store: AnnotationStore, sources: Sequence[str], gold_source: str, groups: Sequence[str]
-) -> None:
-    """Build the count table over (sources..., gold) of every group in one
-    pass, and keep them with the store: the scoring calls on this store for
-    these groups (``grid_search``, ``evaluate_expression``,
-    ``complementarity_scores``) then read their tables from these."""
-    _require_sources(store, gold_source, *sources)
-    sources = tuple(sources)
-    row_sets = [[(s, group) for s in (*sources, gold_source)] for group in groups]
-    for group, table in zip(groups, _count_tables(store, row_sets)):
-        store.derived["count table", gold_source, group] = (sources, table)
-
-
-def _project(table: np.ndarray, have: tuple[str, ...], want: Sequence[str]) -> np.ndarray:
-    """The count table over ``want``, sources of ``have`` in any order, summed
-    from the table over ``have``."""
-    patterns = np.arange(table.shape[1])
-    target = np.zeros_like(patterns)
-    for bit, source in enumerate(want):
-        target |= (patterns >> have.index(source) & 1) << bit
-    projected = np.zeros((2, 2 ** len(want)), dtype=np.int64)
-    np.add.at(projected, (slice(None), target), table)
-    return projected
-
-
-def _table(
-    store: AnnotationStore, sources: Sequence[str], gold_source: str, group: str
-) -> np.ndarray:
-    """The count table over (sources..., gold) in ``group``: projected from
-    the table :func:`prepare_tables` kept, when it covers the sources, or
-    else built."""
-    kept = store.derived.get(("count table", gold_source, group))
-    if kept is not None and set(sources) <= set(kept[0]):
-        return _project(kept[1], kept[0], sources)
-    return _count_tables(store, [[(s, group) for s in (*sources, gold_source)]])[0]
+        table += np.bincount(block.patterns(rows), minlength=table.size)
+    return table.reshape(2, -1)
 
 
 @lru_cache(maxsize=1)
@@ -284,7 +241,7 @@ def grid_search(
     max_size = config.max_size if config.max_size is not None else len(config.sources)
     pool = tuple(sorted(config.sources))
 
-    counts = _table(store, pool, gold_source, config.group)
+    counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
     expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)
     rows = list(range(len(sizes)))
     if config.mode == SAMPLED:
@@ -350,7 +307,7 @@ def evaluate_expression(
     """Score one Boolean combination against gold at character level."""
     sources = tree_sources(tree)
     _require_sources(store, gold_source, *sources)
-    counts = _table(store, sources, gold_source, group)
+    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
     fp, tp = counts[:, evaluate(tree, pattern_columns(sources))].sum(axis=1).tolist()
     return MetricsResult.from_counts(tp, fp, int(counts[1].sum()) - tp)
 
@@ -363,7 +320,7 @@ def complementarity_scores(
     scored on A's errors, the characters whose A bit differs from gold; B's
     fp and fn there are the errors A and B share."""
     _require_sources(store, gold_source, *sources)
-    counts = _table(store, sources, gold_source, group)
+    counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
     columns = pattern_columns(sources)
     scores = {}
     for a in sources:
@@ -397,7 +354,7 @@ def cross_group_union_merge(
         if not store.columns.begin[store.span_rows(source, 0, len(store.doc_ids), group)].size:
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
     rows = [(source, group) for group, source in pairs]
-    counts = _count_tables(store, [[*rows, (gold_source, ALL_GROUPS)]])[0]
+    counts = _count_table(store, [*rows, (gold_source, ALL_GROUPS)])
     fp, tp = counts[:, 1:].sum(axis=1).tolist()
     return MetricsResult.from_counts(tp, fp, int(counts[1, 0]))
 
@@ -531,15 +488,3 @@ def cui_scores(
             counts += _mention_level_counts(block, gold, operand_runs, size, keys)
     results = [CuiMetricsResult.from_count_array(names, c) for c in counts]
     return results[-1], dict(zip(operands, results))
-
-
-def cui_ensemble_eval(
-    store: AnnotationStore,
-    tree: ExprTree,
-    gold_source: str,
-    level: str = DOC_LEVEL,
-    seed: int = 0,
-    group: str = ALL_GROUPS,
-) -> CuiMetricsResult:
-    """Concept-matching score of a union-only ensemble (see :func:`cui_scores`)."""
-    return cui_scores(store, tree, gold_source, level, seed, group)[0]

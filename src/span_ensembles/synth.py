@@ -249,7 +249,7 @@ def _doc_id(index: int) -> str:
 
 
 def generate_annotations(spec: SynthSpec) -> tuple[list[DocumentRef], list[Annotation]]:
-    """Documents, then gold plus one derived annotation set per source, in
+    """Documents, then gold plus one annotation set per source made from it, in
     generation order: per document, gold and then each source, by begin."""
     _validate(spec)
     documents = [
@@ -265,7 +265,7 @@ def generate_annotations(spec: SynthSpec) -> tuple[list[DocumentRef], list[Annot
 
 
 def generate(spec: SynthSpec) -> AnnotationStore:
-    """Build a store holding gold plus one derived annotation set per source."""
+    """Build a store holding gold plus one annotation set per source made from it."""
     documents, annotations = generate_annotations(spec)
     return AnnotationStore(
         documents,

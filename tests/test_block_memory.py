@@ -23,7 +23,7 @@ from span_ensembles import (
 )
 from span_ensembles.cli import _build_store, _resolve_run_config, build_parser
 from span_ensembles.model import COLUMNS, GOLD_SOURCE
-from span_ensembles.search import _count_tables, cui_scores
+from span_ensembles.search import _count_table, cui_scores
 
 SOURCES = ("A", "B", "C", "D")
 GROUPS = ("G1", "G2")
@@ -47,7 +47,7 @@ def corpus(n_docs: int):
 def tasks(store):
     rows = [[(s, g) for s in (*SOURCES, GOLD_SOURCE)] for g in (*GROUPS, ALL_GROUPS)]
     tree = parse("(((A|B)|C)|D)")
-    yield "tables", lambda: _count_tables(store, rows)
+    yield "tables", lambda: [_count_table(store, r) for r in rows]
     yield "vote", lambda: majority_vote_eval(store, SOURCES, GOLD_SOURCE, ALL_GROUPS, 3)
     yield "mention", lambda: cui_scores(store, tree, GOLD_SOURCE, "mention", 3)
     yield "doc", lambda: cui_scores(store, tree, GOLD_SOURCE, "doc", 3)

@@ -371,3 +371,84 @@ def test_dropped_note_counts_each_source_and_native_type(tmp_path, capsys):
         "note: dropped 7 annotation(s) with unmapped semantic types "
         "(A/(none): 1, A/T777: 2, A/T888: 1, B/T888: 3)\n"
     )
+
+
+def tiny_corpus(path, corpus_ids=("t",), group_field=""):
+    """One 50-character document per corpus id, gold and system A each
+    covering characters 0-4 of every document, with ``group_field`` (a JSON
+    fragment such as ``,"group":"Anatomy"``) on every span."""
+    docs = [(f"d{i}", corpus_id) for i, corpus_id in enumerate(corpus_ids)]
+    (path / "manifest.jsonl").write_text(
+        "".join(f'{{"doc_id":"{d}","length":50,"corpus_id":"{c}"}}\n' for d, c in docs)
+    )
+    for name, source in (("gold", "gold"), ("a", "A")):
+        (path / f"{name}.jsonl").write_text("".join(
+            f'{{"doc_id":"{d}","source":"{source}","begin":0,"end":5{group_field}}}\n'
+            for d, _ in docs
+        ))
+    return ["--manifest", str(path / "manifest.jsonl"), "--gold", str(path / "gold.jsonl")]
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_system_named_like_gold_fails(tmp_path, capsys, where):
+    files = tiny_corpus(tmp_path)
+    if where == "flag":
+        args = [*files, "--system", f"A={tmp_path / 'a.jsonl'}",
+                "--system", f"gold={tmp_path / 'gold.jsonl'}"]
+    else:
+        config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl",
+                  "systems": {"A": "a.jsonl", "gold": "gold.jsonl"}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json")]
+    code = main(["ner-eval", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "system 'gold' has the gold source's name" in captured.err
+
+
+@pytest.mark.parametrize("task", ["vote", "ner-eval", "complementarity", "search"])
+@pytest.mark.parametrize("selection", [",", " , ", ""])
+def test_empty_system_selection_fails(corpus, capsys, task, selection):
+    code = main([task, "--config", str(corpus / "config.json"), "--systems", selection])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"--systems {selection!r} selects no system" in captured.err
+
+
+def test_unknown_group_without_group_labels_fails(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    code = main(["ner-eval", *args, "--group", "Typo"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "unknown group 'Typo'; known: none" in captured.err
+    # with labels on the spans, the known groups are listed
+    args = tiny_corpus(tmp_path, group_field=',"group":"Anatomy"')
+    args += ["--system", f"A={tmp_path / 'a.jsonl'}"]
+    code = main(["ner-eval", *args, "--group", "Typo"])
+    assert code == 2
+    assert "unknown group 'Typo'; known: Anatomy" in capsys.readouterr().err
+    for group in ("all", "each", "Anatomy"):
+        assert main(["ner-eval", *args, "--group", group]) == 0
+
+
+def test_pooled_manifest_needs_a_corpus_label(tmp_path, capsys):
+    args = tiny_corpus(tmp_path, ("i2b2", "mimic", "i2b2"))
+    args += ["--system", f"A={tmp_path / 'a.jsonl'}"]
+    code = main(["ner-eval", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "the manifest pools corpora 'i2b2', 'mimic'" in captured.err
+    code, out = run_cli(["ner-eval", *args, "--corpus-id", "pooled"], capsys)
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert row["corpus"] == "pooled" and row["n_gold"] == "15"
+    config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl", "systems": {"A": "a.jsonl"},
+              "corpus_id": "from-config"}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out = run_cli(["ner-eval", "--config", str(tmp_path / "config.json")], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["corpus"] == "from-config"

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -218,12 +219,13 @@ def test_column_mapping_and_disambiguation_match_records(anns, seed):
         if group is None:
             dropped[(ann.source, ann.native_type)] += 1
         else:
-            expected.append(ann.with_group(group))
-    assert list(outcome.annotations) == expected
+            expected.append(replace(ann, group=group))
+    mapped = outcome.columns.take(outcome.kept)
+    assert mapped.annotations() == expected
     assert outcome.dropped_types == dropped and outcome.dropped == sum(dropped.values())
 
     policy = DisambiguationPolicy(seed=seed)
-    kept = outcome.spans.take(disambiguate_spans(outcome.spans, policy, exempt=("gold",)))
+    kept = mapped.take(disambiguate_spans(mapped, policy, exempt=("gold",)))
     kept = kept.annotations()
     slices: dict = {}
     for ann in expected:

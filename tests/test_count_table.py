@@ -16,6 +16,7 @@ budgets from 1 character up.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from unittest import mock
 
@@ -28,6 +29,7 @@ from span_ensembles import (
     AnnotationStore,
     ConfigError,
     DocumentRef,
+    Leaf,
     MetricsResult,
     SearchConfig,
     char_prf,
@@ -44,7 +46,7 @@ from span_ensembles import (
 )
 from span_ensembles import search
 from span_ensembles.model import GOLD_SOURCE
-from span_ensembles.search import SAMPLED, ScoredEnsemble, _count_tables, _pareto_front, _table
+from span_ensembles.search import SAMPLED, ScoredEnsemble, _count_table, _pareto_front
 from conftest import (
     brute_confusion,
     comp_prf,
@@ -220,16 +222,26 @@ def test_block_tables_match_per_document_oracle(data):
     row_sets = [[(s, g) for s in (*systems, GOLD_SOURCE)] for g in groups]
     row_sets.append([(systems[0], GROUPS[0]), (systems[-1], GROUPS[1]), (GOLD_SOURCE, ALL_GROUPS)])
     with mock.patch.object(search, "BLOCK_CHARS", budget):
-        tables = _count_tables(store, row_sets)
-        for rows, table in zip(row_sets, tables):
-            assert table.tolist() == per_document_count_table(store, rows).tolist(), rows
-        # tables kept by prepare_tables, read back for any subset in any order
+        for rows in row_sets:
+            expected = per_document_count_table(store, rows)
+            assert _count_table(store, rows).tolist() == expected.tolist(), rows
+        # the table of any subset in any order, and each system's score read from
+        # it: alone through evaluate_expression and through the size-1 search
         want = data.draw(st.permutations(systems)).copy()[: data.draw(st.integers(1, len(systems)))]
-        search.prepare_tables(store, systems, GOLD_SOURCE, groups)
         for group in groups:
             rows = [(s, group) for s in (*want, GOLD_SOURCE)]
-            kept = _table(store, want, GOLD_SOURCE, group)
-            assert kept.tolist() == per_document_count_table(store, rows).tolist(), (group, want)
+            table = per_document_count_table(store, rows)
+            assert _count_table(store, rows).tolist() == table.tolist(), (group, want)
+            config = SearchConfig(sources=tuple(want), group=group, max_size=1)
+            singles = grid_search(store, GOLD_SOURCE, config).singles
+            assert list(singles) == sorted(want)
+            for bit, source in enumerate(want):
+                covers = (np.arange(table.shape[1]) >> bit & 1).astype(bool)
+                fp, tp = table[:, covers].sum(axis=1).tolist()
+                expected = MetricsResult.from_counts(tp, fp, int(table[1].sum()) - tp)
+                leaf = evaluate_expression(store, Leaf(source), GOLD_SOURCE, group)
+                assert leaf == expected, (group, source)
+                assert singles[source] == expected, (group, source)
 
 
 @settings(max_examples=60, deadline=None)

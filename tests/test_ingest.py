@@ -8,7 +8,6 @@ from span_ensembles import (
     DocumentRef,
     ParseError,
     ValidationError,
-    apply_group_mapping,
     disambiguate_overlaps,
     load_annotations,
     load_corpus_manifest,
@@ -16,6 +15,8 @@ from span_ensembles import (
     write_annotations,
     write_manifest,
 )
+from span_ensembles.ingest import map_groups
+from span_ensembles.model import SpanColumns
 
 
 def write_lines(path, lines):
@@ -240,8 +241,8 @@ def test_apply_group_mapping(tmp_path):
         Annotation("d1", "A", 20, 25, native_type="UnheardOf"),
         Annotation("d1", "gold", 30, 35, group="Disorders"),  # already grouped
     ]
-    outcome = apply_group_mapping(anns, gmap)
-    groups_assigned = [a.group for a in outcome.annotations]
+    outcome = map_groups(SpanColumns.from_annotations(anns), gmap)
+    groups_assigned = [a.group for a in outcome.columns.take(outcome.kept).annotations()]
     assert groups_assigned == ["Chemicals & Drugs", "Anatomy", "Disorders"]
     assert outcome.dropped == 1
     assert outcome.dropped_types[("A", "UnheardOf")] == 1

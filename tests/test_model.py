@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from span_ensembles import (
@@ -9,8 +7,9 @@ from span_ensembles import (
     ConfigError,
     DocumentRef,
     ValidationError,
-    filter_by_group,
+    corpus_masks,
 )
+from span_ensembles.model import check_group
 
 
 def make_store():
@@ -64,36 +63,54 @@ def test_store_rejects_duplicate_doc():
         AnnotationStore([DocumentRef("d1", 10), DocumentRef("d1", 20)], [])
 
 
+def in_group(store, group):
+    """Every span of ``group`` (None or ALL_GROUPS: every span), read one
+    (source, document) slice at a time."""
+    return [
+        ann
+        for source in store.sources
+        for doc_id in store.doc_ids
+        for ann in store.annotations_for(source, doc_id, group)
+    ]
+
+
 def test_filter_by_group_basic():
     store = make_store()
-    filtered = filter_by_group(store, "Disorders")
-    assert len(filtered.annotations) == 2
-    assert all(a.group == "Disorders" for a in filtered.annotations)
-    assert filtered.doc_ids == store.doc_ids
+    check_group(store, "Disorders")
+    filtered = in_group(store, "Disorders")
+    assert len(filtered) == 2
+    assert all(a.group == "Disorders" for a in filtered)
+    assert list(corpus_masks(store, "B", "Disorders")) == list(store.doc_ids)
 
 
 def test_filter_all_is_identity():
     store = make_store()
-    assert filter_by_group(store, ALL_GROUPS) is store
+    check_group(store, ALL_GROUPS)
+    assert in_group(store, ALL_GROUPS) == in_group(store, None)
+    assert sorted(in_group(store, ALL_GROUPS), key=repr) == sorted(store.annotations, key=repr)
 
 
 def test_filter_empty_group_keeps_documents():
     store = make_store()
-    filtered = filter_by_group(store, "Procedures")
-    assert filtered.annotations == ()
-    assert filtered.doc_ids == store.doc_ids
+    check_group(store, "Procedures")
+    assert in_group(store, "Procedures") == []
+    masks = corpus_masks(store, "A", "Procedures")
+    assert list(masks) == list(store.doc_ids)
+    assert not any(mask.bits.any() for mask in masks.values())
 
 
 def test_filter_unknown_group_is_config_error():
     with pytest.raises(ConfigError):
-        filter_by_group(make_store(), "Findings")
+        check_group(make_store(), "Findings")
+    with pytest.raises(ConfigError):
+        corpus_masks(make_store(), "A", "Findings")
 
 
 def test_filter_idempotent():
     store = make_store()
-    once = filter_by_group(store, "Anatomy")
-    twice = filter_by_group(once, "Anatomy")
-    assert [a for a in twice.annotations] == [a for a in once.annotations]
+    once = in_group(store, "Anatomy")
+    refiltered = AnnotationStore(store.documents, once, group_universe=store.group_universe)
+    assert in_group(refiltered, "Anatomy") == once
 
 
 def test_group_counts_partition_annotations():
@@ -113,13 +130,3 @@ def test_verify_disjoint_spans():
     bad = AnnotationStore(docs, [Annotation("d1", "A", 0, 6, group="g"), Annotation("d1", "A", 4, 9, group="g")])
     with pytest.raises(ValidationError):
         bad.verify_disjoint_spans()
-
-
-def test_with_group_equals_replace():
-    ann = Annotation("d1", "A", 3, 9, native_type="T047", cui="C0000042", score=0.5)
-    moved = ann.with_group("Disorders")
-    expected = replace(ann, group="Disorders")
-    assert moved == expected
-    assert hash(moved) == hash(expected)
-    assert type(moved) is Annotation
-    assert ann.group is None

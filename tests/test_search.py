@@ -14,13 +14,12 @@ from span_ensembles import (
     char_prf,
     corpus_masks,
     cross_group_union_merge,
-    cui_ensemble_eval,
+    cui_scores,
     doc_level_cui_prf,
     evaluate,
     evaluate_expression,
     generate,
     grid_search,
-    filter_by_group,
     majority_vote_eval,
     mention_level_cui_prf,
     merge_cui_layers,
@@ -30,7 +29,7 @@ from span_ensembles import (
 )
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED, cui_scores
+from span_ensembles.search import SAMPLED
 
 
 def two_system_store():
@@ -313,12 +312,12 @@ def cui_store():
 def test_cui_ensemble_rejects_intersection():
     store = cui_store()
     with pytest.raises(UnsupportedOperatorError):
-        cui_ensemble_eval(store, parse("(A&B)"), GOLD_SOURCE)
+        cui_scores(store, parse("(A&B)"), GOLD_SOURCE)[0]
 
 
 def test_cui_doc_level_union():
     store = cui_store()
-    result = cui_ensemble_eval(store, parse("(A|B)"), GOLD_SOURCE, level="doc")
+    result = cui_scores(store, parse("(A|B)"), GOLD_SOURCE, level="doc")[0]
     # d1: gold {C1} pred {C1}; d2: gold {C2} pred {C2, C9}
     assert result.per_label["C0000001"].f1 == 1.0
     assert result.per_label["C0000002"].f1 == 1.0
@@ -336,7 +335,7 @@ def test_cui_doc_level_one_right_one_wrong_operand():
         Annotation("d1", "Y", 0, 5, group="g", cui="C0000002"),
     ]
     store = AnnotationStore(docs, anns, group_universe=("g",))
-    result = cui_ensemble_eval(store, parse("(X|Y)"), GOLD_SOURCE, level="doc")
+    result = cui_scores(store, parse("(X|Y)"), GOLD_SOURCE, level="doc")[0]
     assert result.per_label["C0000001"].f1 == 1.0
     assert result.per_label["C0000002"].f1 == 0.0
     assert result.macro_f1 == 0.5
@@ -344,7 +343,7 @@ def test_cui_doc_level_one_right_one_wrong_operand():
 
 def test_cui_single_source_equals_leaf():
     store = cui_store()
-    via_leaf = cui_ensemble_eval(store, parse("A"), GOLD_SOURCE, level="doc")
+    via_leaf = cui_scores(store, parse("A"), GOLD_SOURCE, level="doc")[0]
     assert via_leaf.per_label["C0000001"].f1 == 1.0
     assert via_leaf.per_label["C0000009"].fp == 1
 
@@ -357,8 +356,8 @@ def test_cui_mention_level_identical_sources():
         Annotation("d1", "B", 0, 10, group="g", cui="C0000001"),
     ]
     store = AnnotationStore(docs, anns, group_universe=("g",))
-    merged = cui_ensemble_eval(store, parse("(A|B)"), GOLD_SOURCE, level="mention")
-    single = cui_ensemble_eval(store, parse("A"), GOLD_SOURCE, level="mention")
+    merged = cui_scores(store, parse("(A|B)"), GOLD_SOURCE, level="mention")[0]
+    single = cui_scores(store, parse("A"), GOLD_SOURCE, level="mention")[0]
     assert merged.macro_f1 == single.macro_f1 == 1.0
 
 
@@ -391,13 +390,12 @@ def overlapping_cui_store():
 
 
 def per_call_cui_eval(store, operands, level, seed, group):
-    """Concept scores built from a group-filtered copy of the store, gold and
+    """Concept scores built from each document's spans of the group, gold and
     every operand rebuilt per call, the operands always merged."""
-    filtered = filter_by_group(store, group)
     gold, pred = {}, {}
-    for doc in filtered.documents:
-        gold_anns = filtered.annotations_for(GOLD_SOURCE, doc.doc_id)
-        operand_anns = [filtered.annotations_for(s, doc.doc_id) for s in operands]
+    for doc in store.documents:
+        gold_anns = store.annotations_for(GOLD_SOURCE, doc.doc_id, group)
+        operand_anns = [store.annotations_for(s, doc.doc_id, group) for s in operands]
         if level == "doc":
             gold[doc.doc_id] = {a.cui for a in gold_anns if a.cui}
             pred[doc.doc_id] = {a.cui for anns in operand_anns for a in anns if a.cui}
@@ -420,10 +418,10 @@ def test_cui_scores_build_once_per_group(level):
         for seed in (0, 3):
             ensemble, singles = cui_scores(store, tree, GOLD_SOURCE, level, seed, group)
             assert list(singles) == ["A", "B", "C"]
-            assert ensemble == cui_ensemble_eval(store, tree, GOLD_SOURCE, level, seed, group)
+            assert ensemble == cui_scores(store, tree, GOLD_SOURCE, level, seed, group)[0]
             assert ensemble == per_call_cui_eval(store, ["A", "B", "C"], level, seed, group)
             for source, single in singles.items():
                 leaf = Leaf(source)
-                assert single == cui_ensemble_eval(store, leaf, GOLD_SOURCE, level, seed, group)
+                assert single == cui_scores(store, leaf, GOLD_SOURCE, level, seed, group)[0]
                 assert single == per_call_cui_eval(store, [source], level, seed, group)
     assert cui_scores(store, tree, GOLD_SOURCE, level, 0, "g1")[0].per_label
