@@ -23,9 +23,8 @@ from .errors import (
     EnsembleError,
     ParseError,
     UnsupportedOperatorError,
-    ValidationError,
 )
-from .expr import parse, to_string
+from .expr import IDENTIFIER, parse, to_string
 from .ingest import (
     DisambiguationPolicy,
     disambiguate_spans,
@@ -72,7 +71,6 @@ class RunConfig:
     group: str = ALL_GROUPS
     seed: int = 0
     fmt: str = report_mod.CSV_FORMAT
-    out: Optional[Path] = None
     selected: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -115,16 +113,25 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
     systems: dict[str, Path] = {}
     for name, rel in sorted((data.get("systems") or {}).items()):
         systems[str(name)] = base / rel
+    flagged = set()
     for spec in args.system or []:
         name, _, raw = spec.partition("=")
         if not name or not raw:
             raise ConfigError(f"bad --system value {spec!r}; expected NAME=PATH")
+        if name in flagged:
+            raise ConfigError(f"--system names system {name!r} more than once")
+        flagged.add(name)
         systems[name] = Path(raw)
     if not systems:
         raise ConfigError("no system annotation files given")
     gold_source = data.get("gold_source") or GOLD_SOURCE
     if gold_source in systems:
         raise ConfigError(f"system {gold_source!r} has the gold source's name")
+    for name in systems:
+        if not IDENTIFIER.fullmatch(name):
+            raise ConfigError(
+                f"system {name!r} is not an expression identifier (letters, digits, '_')"
+            )
 
     selected = tuple(systems)
     if args.systems is not None:
@@ -161,7 +168,6 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         group=group,
         seed=args.seed,
         fmt=args.format,
-        out=Path(args.out) if args.out else None,
         selected=selected,
     )
 
@@ -218,80 +224,67 @@ def _groups_to_run(cfg: RunConfig, store: AnnotationStore) -> list[str]:
     return [cfg.group]
 
 
-def _task_ner_eval(cfg: RunConfig, store: AnnotationStore) -> str:
-    corpus = _corpus_label(cfg, store)
-    rows = []
-    for group in _groups_to_run(cfg, store):
-        config = SearchConfig(sources=cfg.selected, group=group, max_size=1)
-        singles = grid_search(store, cfg.gold_source, config).singles
-        rows.extend(SystemRow(corpus, group, name, singles[name]) for name in cfg.selected)
-    return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
+# A report task builds one group's rows: rows(cfg, store, args, tree, corpus,
+# group), where ``tree`` is the parsed ``--expr`` of the tasks that take one.
+# ``run`` walks the groups and writes every row in the task's layout.
 
 
-def _task_ensemble_eval(cfg: RunConfig, store: AnnotationStore, expr_text: str) -> str:
-    corpus = _corpus_label(cfg, store)
-    tree = parse(expr_text, known_sources=cfg.selected)
-    rows = []
-    for group in _groups_to_run(cfg, store):
-        metrics = evaluate_expression(store, tree, cfg.gold_source, group)
-        rows.append(SystemRow(corpus, group, to_string(tree), metrics))
-    return emit_table(rows, report_mod.SINGLE_SYSTEMS, cfg.fmt)
+def _ner_eval_rows(cfg, store, args, tree, corpus, group) -> list:
+    config = SearchConfig(sources=cfg.selected, group=group, max_size=1)
+    singles = grid_search(store, cfg.gold_source, config).singles
+    return [SystemRow(corpus, group, name, singles[name]) for name in cfg.selected]
 
 
-def _task_search(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespace) -> str:
-    corpus = _corpus_label(cfg, store)
-    configs = [
-        SearchConfig(
-            sources=cfg.selected,
-            group=group,
-            min_size=args.min_size,
-            max_size=args.max_size,
-            mode=args.mode,
-            sample_budget=args.budget,
-            seed=cfg.seed,
-            top_k=args.top_k,
-            beat_singles_f1_only=args.f1_only,
-        )
-        for group in _groups_to_run(cfg, store)
+def _ensemble_eval_rows(cfg, store, args, tree, corpus, group) -> list:
+    metrics = evaluate_expression(store, tree, cfg.gold_source, group)
+    return [SystemRow(corpus, group, to_string(tree), metrics)]
+
+
+def _search_rows(cfg, store, args, tree, corpus, group) -> list:
+    config = SearchConfig(
+        sources=cfg.selected,
+        group=group,
+        min_size=args.min_size,
+        max_size=args.max_size,
+        mode=args.mode,
+        sample_budget=args.budget,
+        seed=cfg.seed,
+        top_k=args.top_k,
+        beat_singles_f1_only=args.f1_only,
+    )
+    return [PanelBlock(corpus, group, grid_search(store, cfg.gold_source, config))]
+
+
+def _vote_rows(cfg, store, args, tree, corpus, group) -> list:
+    metrics = majority_vote_eval(store, cfg.selected, cfg.gold_source, group, cfg.seed)
+    return [VoteRow(corpus, group, cfg.selected, metrics)]
+
+
+def _cui_eval_rows(cfg, store, args, tree, corpus, group) -> list:
+    ensemble, singles = cui_scores(
+        store, tree, cfg.gold_source, level=args.level, seed=cfg.seed, group=group
+    )
+    rows = [CuiRow(corpus, group, args.level, to_string(tree), "ensemble", ensemble)]
+    rows += [CuiRow(corpus, group, args.level, s, "single", m) for s, m in singles.items()]
+    return rows
+
+
+def _complementarity_rows(cfg, store, args, tree, corpus, group) -> list:
+    scores = complementarity_scores(store, cfg.selected, cfg.gold_source, group)
+    return [
+        ComplementarityRow(corpus, group, a, b, rate, restricted)
+        for (a, b), (rate, restricted) in scores.items()
     ]
-    blocks = [
-        PanelBlock(corpus, config.group, grid_search(store, cfg.gold_source, config))
-        for config in configs
-    ]
-    return emit_table(blocks, report_mod.ENSEMBLE_PANELS, cfg.fmt)
 
 
-def _task_vote(cfg: RunConfig, store: AnnotationStore) -> str:
-    corpus = _corpus_label(cfg, store)
-    rows = []
-    for group in _groups_to_run(cfg, store):
-        metrics = majority_vote_eval(store, cfg.selected, cfg.gold_source, group, cfg.seed)
-        rows.append(VoteRow(corpus, group, cfg.selected, metrics))
-    return emit_table(rows, report_mod.VOTE, cfg.fmt)
-
-
-def _task_cui_eval(cfg: RunConfig, store: AnnotationStore, args: argparse.Namespace) -> str:
-    corpus = _corpus_label(cfg, store)
-    tree = parse(args.expr, known_sources=cfg.selected)
-    rows = []
-    for group in _groups_to_run(cfg, store):
-        ensemble, singles = cui_scores(
-            store, tree, cfg.gold_source, level=args.level, seed=cfg.seed, group=group
-        )
-        rows.append(CuiRow(corpus, group, args.level, to_string(tree), "ensemble", ensemble))
-        for source, single in singles.items():
-            rows.append(CuiRow(corpus, group, args.level, source, "single", single))
-    return emit_table(rows, report_mod.CUI, cfg.fmt)
-
-
-def _task_complementarity(cfg: RunConfig, store: AnnotationStore) -> str:
-    corpus = _corpus_label(cfg, store)
-    rows = []
-    for group in _groups_to_run(cfg, store):
-        scores = complementarity_scores(store, cfg.selected, cfg.gold_source, group)
-        for (a, b), (rate, restricted) in scores.items():
-            rows.append(ComplementarityRow(corpus, group, a, b, rate, restricted))
-    return emit_table(rows, report_mod.COMPLEMENTARITY, cfg.fmt)
+REPORT_TASKS = {
+    "ner-eval": (_ner_eval_rows, report_mod.SINGLE_SYSTEMS),
+    "ensemble-eval": (_ensemble_eval_rows, report_mod.SINGLE_SYSTEMS),
+    "search": (_search_rows, report_mod.ENSEMBLE_PANELS),
+    "vote": (_vote_rows, report_mod.VOTE),
+    "cui-eval": (_cui_eval_rows, report_mod.CUI),
+    "complementarity": (_complementarity_rows, report_mod.COMPLEMENTARITY),
+}
 
 
 def _parse_source_spec(text: str) -> SourceSpec:
@@ -439,23 +432,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> str:
+    """One report: errors surface in the order configuration and input files,
+    corpus label, expression, group, task."""
     if args.task == "synth":
         return _task_synth(args)
+    rows_of, layout = REPORT_TASKS[args.task]
     cfg = _resolve_run_config(args)
     store = _build_store(cfg)
-    if args.task == "ner-eval":
-        return _task_ner_eval(cfg, store)
-    if args.task == "ensemble-eval":
-        return _task_ensemble_eval(cfg, store, args.expr)
-    if args.task == "search":
-        return _task_search(cfg, store, args)
-    if args.task == "vote":
-        return _task_vote(cfg, store)
-    if args.task == "cui-eval":
-        return _task_cui_eval(cfg, store, args)
-    if args.task == "complementarity":
-        return _task_complementarity(cfg, store)
-    raise ConfigError(f"unknown task {args.task!r}")
+    corpus = _corpus_label(cfg, store)
+    expr_text = getattr(args, "expr", None)
+    tree = parse(expr_text, known_sources=cfg.selected) if expr_text is not None else None
+    rows = []
+    for group in _groups_to_run(cfg, store):
+        rows += rows_of(cfg, store, args, tree, corpus, group)
+    return emit_table(rows, layout, cfg.fmt)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -469,9 +459,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UnsupportedOperatorError as exc:
         print(f"unsupported operation: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
-    except (ConfigError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except EnsembleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

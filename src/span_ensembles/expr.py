@@ -74,7 +74,12 @@ def to_string(tree: ExprTree) -> str:
     return f"({to_string(tree.left)}{op}{to_string(tree.right)})"
 
 
-_TOKEN = re.compile(r"(?P<ident>[A-Za-z0-9_]+)|(?P<and>[&∧])|(?P<or>[|∨])|(?P<lp>\()|(?P<rp>\))")
+# A source identifier: the one name syntax every reported expression re-parses.
+IDENTIFIER = re.compile(r"[A-Za-z0-9_]+")
+
+_TOKEN = re.compile(
+    rf"(?P<ident>{IDENTIFIER.pattern})|(?P<and>[&∧])|(?P<or>[|∨])|(?P<lp>\()|(?P<rp>\))"
+)
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:

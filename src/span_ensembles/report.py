@@ -14,7 +14,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import islice
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ConfigError
 from .metrics import CuiMetricsResult, MetricsResult
@@ -47,6 +47,7 @@ METRIC_COLUMNS = (
     "n_pred",
     "degenerate",
 )
+METRIC_HEADER = ("corpus", "group", "combination", *METRIC_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -211,38 +212,10 @@ def _search_table_rows(blocks: Sequence[PanelBlock]) -> list[list[str]]:
     return rows
 
 
-def _emit_single_systems(rows: Sequence[SystemRow], fmt: str) -> str:
-    ordered = sorted(rows, key=lambda r: (r.corpus, r.group, r.system))
-    if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
-        data = [[r.corpus, r.group, r.system] + _metric_cells(r.metrics) for r in ordered]
-        return _csv_text(header, data)
-    if fmt == MARKDOWN_FORMAT:
-        header = ["Corpus", "Group", "System", "n", "p", "r", "F1"]
-        data = [
-            [r.corpus, r.group, r.system, str(r.metrics.n_gold), *_md_metrics(r.metrics)]
-            for r in ordered
-        ]
-        return "## Individual system performance\n\n" + _markdown_table(header, data)
-    return _json_text(
-        SINGLE_SYSTEMS,
-        [
-            {
-                "corpus": r.corpus,
-                "group": r.group,
-                "system": r.system,
-                "metrics": metrics_to_dict(r.metrics),
-            }
-            for r in ordered
-        ],
-    )
-
-
 def _emit_ensemble_panels(blocks: Sequence[PanelBlock], fmt: str) -> str:
     ordered = sorted(blocks, key=lambda b: (b.corpus, b.group))
     if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
-        return _csv_text(header, _search_table_rows(ordered))
+        return _csv_text(METRIC_HEADER, _search_table_rows(ordered))
     if fmt == MARKDOWN_FORMAT:
         header = ["Corpus", "Group"]
         for panel in ("Highest F1-score", "Highest precision", "Highest recall"):
@@ -307,106 +280,105 @@ def _emit_ensemble_panels(blocks: Sequence[PanelBlock], fmt: str) -> str:
     return _json_text(ENSEMBLE_PANELS, payload, key="blocks")
 
 
-def _emit_vote(rows: Sequence[VoteRow], fmt: str) -> str:
-    ordered = sorted(rows, key=lambda r: (r.corpus, r.group))
-    if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "combination", *METRIC_COLUMNS]
-        data = [
-            [r.corpus, r.group, "majority(" + ",".join(r.systems) + ")"] + _metric_cells(r.metrics)
-            for r in ordered
-        ]
-        return _csv_text(header, data)
-    if fmt == MARKDOWN_FORMAT:
-        header = ["Corpus", "Group", "Systems", "p", "r", "F1"]
-        data = [
-            [r.corpus, r.group, ",".join(r.systems), *_md_metrics(r.metrics)] for r in ordered
-        ]
-        return "## Majority vote ensemble performance\n\n" + _markdown_table(header, data)
-    return _json_text(
-        VOTE,
-        [
-            {
-                "corpus": r.corpus,
-                "group": r.group,
-                "systems": list(r.systems),
-                "metrics": metrics_to_dict(r.metrics),
-            }
-            for r in ordered
+@dataclass(frozen=True)
+class _Table:
+    """One flat layout: each row is one csv line, one markdown line and one
+    JSON object, in ``order`` (None keeps the order the rows are given in)."""
+
+    title: str
+    csv_header: tuple[str, ...]
+    markdown_header: tuple[str, ...]
+    order: Optional[Callable]
+    csv_cells: Callable
+    markdown_cells: Callable
+    json_object: Callable
+
+
+_TABLES = {
+    SINGLE_SYSTEMS: _Table(
+        title="Individual system performance",
+        csv_header=METRIC_HEADER,
+        markdown_header=("Corpus", "Group", "System", "n", "p", "r", "F1"),
+        order=lambda r: (r.corpus, r.group, r.system),
+        csv_cells=lambda r: [r.corpus, r.group, r.system, *_metric_cells(r.metrics)],
+        markdown_cells=lambda r: [
+            r.corpus, r.group, r.system, str(r.metrics.n_gold), *_md_metrics(r.metrics)
         ],
-    )
-
-
-def _emit_cui(rows: Sequence[CuiRow], fmt: str) -> str:
-    ordered = sorted(rows, key=lambda r: (r.corpus, r.group, r.level, r.kind, r.combination))
-    if fmt == CSV_FORMAT:
-        header = ["corpus", "group", "level", "kind", "combination", "p", "r", "f1", "degenerate"]
-        data = [
-            [r.corpus, r.group, r.level, r.kind, r.combination]
-            + [_num(m.macro_precision), _num(m.macro_recall), _num(m.macro_f1)]
-            + [str(m.degenerate).lower()]
-            for r in ordered
-            for m in [r.metrics]
-        ]
-        return _csv_text(header, data)
-    if fmt == MARKDOWN_FORMAT:
-        header = ["Corpus", "Group", "Level", "Kind", "Combination", "p", "r", "Macro F1"]
-        data = [
-            [r.corpus, r.group, r.level, r.kind, r.combination]
-            + [_fmt2(m.macro_precision), _fmt2(m.macro_recall), _fmt2(m.macro_f1)]
-            for r in ordered
-            for m in [r.metrics]
-        ]
-        return "## Concept matching performance\n\n" + _markdown_table(header, data)
-    return _json_text(
-        CUI,
-        [
-            {
-                "corpus": r.corpus,
-                "group": r.group,
-                "level": r.level,
-                "kind": r.kind,
-                "combination": r.combination,
-                "metrics": cui_metrics_to_dict(r.metrics),
-            }
-            for r in ordered
+        json_object=lambda r: {
+            "corpus": r.corpus,
+            "group": r.group,
+            "system": r.system,
+            "metrics": metrics_to_dict(r.metrics),
+        },
+    ),
+    VOTE: _Table(
+        title="Majority vote ensemble performance",
+        csv_header=METRIC_HEADER,
+        markdown_header=("Corpus", "Group", "Systems", "p", "r", "F1"),
+        order=lambda r: (r.corpus, r.group),
+        csv_cells=lambda r: [
+            r.corpus, r.group, "majority(" + ",".join(r.systems) + ")", *_metric_cells(r.metrics)
         ],
-    )
-
-
-def _emit_complementarity(rows: Sequence[ComplementarityRow], fmt: str) -> str:
-    if fmt == CSV_FORMAT:
-        header = [
+        markdown_cells=lambda r: [r.corpus, r.group, ",".join(r.systems), *_md_metrics(r.metrics)],
+        json_object=lambda r: {
+            "corpus": r.corpus,
+            "group": r.group,
+            "systems": list(r.systems),
+            "metrics": metrics_to_dict(r.metrics),
+        },
+    ),
+    CUI: _Table(
+        title="Concept matching performance",
+        csv_header=(
+            "corpus", "group", "level", "kind", "combination", "p", "r", "f1", "degenerate"
+        ),
+        markdown_header=("Corpus", "Group", "Level", "Kind", "Combination", "p", "r", "Macro F1"),
+        order=lambda r: (r.corpus, r.group, r.level, r.kind, r.combination),
+        csv_cells=lambda r: [
+            r.corpus, r.group, r.level, r.kind, r.combination,
+            _num(r.metrics.macro_precision), _num(r.metrics.macro_recall),
+            _num(r.metrics.macro_f1), str(r.metrics.degenerate).lower(),
+        ],
+        markdown_cells=lambda r: [
+            r.corpus, r.group, r.level, r.kind, r.combination,
+            _fmt2(r.metrics.macro_precision), _fmt2(r.metrics.macro_recall),
+            _fmt2(r.metrics.macro_f1),
+        ],
+        json_object=lambda r: {
+            "corpus": r.corpus,
+            "group": r.group,
+            "level": r.level,
+            "kind": r.kind,
+            "combination": r.combination,
+            "metrics": cui_metrics_to_dict(r.metrics),
+        },
+    ),
+    COMPLEMENTARITY: _Table(
+        title="Complementarity",
+        csv_header=(
             "corpus", "group", "system_a", "system_b", "comp_rate", "p", "r", "f1", "tp", "fp", "fn"
-        ]
-        data = [
-            [r.corpus, r.group, r.system_a, r.system_b, _num(r.comp_rate)]
-            + [_num(m.precision), _num(m.recall), _num(m.f1), str(m.tp), str(m.fp), str(m.fn)]
-            for r in rows
-            for m in [r.restricted]
-        ]
-        return _csv_text(header, data)
-    if fmt == MARKDOWN_FORMAT:
-        header = ["Corpus", "Group", "A", "B", "comp rate %", "p", "r", "F1"]
-        data = [
-            [r.corpus, r.group, r.system_a, r.system_b, _fmt2(r.comp_rate)]
-            + _md_metrics(r.restricted)
-            for r in rows
-        ]
-        return "## Complementarity\n\n" + _markdown_table(header, data)
-    return _json_text(
-        COMPLEMENTARITY,
-        [
-            {
-                "corpus": r.corpus,
-                "group": r.group,
-                "system_a": r.system_a,
-                "system_b": r.system_b,
-                "comp_rate": r.comp_rate,
-                "restricted": metrics_to_dict(r.restricted),
-            }
-            for r in rows
+        ),
+        markdown_header=("Corpus", "Group", "A", "B", "comp rate %", "p", "r", "F1"),
+        order=None,
+        csv_cells=lambda r: [
+            r.corpus, r.group, r.system_a, r.system_b, _num(r.comp_rate),
+            *map(_num, (r.restricted.precision, r.restricted.recall, r.restricted.f1)),
+            *map(str, (r.restricted.tp, r.restricted.fp, r.restricted.fn)),
         ],
-    )
+        markdown_cells=lambda r: [
+            r.corpus, r.group, r.system_a, r.system_b, _fmt2(r.comp_rate),
+            *_md_metrics(r.restricted),
+        ],
+        json_object=lambda r: {
+            "corpus": r.corpus,
+            "group": r.group,
+            "system_a": r.system_a,
+            "system_b": r.system_b,
+            "comp_rate": r.comp_rate,
+            "restricted": metrics_to_dict(r.restricted),
+        },
+    ),
+}
 
 
 def emit_table(results: Sequence, layout: str, fmt: str = CSV_FORMAT) -> str:
@@ -418,14 +390,15 @@ def emit_table(results: Sequence, layout: str, fmt: str = CSV_FORMAT) -> str:
     """
     if fmt not in (CSV_FORMAT, MARKDOWN_FORMAT, JSON_FORMAT):
         raise ConfigError(f"unknown output format {fmt!r}")
-    if layout == SINGLE_SYSTEMS:
-        return _emit_single_systems(results, fmt)
     if layout == ENSEMBLE_PANELS:
         return _emit_ensemble_panels(results, fmt)
-    if layout == VOTE:
-        return _emit_vote(results, fmt)
-    if layout == CUI:
-        return _emit_cui(results, fmt)
-    if layout == COMPLEMENTARITY:
-        return _emit_complementarity(results, fmt)
-    raise ConfigError(f"unknown table layout {layout!r}")
+    if layout not in _TABLES:
+        raise ConfigError(f"unknown table layout {layout!r}")
+    table = _TABLES[layout]
+    rows = results if table.order is None else sorted(results, key=table.order)
+    if fmt == CSV_FORMAT:
+        return _csv_text(table.csv_header, [table.csv_cells(r) for r in rows])
+    if fmt == MARKDOWN_FORMAT:
+        body = _markdown_table(table.markdown_header, [table.markdown_cells(r) for r in rows])
+        return f"## {table.title}\n\n" + body
+    return _json_text(layout, [table.json_object(r) for r in rows])

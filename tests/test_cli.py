@@ -452,3 +452,63 @@ def test_pooled_manifest_needs_a_corpus_label(tmp_path, capsys):
     code, out = run_cli(["ner-eval", "--config", str(tmp_path / "config.json")], capsys)
     assert code == 0
     assert list(csv.DictReader(io.StringIO(out)))[0]["corpus"] == "from-config"
+
+
+def test_repeated_system_flag_fails(tmp_path, capsys):
+    files = tiny_corpus(tmp_path)
+    (tmp_path / "a2.jsonl").write_text((tmp_path / "a.jsonl").read_text())
+    code = main(["ner-eval", *files, "--system", f"A={tmp_path / 'a.jsonl'}",
+                 "--system", f"A={tmp_path / 'a2.jsonl'}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--system names system 'A' more than once" in captured.err
+    # one flag still overrides the config's entry of the same name
+    config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl", "systems": {"A": "ghost.jsonl"}}
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code, out = run_cli(["ner-eval", "--config", str(tmp_path / "config.json"),
+                         "--system", f"A={tmp_path / 'a2.jsonl'}"], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["f1"] == "1.0"
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_system_name_outside_expression_syntax_fails(tmp_path, capsys, where):
+    files = tiny_corpus(tmp_path)
+    (tmp_path / "b.jsonl").write_text((tmp_path / "a.jsonl").read_text().replace('"A"', '"my-sys"'))
+    if where == "flag":
+        args = [*files, "--system", f"A={tmp_path / 'a.jsonl'}",
+                "--system", f"my-sys={tmp_path / 'b.jsonl'}"]
+    else:
+        config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl",
+                  "systems": {"A": "a.jsonl", "my-sys": "b.jsonl"}}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json")]
+    code = main(["search", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "system 'my-sys' is not an expression identifier" in captured.err
+
+
+# Errors surface in the order: configuration and input files, corpus label,
+# expression, group, task.
+@pytest.mark.parametrize(
+    "pooled,argv,code,message",
+    [
+        (False, ["ensemble-eval", "--expr", "(A|", "--group", "Nope"], 3, "parse error"),
+        (False, ["cui-eval", "--expr", "(A&B)", "--group", "Nope"], 2, "unknown group 'Nope'"),
+        (False, ["cui-eval", "--expr", "(A&B)"], 4, "unsupported operation"),
+        (True, ["ensemble-eval", "--expr", "(A|"], 2, "the manifest pools corpora"),
+        (False, ["search", "--top-k", "0", "--group", "Nope"], 2, "unknown group 'Nope'"),
+    ],
+)
+def test_errors_are_reported_in_run_order(corpus, tmp_path, capsys, pooled, argv, code, message):
+    if pooled:
+        files = [*tiny_corpus(tmp_path, ("i2b2", "mimic")), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    else:
+        files = ["--config", str(corpus / "config.json")]
+    assert main([*argv, *files]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

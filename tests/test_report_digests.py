@@ -134,6 +134,19 @@ MAPPED_DIGESTS = {
     ('cui-mention', 'markdown', 5): "e6e8644b474715fe2f91df6bd277b19ac7da2c54394c6e6058c7f756bf2acef9",
     ('cui-mention', 'json', 3): "6207121dc37e2c7fd39991c1a1b0c795705620fb50e2a8b40c2d0c37a3a951d7",
     ('cui-mention', 'json', 5): "9cb0bd74869e6c65fe3b8ae1ea694fd010116bcc7a243ed78d4acd0625003350",
+    # ensemble-eval: the one single-systems report whose markdown escapes '|'
+    ('ensemble-eval', 'csv', 3): "b5c90077369d74fdadfd265245f4dbcddee68bf65920d5048d2fa64eb967b2b0",
+    ('ensemble-eval', 'csv', 5): "b064a4889d2374e1deada2e889f178db1c806a73f24f881c9213bbb2bb9dc782",
+    ('ensemble-eval', 'markdown', 3): "4b1768f73a373c67ab24dddf5f84fa693483f0008daa253198d18a7f24dbd400",
+    ('ensemble-eval', 'markdown', 5): "267f4daafd6b9e74f125d075a770d5e704b145ff82d07a3ecf80c2654e228d3e",
+    ('ensemble-eval', 'json', 3): "5dbeed4d9993fbaf35ca2bfdf77ca3d97a01f6d2c48a3b3559979306c13a7e66",
+    ('ensemble-eval', 'json', 5): "210e927058f28aee78dc5f037d9e7b491637ab29f3d3e7efedcfb4a300d0b93c",
+    ('complementarity', 'csv', 3): "579a258c17175cfd2325188854048ba05a4d5559d1e6e70cc54e05cf1ffb0a08",
+    ('complementarity', 'csv', 5): "2f4dada349ba57836cd69020db79adf238b804f8ecf7a509ee1cd2f48bb1025a",
+    ('complementarity', 'markdown', 3): "d563bb948dbc3e38512693a4d5cd446b57bcef6b149f7c808d3e89ef52960ba4",
+    ('complementarity', 'markdown', 5): "06c1871d0d883adb45ee79a2a0590995a1f45bcc7733b988569b18de696bafb0",
+    ('complementarity', 'json', 3): "d8d4dc4c1e1de00a1936160573ea52f0ccb521f60fee8ecddf549a3671eeba28",
+    ('complementarity', 'json', 5): "102ae4615b3011fd90ee483e501182a89e3942355a699c6c203871c0c209a386",
 }
 
 MAPPED_CALLS = {
@@ -142,6 +155,8 @@ MAPPED_CALLS = {
     "vote": ["vote"],
     "cui-doc": ["cui-eval", "--level", "doc", "--expr", "((A|B)|C)"],
     "cui-mention": ["cui-eval", "--level", "mention", "--expr", "((A|B)|C)"],
+    "ensemble-eval": ["ensemble-eval", "--expr", "((A|B)&C)"],
+    "complementarity": ["complementarity"],
 }
 
 GROUP_LINES = [
