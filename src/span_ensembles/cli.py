@@ -74,6 +74,13 @@ class RunConfig:
     selected: tuple[str, ...] = field(default_factory=tuple)
 
 
+# The config keys read besides ``systems`` (an object of name -> path); each
+# is a string.  Paths are relative to the config's directory.
+_CONFIG_TEXT_KEYS = (
+    "manifest", "gold", "semgroups", "overrides", "group", "corpus_id", "gold_source",
+)
+
+
 def _load_config_file(path: Path) -> dict:
     try:
         text = path.read_text(encoding="utf-8")
@@ -85,6 +92,12 @@ def _load_config_file(path: Path) -> dict:
         raise ParseError(f"{path}: bad JSON ({exc.msg})") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
+    for key in _CONFIG_TEXT_KEYS:
+        if key in data and type(data[key]) is not str:
+            raise ParseError(f"{path}: config key {key!r} must be a string")
+    systems = data.get("systems", {})
+    if type(systems) is not dict or any(type(rel) is not str for rel in systems.values()):
+        raise ParseError(f"{path}: config key 'systems' must be an object of strings")
     return data
 
 
@@ -111,8 +124,8 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError("no gold annotation file given (use --gold or a config file)")
 
     systems: dict[str, Path] = {}
-    for name, rel in sorted((data.get("systems") or {}).items()):
-        systems[str(name)] = base / rel
+    for name, rel in sorted(data.get("systems", {}).items()):
+        systems[name] = base / rel
     flagged = set()
     for spec in args.system or []:
         name, _, raw = spec.partition("=")

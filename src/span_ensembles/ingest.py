@@ -32,6 +32,7 @@ from .errors import ParseError, ValidationError
 from .model import (
     COLUMNS,
     CUI_PATTERN,
+    NAMED_COLUMNS,
     Annotation,
     DocumentRef,
     SemanticGroupMap,
@@ -52,18 +53,21 @@ CHUNK_LINES = 4096
 
 _INT64 = (-(2**63), 2**63 - 1)
 
-# The types an annotation field's JSON value may have to need no conversion.
-_TEXT, _OPTIONAL_TEXT = {str}, {str, type(None)}
-_PLAIN_TYPES = {
-    "doc_id": _TEXT,
-    "source": _TEXT,
+# The JSON types each field of an input record may hold; no value is
+# converted.  A field that may be null may also be absent.
+_NULL = type(None)
+_ANNOTATION_FIELDS = {
+    "doc_id": {str},
+    "source": {str},
     "begin": {int},
     "end": {int},
-    "group": _OPTIONAL_TEXT,
-    "native_type": _OPTIONAL_TEXT,
-    "cui": _OPTIONAL_TEXT,
-    "score": {float, type(None)},
+    "group": {str, _NULL},
+    "native_type": {str, _NULL},
+    "cui": {str, _NULL},
+    "score": {float, int, _NULL},
 }
+_MANIFEST_FIELDS = {"doc_id": {str}, "length": {int}, "corpus_id": {str, _NULL}}
+_OVERRIDE_FIELDS = {"source": {str}, "native_type": {str}, "group": {str}}
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
@@ -145,9 +149,9 @@ def _jsonl_records(path: PathLike, malformed: list) -> Iterator[tuple[int, dict]
 
 
 def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
-    """Raise one ParseError listing every malformed record, else one ValidationError."""
+    """Raise one ParseError listing every malformed record, else one
+    ValidationError; ``malformed`` holds (line number, message) in report order."""
     if malformed:
-        malformed.sort(key=lambda item: item[0])
         raise ParseError(
             f"{len(malformed)} malformed {kind} record(s):\n"
             + "\n".join(message for _, message in malformed),
@@ -159,14 +163,20 @@ def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list
         )
 
 
-def _integer(value) -> int:
-    """A JSON integer that fits in 64 bits; TypeError for anything else
-    (a float, a bool or a string included), ValueError if it does not fit."""
-    if type(value) is not int:
-        raise TypeError(f"not an integer: {value!r}")
-    if not _INT64[0] <= value <= _INT64[1]:
-        raise ValueError(f"out of range: {value}")
-    return value
+def _typed(value, types: set) -> bool:
+    """Whether a JSON value has one of ``types``; an integer must fit in 64
+    bits, and a bool is never one."""
+    return type(value) in types and (type(value) is not int or _INT64[0] <= value <= _INT64[1])
+
+
+def _bad_field(record: dict, fields: Mapping[str, set]) -> Optional[str]:
+    """The first of ``fields``, in order, whose value is not one of its types
+    (an absent field reads as null), else None."""
+    return next((key for key, types in fields.items() if not _typed(record.get(key), types)), None)
+
+
+def _field_problem(record: dict, key: str, kind: str) -> str:
+    return f"missing field {key!r}" if key not in record else f"malformed {kind} record"
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
@@ -178,96 +188,74 @@ def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
     malformed: list[tuple[int, str]] = []
     problems: list[str] = []
     for lineno, record in _jsonl_records(path, malformed):
+        where = f"{path}:{lineno}"
+        key = _bad_field(record, _MANIFEST_FIELDS)
+        if key == "length" and key in record:
+            length = record[key]
+            malformed.append((lineno, f"{where}: " + (
+                "length beyond 64 bits" if type(length) is int
+                else "non-integer length" if isinstance(length, (int, float))
+                else "non-numeric length"
+            )))
+            continue
+        if key is not None:
+            malformed.append((lineno, f"{where}: {_field_problem(record, key, 'manifest')}"))
+            continue
         try:
-            doc = DocumentRef(
-                doc_id=str(record["doc_id"]),
-                length=_integer(record["length"]),
-                corpus_id=str(record.get("corpus_id", "")),
-            )
-        except KeyError as exc:
-            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
-        except TypeError:
-            numeric = isinstance(record["length"], (int, float))
-            problem = "non-integer length" if numeric else "non-numeric length"
-            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
-        except ValueError:
-            malformed.append((lineno, f"{path}:{lineno}: length beyond 64 bits"))
+            doc = DocumentRef(record["doc_id"], record["length"], record.get("corpus_id") or "")
         except ValidationError as exc:
-            problems.append(f"{path}:{lineno}: {exc}")
+            problems.append(f"{where}: {exc}")
+            continue
+        first = seen.setdefault(doc.doc_id, lineno)
+        if first == lineno:
+            docs.append(doc)
         else:
-            first = seen.setdefault(doc.doc_id, lineno)
-            if first == lineno:
-                docs.append(doc)
-            else:
-                problems.append(
-                    f"{path}:{lineno}: duplicate doc_id {doc.doc_id!r} (first at line {first})"
-                )
-    _raise_collected("manifest", malformed, problems)
+            problems.append(f"{where}: duplicate doc_id {doc.doc_id!r} (first at line {first})")
+    _raise_collected("manifest", sorted(malformed), problems)
     return docs
 
 
-def _annotation_fields(record: dict) -> tuple:
-    """One record's field values, converted; KeyError for a missing field,
-    TypeError, ValueError or OverflowError for a malformed one."""
-    return (
-        str(record["doc_id"]),
-        str(record["source"]),
-        _integer(record["begin"]),
-        _integer(record["end"]),
-        *(
-            None if record.get(key) is None else str(record[key])
-            for key in ("group", "native_type", "cui")
-        ),
-        None if record.get("score") is None else float(record["score"]),
-    )
-
-
-def _plain(col: str, value) -> bool:
-    """Whether a field value is already what its column holds."""
-    if col in ("begin", "end"):
-        return type(value) is int and _INT64[0] <= value <= _INT64[1]
-    return type(value) in _PLAIN_TYPES[col]
+def _typed_column(column: list, types: set, names: bool) -> bool:
+    """Whether every value of a column is one of ``types``, as :func:`_typed`
+    judges, read from the set of the value types and the least and greatest
+    integer.  A name column's types are read from its distinct values: no
+    value of another type equals a string or None, whereas 1, 1.0 and True
+    are one value in a set."""
+    if names:
+        try:
+            column = set(column)
+        except TypeError:  # an array or an object
+            return False
+    kinds = set(map(type, column))
+    if int not in kinds:
+        return kinds <= types
+    ints = column if kinds == {int} else [v for v in column if type(v) is int]
+    return kinds <= types and _INT64[0] <= min(ints) and max(ints) <= _INT64[1]
 
 
 def _annotation_values(path: PathLike, linenos: Sequence[int], records: list[dict], malformed: list):
-    """(line numbers, values by column, value types by column) of a chunk's
-    well-formed records.
+    """(line numbers, values by column) of a chunk's well-formed records.
 
-    Each field's values are read in one pass; only the records with a value
-    of another type than :data:`_PLAIN_TYPES` (or an offset beyond 64 bits)
-    are converted one by one, and those that fail are appended to
-    ``malformed`` and left out."""
+    Each field's values are read in one pass and their types checked as a
+    set; only a column that holds a value outside its field's types is
+    checked value by value.  A record with such a value is appended to
+    ``malformed``, named by its first bad field in column order, and left
+    out."""
     values = {col: list(map(dict.get, records, repeat(col))) for col in COLUMNS}
-    types = {col: set(map(type, column)) for col, column in values.items()}
     odd: set[int] = set()
-    for col, plain_types in _PLAIN_TYPES.items():
-        column = values[col]
-        plain = types[col] <= plain_types
-        if plain and col in ("begin", "end") and column:
-            plain = _INT64[0] <= min(column) and max(column) <= _INT64[1]
-        if not plain:
-            odd.update(i for i, v in enumerate(column) if not _plain(col, v))
+    for col, column in values.items():
+        types = _ANNOTATION_FIELDS[col]
+        if not _typed_column(column, types, col in NAMED_COLUMNS):
+            odd.update(i for i, value in enumerate(column) if not _typed(value, types))
     if not odd:
-        return linenos, values, types
-    bad = set()
+        return linenos, values
     for i in sorted(odd):
-        lineno = linenos[i]
-        try:
-            fields = _annotation_fields(records[i])
-        except KeyError as exc:
-            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
-            bad.add(i)
-        except (TypeError, ValueError, OverflowError):
-            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
-            bad.add(i)
-        else:
-            for col, value in zip(COLUMNS, fields):
-                values[col][i] = value
-    if bad:
-        keep = [i for i in range(len(records)) if i not in bad]
-        linenos = [linenos[i] for i in keep]
-        values = {col: [column[i] for i in keep] for col, column in values.items()}
-    return linenos, values, {col: set(map(type, column)) for col, column in values.items()}
+        record, lineno = records[i], linenos[i]
+        problem = _field_problem(record, _bad_field(record, _ANNOTATION_FIELDS), "annotation")
+        malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+    keep = [i for i in range(len(records)) if i not in odd]
+    linenos = [linenos[i] for i in keep]
+    return linenos, {col: [column[i] for i in keep] for col, column in values.items()}
 
 
 class _SpanChecks:
@@ -287,7 +275,7 @@ class _SpanChecks:
         self.expected_source = expected_source
         self.cui_ok = np.ones(1, dtype=bool)  # per CUI code, grown as names are added
 
-    def failures(self, linenos: Sequence[int], values: dict, types: dict, rows: dict):
+    def failures(self, linenos: Sequence[int], values: dict, rows: dict):
         """Problem per failing row, in line order."""
         cuis = list(self.names["cui"])
         if len(cuis) > len(self.cui_ok):
@@ -298,7 +286,7 @@ class _SpanChecks:
         expected = self.names["source"].get(self.expected_source, -1)
         # NaN stands for no score; a JSON NaN, a score that is not None, fails
         bad_score = ~((score >= 0.0) & (score <= 1.0))
-        if type(None) in types["score"]:
+        if np.isnan(score).any():
             bad_score &= ~np.fromiter(
                 map(operator.is_, values["score"], repeat(None)), dtype=bool, count=len(score)
             )
@@ -357,24 +345,25 @@ def load_span_files(
     """Read annotation files, given as (expected source, path) pairs, into one
     set of columns, their rows in file order, as :func:`load_spans` reads
     each.  All files code their names through one table, so no file's
-    columns are recoded; the first file with an offending record raises.
+    columns are recoded.  The offending records of every file are collected
+    into one error, listed file by file in the given order.
     """
     if not isinstance(documents, Mapping):
         documents = {d.doc_id: d for d in documents}
     names = span_names()
     names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
-    parts = []
+    parts, malformed, problems = [], [], []
     for expected_source, path in files:
         checks = _SpanChecks(path, documents, names, expected_source)
-        malformed: list[tuple[int, str]] = []
-        problems: list[str] = []
+        first = len(malformed)
         for linenos, records in _jsonl_chunks(path, malformed):
-            linenos, values, types = _annotation_values(path, linenos, records, malformed)
+            linenos, values = _annotation_values(path, linenos, records, malformed)
             rows = encode_values(values, names)
-            problems.extend(checks.failures(linenos, values, types, rows))
-            if not (problems or malformed):  # else the file is refused: keep no rows
+            problems.extend(checks.failures(linenos, values, rows))
+            if not (problems or malformed):  # else the files are refused: keep no rows
                 parts.append(rows)
-        _raise_collected("annotation", malformed, problems)
+        malformed[first:] = sorted(malformed[first:])
+    _raise_collected("annotation", malformed, problems)
     return SpanColumns.build(parts, names)
 
 
@@ -388,15 +377,23 @@ def load_annotations(
     return load_spans(path, documents, expected_source).annotations()
 
 
+def _conflict(first: dict, key, group: str, lineno: int) -> Optional[str]:
+    """Note that line ``lineno`` maps ``key`` to ``group``; what is wrong if an
+    earlier line maps it to another group, else None."""
+    prior, at = first.setdefault(key, (group, lineno))
+    return None if prior == group else f"{key!r} maps to {group!r}, but to {prior!r} at line {at}"
+
+
 def load_semantic_group_map(
     semgroups_path: PathLike, overrides_path: Optional[PathLike] = None
 ) -> SemanticGroupMap:
     """Parse the pipe-delimited semantic groups file plus optional per-source
     overrides into one lookup structure.  Bad lines of either file are
     collected into one error, as in :func:`load_annotations`."""
-    tui_to_group: dict[str, str] = {}
+    tuis: dict[str, tuple[str, int]] = {}  # TUI -> (group, line)
     universe: dict[str, None] = {}
     malformed: list[tuple[int, str]] = []
+    problems: list[str] = []
     with open(semgroups_path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\r\n")
@@ -412,29 +409,30 @@ def load_semantic_group_map(
                 continue
             _, group_name, tui, _ = fields
             universe.setdefault(group_name)
-            tui_to_group[tui] = group_name
-    _raise_collected("semantic group", malformed, [])
+            conflict = _conflict(tuis, tui, group_name, lineno)
+            if conflict:
+                problems.append(f"{semgroups_path}:{lineno}: type {conflict}")
+    _raise_collected("semantic group", malformed, problems)
 
-    native_to_group: dict[tuple[str, str], str] = {}
+    pairs: dict[tuple[str, str], tuple[str, int]] = {}  # (source, native type) -> (group, line)
     if overrides_path is not None:
-        problems: list[str] = []
         for lineno, record in _jsonl_records(overrides_path, malformed):
             where = f"{overrides_path}:{lineno}"
-            try:
-                source = str(record["source"])
-                native_type = str(record["native_type"])
-                group = str(record["group"])
-            except KeyError as exc:
-                malformed.append((lineno, f"{where}: missing field {exc.args[0]!r}"))
+            key = _bad_field(record, _OVERRIDE_FIELDS)
+            if key is not None:
+                malformed.append((lineno, f"{where}: {_field_problem(record, key, 'override')}"))
                 continue
+            group = record["group"]
+            conflict = _conflict(pairs, (record["source"], record["native_type"]), group, lineno)
             if group not in universe:
                 problems.append(f"{where}: override targets unknown group {group!r}")
-            native_to_group[(source, native_type)] = group
-        _raise_collected("override", malformed, problems)
+            elif conflict:
+                problems.append(f"{where}: override {conflict}")
+        _raise_collected("override", sorted(malformed), problems)
 
     return SemanticGroupMap(
-        tui_to_group=tui_to_group,
-        native_to_group=native_to_group,
+        tui_to_group={tui: group for tui, (group, _) in tuis.items()},
+        native_to_group={pair: group for pair, (group, _) in pairs.items()},
         group_universe=tuple(universe),
     )
 

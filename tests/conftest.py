@@ -212,8 +212,28 @@ def scan_jsonl(path, malformed):
             malformed.append((lineno, f"{path}:{lineno}: {problem}"))
 
 
-def _offset(value):
-    if type(value) is not int or not -(2**63) <= value < 2**63:
+# The JSON types of an annotation record's fields, in column order; a field
+# that may be null may also be absent.  No value is converted.
+FIELD_TYPES = {
+    "doc_id": {str},
+    "source": {str},
+    "begin": {int},
+    "end": {int},
+    "group": {str, type(None)},
+    "native_type": {str, type(None)},
+    "cui": {str, type(None)},
+    "score": {float, int, type(None)},
+}
+
+
+def _field(record, key):
+    """A record's value of ``key``: KeyError if a required field is absent,
+    TypeError if the value has none of the field's types or is an integer
+    beyond 64 bits (a bool is no integer)."""
+    if key not in record and type(None) not in FIELD_TYPES[key]:
+        raise KeyError(key)
+    value = record.get(key)
+    if type(value) not in FIELD_TYPES[key] or (type(value) is int and not -(2**63) <= value < 2**63):
         raise TypeError(value)
     return value
 
@@ -227,20 +247,11 @@ def scan_annotations(path, documents, expected_source=None):
     annotations, malformed, problems = [], [], []
     for lineno, record in scan_jsonl(path, malformed):
         try:
-            ann = Annotation(
-                doc_id=str(record["doc_id"]),
-                source=str(record["source"]),
-                begin=_offset(record["begin"]),
-                end=_offset(record["end"]),
-                group=None if record.get("group") is None else str(record["group"]),
-                native_type=None if record.get("native_type") is None else str(record["native_type"]),
-                cui=None if record.get("cui") is None else str(record["cui"]),
-                score=None if record.get("score") is None else float(record["score"]),
-            )
+            ann = Annotation(**{key: _field(record, key) for key in FIELD_TYPES})
         except KeyError as exc:
             malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
             continue
-        except (TypeError, ValueError, OverflowError):
+        except TypeError:
             malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
             continue
         except ValidationError as exc:

@@ -512,3 +512,126 @@ def test_errors_are_reported_in_run_order(corpus, tmp_path, capsys, pooled, argv
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "key,value,flags",
+    [
+        ("systems", {"A": 5}, []),
+        ("systems", ["a.jsonl"], []),
+        ("group", 3, []),
+        ("corpus_id", 7, ["--format", "markdown"]),
+        ("gold", None, []),
+    ],
+)
+def test_config_value_of_wrong_type_exits_parse_code(tmp_path, capsys, key, value, flags):
+    tiny_corpus(tmp_path)
+    config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl", "systems": {"A": "a.jsonl"}}
+    config[key] = value
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main(["ner-eval", "--config", str(tmp_path / "config.json"), *flags])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{tmp_path / 'config.json'}: config key {key!r} must be" in captured.err
+
+
+def replace_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+# No input value is converted: each field has one JSON type.
+@pytest.mark.parametrize(
+    "file,value",
+    [
+        ("a.jsonl", '"score":"0.5"'),
+        ("a.jsonl", '"score":true'),
+        ("a.jsonl", '"group":7'),
+        ("gold.jsonl", '"score":18446744073709551616'),
+    ],
+)
+def test_annotation_value_of_wrong_type_exits_parse_code(tmp_path, capsys, file, value):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    source = "gold" if file == "gold.jsonl" else "A"
+    replace_line(tmp_path / file, 1, f'{{"doc_id":"d0","source":"{source}","begin":0,"end":5,{value}}}')
+    code = main(["ner-eval", *args])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{tmp_path / file}:1: malformed annotation record" in captured.err
+
+
+def test_null_manifest_corpus_id_labels_rows_corpus(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "manifest.jsonl").write_text('{"doc_id":"d0","length":50,"corpus_id":null}\n')
+    code, out = run_cli(["ner-eval", *args], capsys)
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["corpus"] == "corpus"
+
+
+def test_null_override_native_type_exits_parse_code(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    overrides = tmp_path / "overrides.jsonl"
+    overrides.write_text('{"source":"A","native_type":null,"group":"Anatomy"}\n')
+    code = main(["ner-eval", *args, "--semgroups", str(tmp_path / "groups.txt"),
+                 "--overrides", str(overrides)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert f"{overrides}:1: malformed override record" in captured.err
+
+
+# Every bad record of every annotation file is reported at once, files in
+# input order (gold first), lines in order within a file.
+@pytest.mark.parametrize(
+    "gold_line,a_line,code,listed",
+    [
+        ('{"doc_id":"d1","source":"gold","begin":"0","end":5}', "{oops", 3,
+         ["gold.jsonl:2: malformed annotation record", "a.jsonl:2: bad JSON"]),
+        ('{"doc_id":"d1","source":"gold","begin":0,"end":60}',
+         '{"doc_id":"d1","source":"A","begin":0,"end":70}', 2,
+         ["gold.jsonl:2: span [0, 60) exceeds", "a.jsonl:2: span [0, 70) exceeds"]),
+        # an earlier file with only invalid records does not hide a later malformed one
+        ('{"doc_id":"d1","source":"gold","begin":0,"end":60}', "{oops", 3, ["a.jsonl:2: bad JSON"]),
+    ],
+)
+def test_bad_records_of_every_annotation_file_are_listed(tmp_path, capsys, gold_line, a_line,
+                                                          code, listed):
+    args = [*tiny_corpus(tmp_path, ("t", "t")), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    replace_line(tmp_path / "gold.jsonl", 2, gold_line)
+    replace_line(tmp_path / "a.jsonl", 2, a_line)
+    assert main(["ner-eval", *args]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    positions = [captured.err.index(f"{tmp_path / entry}") for entry in listed]
+    assert positions == sorted(positions)
+    assert f"{len(listed)} " in captured.err.splitlines()[0]
+
+
+def test_conflicting_group_mappings_fail(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    groups = tmp_path / "groups.txt"
+    groups.write_text("ANAT|Anatomy|T017|Anatomical Structure\n"
+                      "DISO|Disorders|T047|Disease or Syndrome\n"
+                      "ANAT|Anatomy|T017|Anatomical Structure\n")
+    overrides = tmp_path / "overrides.jsonl"
+    overrides.write_text('{"source":"A","native_type":"x","group":"Anatomy"}\n'
+                         '{"source":"A","native_type":"x","group":"Anatomy"}\n')
+    run = ["ner-eval", *args, "--semgroups", str(groups), "--overrides", str(overrides)]
+    # a repeat that names the same group is allowed
+    assert main(run) == 0
+    capsys.readouterr()
+    overrides.write_text(overrides.read_text() + '{"source":"A","native_type":"x","group":"Disorders"}\n')
+    assert main(run) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"{overrides}:3: override ('A', 'x') maps to 'Disorders', but to 'Anatomy' at line 1"
+            in captured.err)
+    groups.write_text(groups.read_text() + "DISO|Disorders|T017|Anatomical Structure\n")
+    assert main(run) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{groups}:4: type 'T017' maps to 'Disorders', but to 'Anatomy' at line 1" in captured.err

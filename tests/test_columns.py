@@ -63,8 +63,11 @@ def records(draw, malformed=True):
     ):
         if draw(st.booleans()):
             record[key] = draw(st.sampled_from(values))
-    faults = ["missing", "float", "bool", "string", "numeric-id", "big"] if malformed else []
-    fault = draw(st.sampled_from(["none"] * 6 + faults))
+    faults = [
+        "missing", "float", "bool", "string", "numeric-id", "big", "string-score", "bool-score",
+        "numeric-group", "list-cui", "null-begin", "big-score", "two",
+    ] if malformed else []
+    fault = draw(st.sampled_from(["none"] * 13 + faults))
     if fault == "missing":
         del record[draw(st.sampled_from(["doc_id", "source", "begin", "end"]))]
     elif fault == "float":
@@ -77,6 +80,21 @@ def records(draw, malformed=True):
         record["doc_id"] = 7
     elif fault == "big":
         record["end"] = 2**64
+    elif fault == "string-score":
+        record["score"] = "0.5"
+    elif fault == "bool-score":
+        record["score"] = True
+    elif fault == "numeric-group":
+        record["group"] = 7
+    elif fault == "list-cui":
+        record["cui"] = ["C0000001"]
+    elif fault == "null-begin":
+        record["begin"] = None
+    elif fault == "big-score":
+        record["score"] = 2**64
+    elif fault == "two":  # the first bad field in column order names the problem
+        record["doc_id"] = 7
+        del record["source"]
     return record
 
 

@@ -15,7 +15,7 @@ from span_ensembles import (
     write_annotations,
     write_manifest,
 )
-from span_ensembles.ingest import map_groups
+from span_ensembles.ingest import load_span_files, map_groups
 from span_ensembles.model import SpanColumns
 
 
@@ -424,3 +424,73 @@ def test_offsets_and_lengths_must_be_integers(tmp_path):
     assert f"{manifest}:1: non-integer length" in message
     assert f"{manifest}:2: non-integer length" in message
     assert f"{manifest}:3: non-numeric length" in message
+
+
+def test_each_field_has_one_json_type(tmp_path):
+    path = tmp_path / "a.jsonl"
+    write_lines(
+        path,
+        [
+            '{"doc_id":"d1","source":"A","begin":0,"end":5,"score":1}',
+            '{"doc_id":"d1","source":"A","begin":0,"end":5,"score":"0.5"}',
+            '{"doc_id":"d1","source":"A","begin":0,"end":5,"score":' + "9" * 400 + "}",
+            '{"doc_id":"d1","source":"A","begin":0,"end":5,"cui":["C0000001"]}',
+            # two faults: the first bad field in column order names the problem
+            '{"doc_id":7,"begin":0,"end":5}',
+            '{"source":7,"begin":0,"end":5}',
+            '{"doc_id":"d1","source":"A","begin":null,"end":5}',
+            '{"doc_id":"d1","source":"A","begin":0,"end":5,"group":null,"native_type":null}',
+        ],
+    )
+    with pytest.raises(ParseError) as err:
+        load_annotations(path, DOCS)
+    assert str(err.value).splitlines()[1:] == [
+        f"{path}:2: malformed annotation record",
+        f"{path}:3: malformed annotation record",
+        f"{path}:4: malformed annotation record",
+        f"{path}:5: malformed annotation record",
+        f"{path}:6: missing field 'doc_id'",
+        f"{path}:7: malformed annotation record",
+    ]
+    write_lines(path, [path.read_text().splitlines()[i] for i in (0, 7)])
+    assert load_annotations(path, DOCS) == [
+        Annotation("d1", "A", 0, 5, score=1.0), Annotation("d1", "A", 0, 5),
+    ]
+
+
+def test_bad_records_are_listed_across_files(tmp_path):
+    gold, system = tmp_path / "gold.jsonl", tmp_path / "a.jsonl"
+    write_lines(gold, ['{"doc_id":"d1","source":"gold","begin":0,"end":5}', "{oops"])
+    write_lines(system, ['{"doc_id":"d1","source":"A","begin":"x","end":5}'])
+    with pytest.raises(ParseError) as err:
+        load_span_files([("gold", gold), ("A", system)], DOCS)
+    assert str(err.value).splitlines()[1:] == [
+        f"{gold}:2: bad JSON (Expecting property name enclosed in double quotes)",
+        f"{system}:1: malformed annotation record",
+    ]
+    assert err.value.position == 2
+
+
+def test_manifest_and_override_fields_are_not_converted(tmp_path):
+    manifest = tmp_path / "manifest.jsonl"
+    write_lines(manifest, ['{"doc_id":"d1","length":5,"corpus_id":null}',
+                           '{"doc_id":"d2","length":5}',
+                           '{"doc_id":3,"length":5}', '{"doc_id":"d4","length":5,"corpus_id":4}'])
+    with pytest.raises(ParseError) as err:
+        load_corpus_manifest(manifest)
+    assert str(err.value).splitlines()[1:] == [
+        f"{manifest}:3: malformed manifest record", f"{manifest}:4: malformed manifest record",
+    ]
+    write_lines(manifest, manifest.read_text().splitlines()[:2])
+    assert load_corpus_manifest(manifest) == [DocumentRef("d1", 5), DocumentRef("d2", 5)]
+
+    groups, overrides = tmp_path / "groups.txt", tmp_path / "overrides.jsonl"
+    write_lines(groups, SEMGROUPS)
+    write_lines(overrides, ['{"source":"A","native_type":"X","group":"Anatomy"}',
+                            '{"source":"A","native_type":7,"group":"Anatomy"}',
+                            '{"source":null,"native_type":"X","group":"Anatomy"}'])
+    with pytest.raises(ParseError) as err:
+        load_semantic_group_map(groups, overrides)
+    assert str(err.value).splitlines()[1:] == [
+        f"{overrides}:2: malformed override record", f"{overrides}:3: malformed override record",
+    ]
