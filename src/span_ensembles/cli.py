@@ -187,14 +187,13 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _build_store(cfg: RunConfig) -> AnnotationStore:
     documents = load_corpus_manifest(cfg.manifest)
-    doc_map = {d.doc_id: d for d in documents}
+    gmap = load_semantic_group_map(cfg.semgroups, cfg.overrides) if cfg.semgroups else None
     inputs = [(cfg.gold_source, cfg.gold)]
     inputs += [(name, cfg.systems[name]) for name in sorted(cfg.systems)]
-    spans = load_span_files(inputs, doc_map)
+    spans = load_span_files(inputs, documents, gmap.group_universe if gmap else ())
 
     keep = None
-    if cfg.semgroups is not None:
-        gmap = load_semantic_group_map(cfg.semgroups, cfg.overrides)
+    if gmap is not None:
         outcome = map_groups(spans, gmap)
         if outcome.dropped:
             print(f"note: {outcome.note()}", file=sys.stderr)

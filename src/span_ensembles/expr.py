@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 import numpy as np
@@ -27,6 +28,10 @@ SEMANTIC = "semantic"
 SYNTACTIC = "syntactic"
 
 MAX_SIGNATURE_LEAVES = 12
+
+# The most ensembles a search may score: every full search over up to 7
+# sources (129,005 ensembles) fits, one over 8 (2,132,088) does not.
+MAX_SEARCH_ENSEMBLES = 150_000
 
 
 @dataclass(frozen=True)
@@ -291,6 +296,23 @@ def _syntactic_trees(variables: tuple[str, ...]) -> Iterator[ExprTree]:
                 node = And if op == AND else Or
                 tree = node(tree, Leaf(source))
             yield tree
+
+
+def check_search_space(n_sources: int, min_size: int, max_size: int) -> None:
+    """Refuse a search whose SEMANTIC space holds more than
+    ``MAX_SEARCH_ENSEMBLES`` ensembles, counted from the sizes alone: C(n, i)
+    subsets of each allowed size i, of a(i) = 1, 2, 8, 52, 472, ... read-once
+    functions each.  a(i) counts the splits of i variables into two or more
+    blocks, each a leaf or one of the a(j) / 2 trees of j variables under
+    the other operator, twice: once per root operator."""
+    top = min(max_size, n_sources)
+    a = [1, 1]
+    for i in range(2, top + 1):
+        a.append(2 * sum(comb(i - 1, j - 1) * max(a[j] // 2, 1) * a[i - j] for j in range(1, i)))
+    count = sum(comb(n_sources, i) * a[i] for i in range(max(min_size, 1), top + 1))
+    if count > MAX_SEARCH_ENSEMBLES:
+        raise ConfigError(f"the search space holds {count:,} ensembles over {n_sources} sources, "
+                          f"more than {MAX_SEARCH_ENSEMBLES:,}; lower --max-size")
 
 
 def enumerate_ensembles(

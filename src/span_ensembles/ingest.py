@@ -6,12 +6,13 @@ Semantic group files use the published pipe-delimited 4-column format
 (group-abbrev|group-name|TUI|type-name); overrides are JSONL records mapping
 a (source, native_type) pair to a group.
 
-Annotation files are read a chunk of lines at a time into
-:class:`~span_ensembles.model.SpanColumns`, with no Python object per
-record beyond the decoded JSON of one chunk: a chunk's raw lines become one
-JSON array, each field is read in one pass, names are coded through one
-table shared by every file, and the record checks run as array checks.
-Group mapping and disambiguation return row masks, so the columns are never
+Every JSONL file is read a chunk of lines at a time by :func:`_jsonl_values`,
+with no Python object per record beyond the decoded JSON of one chunk: a
+chunk's raw lines become one JSON array, and each field of the file's field
+table is read in one pass.  Annotation files become
+:class:`~span_ensembles.model.SpanColumns`, names coded through one table
+shared by every file, and their record checks run as array checks.  Group
+mapping and disambiguation return row masks, so the columns are never
 copied until the store gathers them, once, into its order.
 """
 
@@ -20,19 +21,18 @@ from __future__ import annotations
 import json
 import operator
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
 from . import seeds
-from .errors import ParseError, ValidationError
+from .errors import ConfigError, ParseError, ValidationError
 from .model import (
-    COLUMNS,
     CUI_PATTERN,
-    NAMED_COLUMNS,
     Annotation,
     DocumentRef,
     SemanticGroupMap,
@@ -53,10 +53,11 @@ CHUNK_LINES = 4096
 
 _INT64 = (-(2**63), 2**63 - 1)
 
-# The JSON types each field of an input record may hold; no value is
-# converted.  A field that may be null may also be absent.
+# The JSON types each field of an input record may hold, in the order that
+# picks which bad field names a malformed record; no value is converted.  A
+# field that may be null may also be absent.
 _NULL = type(None)
-_ANNOTATION_FIELDS = {
+_ANNOTATION_FIELDS = {  # model.COLUMNS, in order
     "doc_id": {str},
     "source": {str},
     "begin": {int},
@@ -68,6 +69,31 @@ _ANNOTATION_FIELDS = {
 }
 _MANIFEST_FIELDS = {"doc_id": {str}, "length": {int}, "corpus_id": {str, _NULL}}
 _OVERRIDE_FIELDS = {"source": {str}, "native_type": {str}, "group": {str}}
+
+# JSON's name of each type a decoded value may have.
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a float", bool: "a boolean",
+               _NULL: "null", list: "an array", dict: "an object"}
+
+
+@contextmanager
+def _reading(path: PathLike, malformed: list) -> Iterator[TextIO]:
+    """The text file at ``path``, open for reading; ConfigError if it cannot
+    be read.  At bytes that are not UTF-8 the read stops, and each line that
+    is not UTF-8 text is appended to ``malformed`` as (line number, message):
+    ``bytes.splitlines`` splits lines where a text read does."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            try:
+                yield handle
+            except UnicodeDecodeError:
+                handle.buffer.seek(0)
+                for lineno, line in enumerate(handle.buffer.read().splitlines(), start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError:
+                        malformed.append((lineno, f"{path}:{lineno}: not UTF-8 text"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
 def _decode_chunk(lines: list[str]) -> Optional[list]:
@@ -129,23 +155,15 @@ def _jsonl_chunks(path: PathLike, malformed: list) -> Iterator[tuple[Sequence[in
     is decoded line by line: a line that is not a JSON object is appended to
     ``malformed`` as (line number, message) and skipped.  Lines end at
     "\n", "\r\n" or "\r" (universal newlines), as in any text-mode read."""
-    with open(path, encoding="utf-8") as handle:
+    with _reading(path, malformed) as handle:
         first = 1
-        while True:
-            chunk = list(islice(handle, CHUNK_LINES))
-            if not chunk:
-                return
+        while chunk := list(islice(handle, CHUNK_LINES)):
             records = _decode_chunk(chunk)
             if records is None:
                 yield _decode_lines(path, first, chunk, malformed)
             else:
                 yield range(first, first + len(chunk)), records
             first += len(chunk)
-
-
-def _jsonl_records(path: PathLike, malformed: list) -> Iterator[tuple[int, dict]]:
-    for linenos, records in _jsonl_chunks(path, malformed):
-        yield from zip(linenos, records)
 
 
 def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
@@ -169,59 +187,13 @@ def _typed(value, types: set) -> bool:
     return type(value) in types and (type(value) is not int or _INT64[0] <= value <= _INT64[1])
 
 
-def _bad_field(record: dict, fields: Mapping[str, set]) -> Optional[str]:
-    """The first of ``fields``, in order, whose value is not one of its types
-    (an absent field reads as null), else None."""
-    return next((key for key, types in fields.items() if not _typed(record.get(key), types)), None)
-
-
-def _field_problem(record: dict, key: str, kind: str) -> str:
-    return f"missing field {key!r}" if key not in record else f"malformed {kind} record"
-
-
-def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
-    """Read document records (doc_id, length, corpus_id).  Malformed lines,
-    else invalid records (a duplicate doc_id, a negative length), are each
-    collected into one error, as in :func:`load_annotations`."""
-    docs: list[DocumentRef] = []
-    seen: dict[str, int] = {}
-    malformed: list[tuple[int, str]] = []
-    problems: list[str] = []
-    for lineno, record in _jsonl_records(path, malformed):
-        where = f"{path}:{lineno}"
-        key = _bad_field(record, _MANIFEST_FIELDS)
-        if key == "length" and key in record:
-            length = record[key]
-            malformed.append((lineno, f"{where}: " + (
-                "length beyond 64 bits" if type(length) is int
-                else "non-integer length" if isinstance(length, (int, float))
-                else "non-numeric length"
-            )))
-            continue
-        if key is not None:
-            malformed.append((lineno, f"{where}: {_field_problem(record, key, 'manifest')}"))
-            continue
-        try:
-            doc = DocumentRef(record["doc_id"], record["length"], record.get("corpus_id") or "")
-        except ValidationError as exc:
-            problems.append(f"{where}: {exc}")
-            continue
-        first = seen.setdefault(doc.doc_id, lineno)
-        if first == lineno:
-            docs.append(doc)
-        else:
-            problems.append(f"{where}: duplicate doc_id {doc.doc_id!r} (first at line {first})")
-    _raise_collected("manifest", sorted(malformed), problems)
-    return docs
-
-
-def _typed_column(column: list, types: set, names: bool) -> bool:
+def _typed_column(column: list, types: set) -> bool:
     """Whether every value of a column is one of ``types``, as :func:`_typed`
     judges, read from the set of the value types and the least and greatest
-    integer.  A name column's types are read from its distinct values: no
-    value of another type equals a string or None, whereas 1, 1.0 and True
-    are one value in a set."""
-    if names:
+    integer.  If ``types`` holds no number, the types are read from the
+    column's distinct values: no value of another type equals a string or
+    None, whereas 1, 1.0 and True are one value in a set."""
+    if int not in types:
         try:
             column = set(column)
         except TypeError:  # an array or an object
@@ -233,29 +205,68 @@ def _typed_column(column: list, types: set, names: bool) -> bool:
     return kinds <= types and _INT64[0] <= min(ints) and max(ints) <= _INT64[1]
 
 
-def _annotation_values(path: PathLike, linenos: Sequence[int], records: list[dict], malformed: list):
-    """(line numbers, values by column) of a chunk's well-formed records.
+def _field_problem(record: dict, fields: Mapping[str, set]) -> str:
+    """What is wrong with the first of ``fields``, in order, whose value is
+    not one of its types (an absent field reads as null)."""
+    key, types = next((key, types) for key, types in fields.items()
+                      if not _typed(record.get(key), types))
+    if key not in record:
+        return f"missing field {key!r}"
+    kind = type(record[key])
+    found = _JSON_TYPES[kind] + (" beyond 64 bits" if kind is int and int in types else "")
+    number = "a number" if float in types else "an integer"
+    expected = (name for t, name in ((str, "a string"), (int, number), (_NULL, "null")) if t in types)
+    return f"field {key!r} is {found}, expected {' or '.join(expected)}"
+
+
+def _jsonl_values(path: PathLike, fields: Mapping[str, set], malformed: list):
+    """Yield (line numbers, values by field) per chunk of a JSONL file's
+    well-formed records, given the file's field table.
 
     Each field's values are read in one pass and their types checked as a
     set; only a column that holds a value outside its field's types is
-    checked value by value.  A record with such a value is appended to
-    ``malformed``, named by its first bad field in column order, and left
-    out."""
-    values = {col: list(map(dict.get, records, repeat(col))) for col in COLUMNS}
-    odd: set[int] = set()
-    for col, column in values.items():
-        types = _ANNOTATION_FIELDS[col]
-        if not _typed_column(column, types, col in NAMED_COLUMNS):
-            odd.update(i for i, value in enumerate(column) if not _typed(value, types))
-    if not odd:
-        return linenos, values
-    for i in sorted(odd):
-        record, lineno = records[i], linenos[i]
-        problem = _field_problem(record, _bad_field(record, _ANNOTATION_FIELDS), "annotation")
-        malformed.append((lineno, f"{path}:{lineno}: {problem}"))
-    keep = [i for i in range(len(records)) if i not in odd]
-    linenos = [linenos[i] for i in keep]
-    return linenos, {col: [column[i] for i in keep] for col, column in values.items()}
+    checked value by value.  A record with such a value, like a line that is
+    not a JSON object, is appended to ``malformed`` as (line number,
+    message) and left out.  Once the file is read, its entries in
+    ``malformed`` are sorted by line."""
+    first = len(malformed)
+    for linenos, records in _jsonl_chunks(path, malformed):
+        values = {key: list(map(dict.get, records, repeat(key))) for key in fields}
+        odd: set[int] = set()
+        for key, column in values.items():
+            if not _typed_column(column, fields[key]):
+                odd.update(i for i, value in enumerate(column) if not _typed(value, fields[key]))
+        if odd:
+            malformed.extend(
+                (linenos[i], f"{path}:{linenos[i]}: {_field_problem(records[i], fields)}")
+                for i in sorted(odd)
+            )
+            keep = [i for i in range(len(records)) if i not in odd]
+            linenos = [linenos[i] for i in keep]
+            values = {key: [column[i] for i in keep] for key, column in values.items()}
+        yield linenos, values
+    malformed[first:] = sorted(malformed[first:])
+
+
+def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
+    """Read document records (doc_id, length, corpus_id).  Malformed lines,
+    else invalid records (a duplicate doc_id, a negative length), are each
+    collected into one error, as in :func:`load_annotations`."""
+    docs, seen, malformed, problems = [], {}, [], []  # seen: doc_id -> line
+    for linenos, values in _jsonl_values(path, _MANIFEST_FIELDS, malformed):
+        for lineno, doc_id, length, corpus_id in zip(linenos, *values.values()):
+            try:
+                doc = DocumentRef(doc_id, length, corpus_id or "")
+            except ValidationError as exc:
+                problems.append(f"{path}:{lineno}: {exc}")
+                continue
+            first = seen.setdefault(doc_id, lineno)
+            if first == lineno:
+                docs.append(doc)
+            else:
+                problems.append(f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})")
+    _raise_collected("manifest", malformed, problems)
+    return docs
 
 
 class _SpanChecks:
@@ -263,24 +274,26 @@ class _SpanChecks:
 
     A record's first failing check names its problem, in this order: its
     span, its CUI, its score, then its document, its bounds in that
-    document, and its source.
+    document, its source, and a group given with no native type that is
+    outside ``universe`` (any group if it is empty).
     """
 
-    def __init__(self, path: PathLike, documents: Mapping[str, DocumentRef],
-                 names: dict, expected_source: Optional[str]):
+    def __init__(self, path: PathLike, documents: Mapping[str, DocumentRef], names: dict,
+                 expected_source: Optional[str], universe: frozenset):
         self.path = path
         self.names = names
         self.n_docs = len(documents)
         self.lengths = np.array([d.length for d in documents.values()] + [0], dtype=np.int64)
         self.expected_source = expected_source
-        self.cui_ok = np.ones(1, dtype=bool)  # per CUI code, grown as names are added
+        self.accepts = {"cui": CUI_PATTERN.match, "group": lambda g: not universe or g in universe}
+        # per code of each column of ``accepts``, grown as names are added
+        self.ok = {col: np.ones(1, dtype=bool) for col in self.accepts}
 
     def failures(self, linenos: Sequence[int], values: dict, rows: dict):
         """Problem per failing row, in line order."""
-        cuis = list(self.names["cui"])
-        if len(cuis) > len(self.cui_ok):
-            fresh = [bool(CUI_PATTERN.match(c)) for c in cuis[len(self.cui_ok):]]
-            self.cui_ok = np.concatenate((self.cui_ok, fresh))
+        for col, accepts in self.accepts.items():
+            fresh = [bool(accepts(name)) for name in islice(self.names[col], len(self.ok[col]), None)]
+            self.ok[col] = np.concatenate((self.ok[col], np.array(fresh, dtype=bool)))
         begin, end, doc, score = rows["begin"], rows["end"], rows["doc_id"], rows["score"]
         unknown = doc >= self.n_docs
         expected = self.names["source"].get(self.expected_source, -1)
@@ -292,11 +305,12 @@ class _SpanChecks:
             )
         checks = [
             (begin < 0) | (end <= begin),
-            ~self.cui_ok[rows["cui"]],
+            ~self.ok["cui"][rows["cui"]],
             bad_score,
             unknown,
             end > self.lengths[np.where(unknown, self.n_docs, doc)],
             np.full(len(begin), self.expected_source is not None) & (rows["source"] != expected),
+            (rows["native_type"] == 0) & ~self.ok["group"][rows["group"]],
         ]
         failed = np.select(checks, list(range(1, len(checks) + 1)), 0)
         return [
@@ -318,51 +332,38 @@ class _SpanChecks:
         if check == 5:
             length = self.lengths[rows["doc_id"][i]]
             return f"span [{begin}, {end}) exceeds doc {doc_id!r} length {length}"
-        return f"source {source!r} != expected {self.expected_source!r}"
-
-
-def load_spans(
-    path: PathLike,
-    documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
-    expected_source: Optional[str] = None,
-) -> SpanColumns:
-    """Read an annotation file into columns, checking each record against its
-    document.
-
-    ``expected_source`` of None accepts any source; otherwise every record's
-    source must match.  Offending records are collected into one error: a
-    ParseError listing every malformed record (not a JSON object, a missing
-    field, a value of the wrong type, such as an offset that is not an
-    integer), else a ValidationError listing every invalid one.
-    """
-    return load_span_files([(expected_source, path)], documents)
+        if check == 6:
+            return f"source {source!r} != expected {self.expected_source!r}"
+        return f"group {values['group'][i]!r} not in the group universe"
 
 
 def load_span_files(
     files: Iterable[tuple[Optional[str], PathLike]],
     documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
+    universe: Iterable[str] = (),
 ) -> SpanColumns:
     """Read annotation files, given as (expected source, path) pairs, into one
-    set of columns, their rows in file order, as :func:`load_spans` reads
-    each.  All files code their names through one table, so no file's
-    columns are recoded.  The offending records of every file are collected
-    into one error, listed file by file in the given order.
+    set of columns, rows in file order, names coded through one table.
+
+    Each record is checked against its document; an expected source of None
+    accepts any source, and an empty ``universe`` any group.  Offending
+    records are collected, file by file in the given order, into one error:
+    a ParseError listing every malformed record (not a JSON object, a
+    missing field, a value of the wrong type), else a ValidationError
+    listing every invalid one.
     """
     if not isinstance(documents, Mapping):
         documents = {d.doc_id: d for d in documents}
     names = span_names()
     names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
-    parts, malformed, problems = [], [], []
+    parts, malformed, problems, universe = [], [], [], frozenset(universe)
     for expected_source, path in files:
-        checks = _SpanChecks(path, documents, names, expected_source)
-        first = len(malformed)
-        for linenos, records in _jsonl_chunks(path, malformed):
-            linenos, values = _annotation_values(path, linenos, records, malformed)
+        checks = _SpanChecks(path, documents, names, expected_source, universe)
+        for linenos, values in _jsonl_values(path, _ANNOTATION_FIELDS, malformed):
             rows = encode_values(values, names)
             problems.extend(checks.failures(linenos, values, rows))
             if not (problems or malformed):  # else the files are refused: keep no rows
                 parts.append(rows)
-        malformed[first:] = sorted(malformed[first:])
     _raise_collected("annotation", malformed, problems)
     return SpanColumns.build(parts, names)
 
@@ -373,8 +374,8 @@ def load_annotations(
     expected_source: Optional[str] = None,
 ) -> list[Annotation]:
     """Read annotation records and validate each against its document, as
-    :func:`load_spans` does; the records come back in file order."""
-    return load_spans(path, documents, expected_source).annotations()
+    :func:`load_span_files` does; the records come back in file order."""
+    return load_span_files([(expected_source, path)], documents).annotations()
 
 
 def _conflict(first: dict, key, group: str, lineno: int) -> Optional[str]:
@@ -392,43 +393,33 @@ def load_semantic_group_map(
     collected into one error, as in :func:`load_annotations`."""
     tuis: dict[str, tuple[str, int]] = {}  # TUI -> (group, line)
     universe: dict[str, None] = {}
-    malformed: list[tuple[int, str]] = []
-    problems: list[str] = []
-    with open(semgroups_path, encoding="utf-8") as handle:
+    malformed, problems = [], []
+    with _reading(semgroups_path, malformed) as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\r\n")
-            if not line:
-                continue
+            line, where = line.rstrip("\r\n"), f"{semgroups_path}:{lineno}"
             fields = line.split("|")
-            if len(fields) != 4:
-                malformed.append((
-                    lineno,
-                    f"{semgroups_path}:{lineno}: expected 4 pipe-delimited fields, "
-                    f"got {len(fields)}",
-                ))
-                continue
-            _, group_name, tui, _ = fields
-            universe.setdefault(group_name)
-            conflict = _conflict(tuis, tui, group_name, lineno)
-            if conflict:
-                problems.append(f"{semgroups_path}:{lineno}: type {conflict}")
+            if line and len(fields) != 4:
+                problem = f"expected 4 pipe-delimited fields, got {len(fields)}"
+                malformed.append((lineno, f"{where}: {problem}"))
+            elif line:
+                _, group_name, tui, _ = fields
+                universe.setdefault(group_name)
+                conflict = _conflict(tuis, tui, group_name, lineno)
+                if conflict:
+                    problems.append(f"{where}: type {conflict}")
     _raise_collected("semantic group", malformed, problems)
 
     pairs: dict[tuple[str, str], tuple[str, int]] = {}  # (source, native type) -> (group, line)
     if overrides_path is not None:
-        for lineno, record in _jsonl_records(overrides_path, malformed):
-            where = f"{overrides_path}:{lineno}"
-            key = _bad_field(record, _OVERRIDE_FIELDS)
-            if key is not None:
-                malformed.append((lineno, f"{where}: {_field_problem(record, key, 'override')}"))
-                continue
-            group = record["group"]
-            conflict = _conflict(pairs, (record["source"], record["native_type"]), group, lineno)
-            if group not in universe:
-                problems.append(f"{where}: override targets unknown group {group!r}")
-            elif conflict:
-                problems.append(f"{where}: override {conflict}")
-        _raise_collected("override", sorted(malformed), problems)
+        for linenos, values in _jsonl_values(overrides_path, _OVERRIDE_FIELDS, malformed):
+            for lineno, source, native, group in zip(linenos, *values.values()):
+                where = f"{overrides_path}:{lineno}"
+                conflict = _conflict(pairs, (source, native), group, lineno)
+                if group not in universe:
+                    problems.append(f"{where}: override targets unknown group {group!r}")
+                elif conflict:
+                    problems.append(f"{where}: override {conflict}")
+        _raise_collected("override", malformed, problems)
 
     return SemanticGroupMap(
         tui_to_group={tui: group for tui, (group, _) in tuis.items()},
@@ -505,10 +496,6 @@ class DisambiguationPolicy:
     seed: int = 0
 
 
-def _overlaps(a: Annotation, b: Annotation) -> bool:
-    return a.begin < b.end and b.begin < a.end
-
-
 def _overlap_clusters(spans: Sequence[Annotation]) -> list[list[int]]:
     """Connected components of the overlap graph, left to right; ``spans``
     must be sorted by begin."""
@@ -525,11 +512,11 @@ def _overlap_clusters(spans: Sequence[Annotation]) -> list[list[int]]:
 
 
 def _select_winner(candidates: list[Annotation], rng) -> Annotation:
-    longest = max(c.length for c in candidates)
-    pool = [c for c in candidates if c.length == longest]
-    if len(pool) > 1:
-        best_score = max((-1.0 if c.score is None else c.score) for c in pool)
-        pool = [c for c in pool if (-1.0 if c.score is None else c.score) == best_score]
+    def rank(c: Annotation) -> tuple[int, float]:  # longest, then highest score (None lowest)
+        return c.length, -1.0 if c.score is None else c.score
+
+    best = max(map(rank, candidates))
+    pool = [c for c in candidates if rank(c) == best]
     if len(pool) > 1:
         pool.sort(key=lambda c: (c.begin, c.end, c.cui or "", c.native_type or ""))
         return pool[rng.randrange(len(pool))]
@@ -571,9 +558,8 @@ def disambiguate_overlaps(
             removed: set[int] = set()
             for cluster in clusters:
                 winner = _select_winner([spans[i] for i in cluster], rng)
-                for i in cluster:
-                    if spans[i] is not winner and _overlaps(spans[i], winner):
-                        removed.add(i)
+                removed.update(i for i in cluster if spans[i] is not winner
+                               and spans[i].begin < winner.end and winner.begin < spans[i].end)
             spans = [s for i, s in enumerate(spans) if i not in removed]
         kept.extend(spans)
     kept.sort(key=lambda a: (a.group or "", a.begin, a.end))
@@ -620,28 +606,17 @@ def disambiguate_spans(
     return keep
 
 
-def _annotation_record(ann: Annotation) -> dict:
-    record = {"doc_id": ann.doc_id, "source": ann.source, "begin": ann.begin, "end": ann.end}
-    for key in ("group", "native_type", "cui", "score"):
-        value = getattr(ann, key)
-        if value is not None:
-            record[key] = value
-    return record
-
-
 def write_manifest(documents: Iterable[DocumentRef], path: PathLike) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for doc in documents:
-            handle.write(
-                json.dumps(
-                    {"doc_id": doc.doc_id, "length": doc.length, "corpus_id": doc.corpus_id},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {"doc_id": doc.doc_id, "length": doc.length, "corpus_id": doc.corpus_id}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def write_annotations(annotations: Iterable[Annotation], path: PathLike) -> None:
+    """One record per annotation, its fields that are not None."""
     with open(path, "w", encoding="utf-8") as handle:
         for ann in annotations:
-            handle.write(json.dumps(_annotation_record(ann), sort_keys=True) + "\n")
+            record = {key: value for key in _ANNOTATION_FIELDS
+                      if (value := getattr(ann, key)) is not None}
+            handle.write(json.dumps(record, sort_keys=True) + "\n")

@@ -30,6 +30,7 @@ from .expr import (
     ExprTree,
     Leaf,
     assert_union_only,
+    check_search_space,
     enumerate_ensembles,
     evaluate,
     pattern_columns,
@@ -240,6 +241,7 @@ def grid_search(
         raise ConfigError("duplicate sources in search config")
     max_size = config.max_size if config.max_size is not None else len(config.sources)
     pool = tuple(sorted(config.sources))
+    check_search_space(len(pool), config.min_size, max_size)
 
     counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
     expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)

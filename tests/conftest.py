@@ -226,15 +226,35 @@ FIELD_TYPES = {
 }
 
 
+# How a malformed-record message names each field's types, and the type of
+# a value found in a field.
+EXPECTED = {
+    "doc_id": "a string",
+    "source": "a string",
+    "begin": "an integer",
+    "end": "an integer",
+    "group": "a string or null",
+    "native_type": "a string or null",
+    "cui": "a string or null",
+    "score": "a number or null",
+}
+JSON_NAMES = {
+    str: "a string", int: "an integer", float: "a float", bool: "a boolean",
+    type(None): "null", list: "an array", dict: "an object",
+}
+
+
 def _field(record, key):
     """A record's value of ``key``: KeyError if a required field is absent,
-    TypeError if the value has none of the field's types or is an integer
-    beyond 64 bits (a bool is no integer)."""
+    TypeError, with the record's message, if the value has none of the
+    field's types or is an integer beyond 64 bits (a bool is no integer)."""
     if key not in record and type(None) not in FIELD_TYPES[key]:
         raise KeyError(key)
     value = record.get(key)
-    if type(value) not in FIELD_TYPES[key] or (type(value) is int and not -(2**63) <= value < 2**63):
-        raise TypeError(value)
+    if type(value) not in FIELD_TYPES[key]:
+        raise TypeError(f"field {key!r} is {JSON_NAMES[type(value)]}, expected {EXPECTED[key]}")
+    if type(value) is int and not -(2**63) <= value < 2**63:
+        raise TypeError(f"field {key!r} is an integer beyond 64 bits, expected {EXPECTED[key]}")
     return value
 
 
@@ -251,8 +271,8 @@ def scan_annotations(path, documents, expected_source=None):
         except KeyError as exc:
             malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
             continue
-        except TypeError:
-            malformed.append((lineno, f"{path}:{lineno}: malformed annotation record"))
+        except TypeError as exc:
+            malformed.append((lineno, f"{path}:{lineno}: {exc}"))
             continue
         except ValidationError as exc:
             problems.append(f"{path}:{lineno}: {exc}")

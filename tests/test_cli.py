@@ -325,7 +325,7 @@ def test_float_offsets_exit_parse_code(corpus, capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert f"{bad}:2: malformed annotation record" in captured.err
+    assert f"{bad}:2: field 'begin' is a float, expected an integer" in captured.err
 
 
 def test_bad_semgroups_lines_exit_parse_code(corpus, capsys, tmp_path):
@@ -560,7 +560,14 @@ def test_annotation_value_of_wrong_type_exits_parse_code(tmp_path, capsys, file,
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert f"{tmp_path / file}:1: malformed annotation record" in captured.err
+    problem = {
+        '"score":"0.5"': "field 'score' is a string, expected a number or null",
+        '"score":true': "field 'score' is a boolean, expected a number or null",
+        '"group":7': "field 'group' is an integer, expected a string or null",
+        '"score":18446744073709551616':
+            "field 'score' is an integer beyond 64 bits, expected a number or null",
+    }[value]
+    assert f"{tmp_path / file}:1: {problem}" in captured.err
 
 
 def test_null_manifest_corpus_id_labels_rows_corpus(tmp_path, capsys):
@@ -581,7 +588,7 @@ def test_null_override_native_type_exits_parse_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert f"{overrides}:1: malformed override record" in captured.err
+    assert f"{overrides}:1: field 'native_type' is null, expected a string" in captured.err
 
 
 # Every bad record of every annotation file is reported at once, files in
@@ -590,7 +597,7 @@ def test_null_override_native_type_exits_parse_code(tmp_path, capsys):
     "gold_line,a_line,code,listed",
     [
         ('{"doc_id":"d1","source":"gold","begin":"0","end":5}', "{oops", 3,
-         ["gold.jsonl:2: malformed annotation record", "a.jsonl:2: bad JSON"]),
+         ["gold.jsonl:2: field 'begin' is a string, expected an integer", "a.jsonl:2: bad JSON"]),
         ('{"doc_id":"d1","source":"gold","begin":0,"end":60}',
          '{"doc_id":"d1","source":"A","begin":0,"end":70}', 2,
          ["gold.jsonl:2: span [0, 60) exceeds", "a.jsonl:2: span [0, 70) exceeds"]),
@@ -635,3 +642,56 @@ def test_conflicting_group_mappings_fail(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{groups}:4: type 'T017' maps to 'Disorders', but to 'Anatomy' at line 1" in captured.err
+
+
+def test_group_outside_the_groups_file_is_listed(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path, ("t", "t", "t")), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    replace_line(tmp_path / "a.jsonl", 1, '{"doc_id":"d0","source":"A","begin":0,"end":5,"group":"Foo"}')
+    replace_line(tmp_path / "a.jsonl", 3, '{"doc_id":"d2","source":"A","begin":0,"end":5,"group":"Bar"}')
+    # a typed span is mapped, so its own group is not checked
+    replace_line(tmp_path / "a.jsonl", 2,
+                 '{"doc_id":"d1","source":"A","begin":0,"end":5,"group":"Baz","native_type":"T017"}')
+    code = main(["ner-eval", *args, "--semgroups", str(tmp_path / "groups.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 2 invalid annotation record(s):",
+        f"{tmp_path / 'a.jsonl'}:1: group 'Foo' not in the group universe",
+        f"{tmp_path / 'a.jsonl'}:3: group 'Bar' not in the group universe",
+    ]
+
+
+@pytest.mark.parametrize("flag", ["--manifest", "--gold", "--semgroups", "--overrides"])
+def test_input_that_cannot_be_read_exits_validation_code(tmp_path, capsys, flag):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    (tmp_path / "overrides.jsonl").write_text("")
+    args += ["--semgroups", str(tmp_path / "groups.txt"),
+             "--overrides", str(tmp_path / "overrides.jsonl"), flag, str(tmp_path)]
+    code = main(["ner-eval", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
+
+
+@pytest.mark.parametrize("file", ["a.jsonl", "manifest.jsonl", "groups.txt", "overrides.jsonl"])
+def test_input_that_is_not_utf8_exits_parse_code(tmp_path, capsys, file):
+    args = [*tiny_corpus(tmp_path, ("t", "t", "t")), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n" * 3)
+    (tmp_path / "overrides.jsonl").write_text(
+        '{"source":"A","native_type":"X","group":"Anatomy"}\n' * 3
+    )
+    path = tmp_path / file
+    lines = path.read_bytes().splitlines()
+    lines[1] = b"\xff" + lines[1]
+    lines[2] += b"\xc3\x28"  # a lead byte not followed by a continuation byte
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code = main(["ner-eval", *args, "--semgroups", str(tmp_path / "groups.txt"),
+                 "--overrides", str(tmp_path / "overrides.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines()[1:] == [f"{path}:2: not UTF-8 text", f"{path}:3: not UTF-8 text"]

@@ -34,7 +34,7 @@ from span_ensembles import (
     ingest,
     load_annotations,
 )
-from span_ensembles.ingest import disambiguate_spans, load_spans, map_groups
+from span_ensembles.ingest import disambiguate_spans, load_span_files, map_groups
 from span_ensembles.model import COLUMNS, SpanColumns, overlapping, packed_lexsort
 from conftest import scan_annotations, whole_run_disambiguation
 
@@ -200,7 +200,7 @@ def annotation_lists(draw):
 def test_store_from_columns_matches_store_from_records(tmp_path_factory, anns):
     path = tmp_path_factory.mktemp("store") / "all.jsonl"
     ingest.write_annotations(anns, path)
-    columns = load_spans(path, DOCS)
+    columns = load_span_files([(None, path)], DOCS)
     loaded = {col: getattr(columns, col).tobytes() for col in COLUMNS}
     from_columns = AnnotationStore(DOCS.values(), columns, group_universe=GROUPS)
     # the constructor sorts a copy; only AnnotationStore.adopt reorders in place

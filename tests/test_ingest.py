@@ -78,7 +78,8 @@ def test_manifest_reports_every_malformed_line(tmp_path):
     message = str(err.value)
     assert message.startswith("4 malformed manifest record(s)")
     for lineno, problem in ((2, "bad JSON"), (3, "missing field 'length'"),
-                            (4, "expected a JSON object"), (5, "non-numeric length")):
+                            (4, "expected a JSON object"),
+                            (5, "field 'length' is a string, expected an integer")):
         assert f"{path}:{lineno}: {problem}" in message
     assert err.value.position == 2
 
@@ -403,9 +404,12 @@ def test_offsets_and_lengths_must_be_integers(tmp_path):
         load_annotations(path, DOCS)
     message = str(err.value)
     assert message.startswith("4 malformed annotation record(s)")
-    for lineno in (1, 2, 3, 5):
-        assert f"{path}:{lineno}: malformed annotation record" in message
-    assert f"{path}:4:" not in message
+    assert message.splitlines()[1:] == [
+        f"{path}:1: field 'begin' is a float, expected an integer",
+        f"{path}:2: field 'begin' is a boolean, expected an integer",
+        f"{path}:3: field 'end' is a string, expected an integer",
+        f"{path}:5: field 'begin' is a float, expected an integer",
+    ]
 
     manifest = tmp_path / "manifest.jsonl"
     write_lines(
@@ -421,9 +425,9 @@ def test_offsets_and_lengths_must_be_integers(tmp_path):
         load_corpus_manifest(manifest)
     message = str(err.value)
     assert message.startswith("3 malformed manifest record(s)")
-    assert f"{manifest}:1: non-integer length" in message
-    assert f"{manifest}:2: non-integer length" in message
-    assert f"{manifest}:3: non-numeric length" in message
+    assert f"{manifest}:1: field 'length' is a float, expected an integer" in message
+    assert f"{manifest}:2: field 'length' is a boolean, expected an integer" in message
+    assert f"{manifest}:3: field 'length' is a string, expected an integer" in message
 
 
 def test_each_field_has_one_json_type(tmp_path):
@@ -445,12 +449,12 @@ def test_each_field_has_one_json_type(tmp_path):
     with pytest.raises(ParseError) as err:
         load_annotations(path, DOCS)
     assert str(err.value).splitlines()[1:] == [
-        f"{path}:2: malformed annotation record",
-        f"{path}:3: malformed annotation record",
-        f"{path}:4: malformed annotation record",
-        f"{path}:5: malformed annotation record",
+        f"{path}:2: field 'score' is a string, expected a number or null",
+        f"{path}:3: field 'score' is an integer beyond 64 bits, expected a number or null",
+        f"{path}:4: field 'cui' is an array, expected a string or null",
+        f"{path}:5: field 'doc_id' is an integer, expected a string",
         f"{path}:6: missing field 'doc_id'",
-        f"{path}:7: malformed annotation record",
+        f"{path}:7: field 'begin' is null, expected an integer",
     ]
     write_lines(path, [path.read_text().splitlines()[i] for i in (0, 7)])
     assert load_annotations(path, DOCS) == [
@@ -466,7 +470,7 @@ def test_bad_records_are_listed_across_files(tmp_path):
         load_span_files([("gold", gold), ("A", system)], DOCS)
     assert str(err.value).splitlines()[1:] == [
         f"{gold}:2: bad JSON (Expecting property name enclosed in double quotes)",
-        f"{system}:1: malformed annotation record",
+        f"{system}:1: field 'begin' is a string, expected an integer",
     ]
     assert err.value.position == 2
 
@@ -479,7 +483,8 @@ def test_manifest_and_override_fields_are_not_converted(tmp_path):
     with pytest.raises(ParseError) as err:
         load_corpus_manifest(manifest)
     assert str(err.value).splitlines()[1:] == [
-        f"{manifest}:3: malformed manifest record", f"{manifest}:4: malformed manifest record",
+        f"{manifest}:3: field 'doc_id' is an integer, expected a string",
+        f"{manifest}:4: field 'corpus_id' is an integer, expected a string or null",
     ]
     write_lines(manifest, manifest.read_text().splitlines()[:2])
     assert load_corpus_manifest(manifest) == [DocumentRef("d1", 5), DocumentRef("d2", 5)]
@@ -492,5 +497,74 @@ def test_manifest_and_override_fields_are_not_converted(tmp_path):
     with pytest.raises(ParseError) as err:
         load_semantic_group_map(groups, overrides)
     assert str(err.value).splitlines()[1:] == [
-        f"{overrides}:2: malformed override record", f"{overrides}:3: malformed override record",
+        f"{overrides}:2: field 'native_type' is an integer, expected a string",
+        f"{overrides}:3: field 'source' is null, expected a string",
     ]
+
+
+# A value of a type its field does not take, as JSON text, and that type as
+# a malformed-record message names it.
+WRONG_VALUES = {
+    '"5"': "a string",
+    "5": "an integer",
+    "5.5": "a float",
+    "true": "a boolean",
+    "null": "null",
+    "[5]": "an array",
+    '{"n": 5}': "an object",
+    str(2**64): "an integer beyond 64 bits",
+}
+
+
+@pytest.mark.parametrize(
+    "kind,field,expected,taken",
+    [
+        ("manifest", "length", "an integer", ["5"]),
+        ("annotation", "score", "a number or null", ["5", "5.5", "null"]),
+        ("annotation", "cui", "a string or null", ['"5"', "null"]),
+        ("override", "group", "a string", ['"5"']),
+    ],
+)
+def test_malformed_record_names_its_field_and_types(tmp_path, kind, field, expected, taken):
+    """Each bad value is named by its JSON type; an integer beyond 64 bits is
+    named so only where the field takes integers."""
+    records = {
+        "manifest": '{{"doc_id":"d{i}","length":{v}}}',
+        "annotation": '{{"doc_id":"d1","source":"A","begin":{i},"end":{j},"' + field + '":{v}}}',
+        "override": '{{"source":"A","native_type":"T{i}","group":{v}}}',
+    }[kind]
+    wrong = [(text, found) for text, found in WRONG_VALUES.items() if text not in taken]
+    path = tmp_path / f"{kind}.jsonl"
+    write_lines(path, [records.format(i=i, j=i + 1, v=text) for i, (text, _) in enumerate(wrong)])
+    if kind == "manifest":
+        load = lambda: load_corpus_manifest(path)
+    elif kind == "annotation":
+        load = lambda: load_annotations(path, DOCS)
+    else:
+        write_lines(tmp_path / "groups.txt", SEMGROUPS)
+        load = lambda: load_semantic_group_map(tmp_path / "groups.txt", path)
+    with pytest.raises(ParseError) as err:
+        load()
+    integers = "integer" in expected or "number" in expected
+    assert str(err.value).splitlines()[1:] == [
+        f"{path}:{i + 1}: field {field!r} is "
+        f"{found if integers else found.replace(' beyond 64 bits', '')}, expected {expected}"
+        for i, (_, found) in enumerate(wrong)
+    ]
+
+
+def test_input_that_is_not_utf8_lists_each_such_line(tmp_path):
+    manifest, groups = tmp_path / "manifest.jsonl", tmp_path / "groups.txt"
+    manifest.write_bytes(b'{"doc_id":"d1","length":5}\r\n{"doc_id":"d\xff","length":5}\r'
+                         b'{"doc_id":"d3","length":5}\n{"doc_id":"\xc3","length":5}\n')
+    with pytest.raises(ParseError) as err:
+        load_corpus_manifest(manifest)
+    assert str(err.value).splitlines() == [
+        "2 malformed manifest record(s):",
+        f"{manifest}:2: not UTF-8 text",
+        f"{manifest}:4: not UTF-8 text",
+    ]
+    assert err.value.position == 2
+    groups.write_bytes(SEMGROUPS[0].encode() + b"\n" + b"DISO|Disorders|T047|Sick\xff\n")
+    with pytest.raises(ParseError, match=f"^1 malformed semantic group record\\(s\\):\n{groups}:2: not UTF-8 text$"):
+        load_semantic_group_map(groups)

@@ -27,6 +27,7 @@ from span_ensembles import (
     seeds,
     to_cui_mask,
 )
+from span_ensembles import expr, search
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
 from span_ensembles.search import SAMPLED
@@ -189,6 +190,39 @@ def test_input_order_does_not_change_results():
         assert emit_table([PanelBlock("c", group, base)], ENSEMBLE_PANELS, CSV_FORMAT) == (
             emit_table([PanelBlock("c", group, flipped)], ENSEMBLE_PANELS, CSV_FORMAT)
         )
+
+
+def test_search_space_beyond_the_limit_is_refused_before_any_work(monkeypatch):
+    sources = tuple("ABCDEFGH")
+    store = AnnotationStore(
+        [DocumentRef("d1", 10)],
+        [Annotation("d1", s, 0, 5) for s in (GOLD_SOURCE, *sources)],
+    )
+
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "enumerate_ensembles", no_work)
+    monkeypatch.setattr(search, "_count_table", no_work)
+    with pytest.raises(ConfigError, match=r"2,132,088 ensembles over 8 sources.*--max-size"):
+        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources))
+    with pytest.raises(ConfigError, match=r"1,320,064 ensembles"):
+        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources, min_size=8, mode=SAMPLED,
+                                                      sample_budget=1))
+
+
+def test_search_space_count_is_exact():
+    expr.check_search_space(7, 1, 7)  # every full search up to 7 sources runs
+    for k in range(1, 6):
+        for low in range(1, k + 1):
+            for high in range(low, k + 1):
+                count = len(expr.enumerate_ensembles("ABCDE"[:k], low, high))
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count)
+                    expr.check_search_space(k, low, high)
+                    patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count - 1)
+                    with pytest.raises(ConfigError, match=f"holds {count:,} ensembles"):
+                        expr.check_search_space(k, low, high)
 
 
 def test_grid_search_unknown_source():
