@@ -164,6 +164,11 @@ def _resolve_run_config(args: argparse.Namespace) -> RunConfig:
 
     semgroups = path_of("semgroups", args.semgroups)
     overrides = path_of("overrides", args.overrides)
+    if overrides and not semgroups:
+        raise ConfigError(
+            "--overrides (config key 'overrides') maps types to groups of a groups file; "
+            "give one with --semgroups (config key 'semgroups')"
+        )
     required = [("manifest", manifest), ("gold", gold)] + sorted(systems.items())
     required += [(k, p) for k, p in (("semgroups", semgroups), ("overrides", overrides)) if p]
     for label, path in required:

@@ -6,10 +6,13 @@ Semantic group files use the published pipe-delimited 4-column format
 (group-abbrev|group-name|TUI|type-name); overrides are JSONL records mapping
 a (source, native_type) pair to a group.
 
-Every JSONL file is read a chunk of lines at a time by :func:`_jsonl_values`,
-with no Python object per record beyond the decoded JSON of one chunk: a
-chunk's raw lines become one JSON array, and each field of the file's field
-table is read in one pass.  Annotation files become
+Every JSONL file is read a chunk of ``CHUNK_LINES`` lines at a time by
+:func:`_jsonl_values`, with no Python object per record beyond the decoded
+JSON of one chunk: each line is decoded by ``orjson.loads``, and each field
+of the file's field table is read in one pass.  A chunk that orjson cannot
+take line by line as objects goes to ``json``, one line at a time, and a
+file in which any record is malformed or invalid is read again that way, so
+that every reported problem is the one ``json`` finds.  Annotation files become
 :class:`~span_ensembles.model.SpanColumns`, names coded through one table
 shared by every file, and their record checks run as array checks.  Group
 mapping and disambiguation return row masks, so the columns are never
@@ -28,6 +31,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
+import orjson
 
 from . import seeds
 from .errors import ConfigError, ParseError, ValidationError
@@ -47,9 +51,10 @@ from .model import (
 
 PathLike = Union[str, Path]
 
-# Lines decoded per json.loads call: big enough to amortize the call, small
-# enough that one chunk's decoded objects stay a few MB.
-CHUNK_LINES = 4096
+# Lines per chunk: enough to amortize the per-chunk column reads and checks
+# (1024 lines are 1-2% faster), few enough that a chunk's decoded objects,
+# each dict pre-sized by orjson, add no peak memory over a json-decoded read.
+CHUNK_LINES = 512
 
 _INT64 = (-(2**63), 2**63 - 1)
 
@@ -96,39 +101,9 @@ def _reading(path: PathLike, malformed: list) -> Iterator[TextIO]:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _decode_chunk(lines: list[str]) -> Optional[list]:
-    """The JSON objects of ``lines`` (as read, line ends included), decoded
-    by one ``json.loads`` over the lines joined into an array, or None unless
-    each line is exactly one object.
-
-    The lines are joined by commas, each keeping its line end as JSON
-    whitespace.  Strict JSON has no raw newline inside a string, so no
-    string spans two lines.  If every line starts with "{" and ends with "}"
-    and the chunk holds no other "}", a decode that succeeds found one
-    unquoted "{" per "}", so each line opens one object and its "}" closes
-    it: the decode is line-aligned.  A blank line, or one with space around
-    its object, fails the check.
-    """
-    n = len(lines)
-    text = "[" + ",".join(lines) + "]"
-    aligned = (
-        text.count("}") == n
-        and text.count("}\n,{") == n - 1
-        and text.startswith("[{")
-        and text.endswith(("}]", "}\n]"))
-    )
-    if not aligned:
-        return None
-    try:
-        records = json.loads(text)
-    except json.JSONDecodeError:
-        return None
-    return records if len(records) == n else None
-
-
 def _decode_lines(path: PathLike, first: int, chunk: list[str], malformed: list):
-    """Per-line decode: (line numbers, objects) of the lines that are JSON
-    objects, blank lines skipped; every other line is appended to
+    """Per-line decode by ``json``: (line numbers, objects) of the lines that
+    are JSON objects, blank lines skipped; every other line is appended to
     ``malformed``."""
     kept_linenos, records = [], []
     for lineno, line in enumerate(chunk, start=first):
@@ -149,21 +124,15 @@ def _decode_lines(path: PathLike, first: int, chunk: list[str], malformed: list)
     return kept_linenos, records
 
 
-def _jsonl_chunks(path: PathLike, malformed: list) -> Iterator[tuple[Sequence[int], list[dict]]]:
-    """Yield (line numbers, objects) per chunk of up to ``CHUNK_LINES`` lines,
-    blank lines skipped.  A chunk that does not decode at once, line-aligned,
-    is decoded line by line: a line that is not a JSON object is appended to
-    ``malformed`` as (line number, message) and skipped.  Lines end at
-    "\n", "\r\n" or "\r" (universal newlines), as in any text-mode read."""
-    with _reading(path, malformed) as handle:
-        first = 1
-        while chunk := list(islice(handle, CHUNK_LINES)):
-            records = _decode_chunk(chunk)
-            if records is None:
-                yield _decode_lines(path, first, chunk, malformed)
-            else:
-                yield range(first, first + len(chunk)), records
-            first += len(chunk)
+def _orjson_records(chunk: list[str]) -> Optional[list[dict]]:
+    """The objects of a chunk's lines, one per line, each decoded by
+    ``orjson.loads``; None if orjson refuses a line or a line is not an
+    object."""
+    try:
+        records = list(map(orjson.loads, chunk))
+    except orjson.JSONDecodeError:
+        return None
+    return records if set(map(type, records)) == {dict} else None
 
 
 def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
@@ -187,22 +156,31 @@ def _typed(value, types: set) -> bool:
     return type(value) in types and (type(value) is not int or _INT64[0] <= value <= _INT64[1])
 
 
-def _typed_column(column: list, types: set) -> bool:
-    """Whether every value of a column is one of ``types``, as :func:`_typed`
-    judges, read from the set of the value types and the least and greatest
-    integer.  If ``types`` holds no number, the types are read from the
-    column's distinct values: no value of another type equals a string or
-    None, whereas 1, 1.0 and True are one value in a set."""
+def _read_column(column: list, types: set):
+    """A column read once: None unless every value is one of ``types``, as
+    :func:`_typed` judges; else its distinct values in order of first
+    appearance if ``types`` holds no number, its int64 array if ``types`` is
+    {int}, or else the column.  The types of names are judged from their
+    distinct values: no value of another type equals a string or None,
+    whereas 1, 1.0 and True are one key of a dict.  Integers are
+    range-checked by their int64 conversion."""
     if int not in types:
         try:
-            column = set(column)
+            distinct = dict.fromkeys(column)
         except TypeError:  # an array or an object
-            return False
+            return None
+        return distinct if set(map(type, distinct)) <= types else None
     kinds = set(map(type, column))
-    if int not in kinds:
-        return kinds <= types
-    ints = column if kinds == {int} else [v for v in column if type(v) is int]
-    return kinds <= types and _INT64[0] <= min(ints) and max(ints) <= _INT64[1]
+    if not kinds <= types:
+        return None
+    if types == {int}:
+        try:
+            return np.array(column, dtype=np.int64)
+        except OverflowError:
+            return None
+    if int in kinds and not all(_typed(v, types) for v in column if type(v) is int):
+        return None
+    return column
 
 
 def _field_problem(record: dict, fields: Mapping[str, set]) -> str:
@@ -219,52 +197,88 @@ def _field_problem(record: dict, fields: Mapping[str, set]) -> str:
     return f"field {key!r} is {found}, expected {' or '.join(expected)}"
 
 
-def _jsonl_values(path: PathLike, fields: Mapping[str, set], malformed: list):
-    """Yield (line numbers, values by field) per chunk of a JSONL file's
-    well-formed records, given the file's field table.
+def _chunk_values(path: PathLike, linenos: Sequence[int], records: list[dict],
+                  fields: Mapping[str, set], malformed: list):
+    """(line numbers, values by field, columns read by :func:`_read_column`
+    by field) of a chunk's well-formed records.  Only a column that holds a
+    value outside its field's types is checked value by value; a record with
+    such a value is appended to ``malformed`` as (line number, message) and
+    left out."""
+    values = {key: list(map(dict.get, records, repeat(key))) for key in fields}
+    read = {key: _read_column(column, fields[key]) for key, column in values.items()}
+    odd = sorted({i for key, types in fields.items() if read[key] is None
+                  for i, value in enumerate(values[key]) if not _typed(value, types)})
+    if odd:
+        malformed.extend(
+            (linenos[i], f"{path}:{linenos[i]}: {_field_problem(records[i], fields)}") for i in odd
+        )
+        keep = sorted(set(range(len(records))).difference(odd))
+        linenos = [linenos[i] for i in keep]
+        values = {key: [column[i] for i in keep] for key, column in values.items()}
+        read = {key: _read_column(column, fields[key]) for key, column in values.items()}
+    return linenos, values, read
 
-    Each field's values are read in one pass and their types checked as a
-    set; only a column that holds a value outside its field's types is
-    checked value by value.  A record with such a value, like a line that is
-    not a JSON object, is appended to ``malformed`` as (line number,
-    message) and left out.  Once the file is read, its entries in
-    ``malformed`` are sorted by line."""
-    first = len(malformed)
-    for linenos, records in _jsonl_chunks(path, malformed):
-        values = {key: list(map(dict.get, records, repeat(key))) for key in fields}
-        odd: set[int] = set()
-        for key, column in values.items():
-            if not _typed_column(column, fields[key]):
-                odd.update(i for i, value in enumerate(column) if not _typed(value, fields[key]))
-        if odd:
-            malformed.extend(
-                (linenos[i], f"{path}:{linenos[i]}: {_field_problem(records[i], fields)}")
-                for i in sorted(odd)
-            )
-            keep = [i for i in range(len(records)) if i not in odd]
-            linenos = [linenos[i] for i in keep]
-            values = {key: [column[i] for i in keep] for key, column in values.items()}
-        yield linenos, values
-    malformed[first:] = sorted(malformed[first:])
+
+def _jsonl_values(path: PathLike, fields: Mapping[str, set], malformed: list, per_line: bool):
+    """Yield (line numbers, values by field, columns read by field) per chunk
+    of up to ``CHUNK_LINES`` lines of a JSONL file's well-formed records,
+    given the file's field table; blank lines are skipped.
+
+    Each line of a chunk is decoded by ``orjson.loads``.  A chunk in which
+    orjson refuses a line (a blank or bad one, or JSON that orjson does not
+    take: NaN, Infinity, a number beyond a float, a lone surrogate), or in
+    which a line is not a JSON object, is decoded line by line by ``json``
+    instead, as is every chunk if ``per_line``.  A line that is not a JSON
+    object, like a record with a field outside its types, is appended to
+    ``malformed`` as (line number, message) and left out.
+
+    orjson reads an integer outside [-2**63, 2**64) as a float, so a problem
+    found in its objects may not be the one ``json`` finds.  Each loader
+    therefore reads a file with ``per_line`` false first and, if that read
+    finds any malformed or invalid record, reads it again with ``per_line``
+    true and reports only that read's problems: every reported problem comes
+    from ``json``, and a clean file is decoded by orjson alone.  Lines end at
+    "\n", "\r\n" or "\r" (universal newlines), as in any text-mode read.
+    A chunk's lines and objects are dropped once its columns are read.  Once
+    the file is read, its entries in ``malformed`` are sorted by line."""
+    first_entry = len(malformed)
+    with _reading(path, malformed) as handle:
+        first = 1
+        while chunk := list(islice(handle, CHUNK_LINES)):
+            records = None if per_line else _orjson_records(chunk)
+            if records is None:
+                linenos, records = _decode_lines(path, first, chunk, malformed)
+            else:
+                linenos = range(first, first + len(chunk))
+            first += len(chunk)
+            got = _chunk_values(path, linenos, records, fields, malformed)
+            del chunk, records
+            yield got
+    malformed[first_entry:] = sorted(malformed[first_entry:])
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
     """Read document records (doc_id, length, corpus_id).  Malformed lines,
     else invalid records (a duplicate doc_id, a negative length), are each
     collected into one error, as in :func:`load_annotations`."""
-    docs, seen, malformed, problems = [], {}, [], []  # seen: doc_id -> line
-    for linenos, values in _jsonl_values(path, _MANIFEST_FIELDS, malformed):
-        for lineno, doc_id, length, corpus_id in zip(linenos, *values.values()):
-            try:
-                doc = DocumentRef(doc_id, length, corpus_id or "")
-            except ValidationError as exc:
-                problems.append(f"{path}:{lineno}: {exc}")
-                continue
-            first = seen.setdefault(doc_id, lineno)
-            if first == lineno:
-                docs.append(doc)
-            else:
-                problems.append(f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})")
+    for per_line in (False, True):
+        docs, seen, malformed, problems = [], {}, [], []  # seen: doc_id -> line
+        for linenos, values, _ in _jsonl_values(path, _MANIFEST_FIELDS, malformed, per_line):
+            for lineno, doc_id, length, corpus_id in zip(linenos, *values.values()):
+                try:
+                    doc = DocumentRef(doc_id, length, corpus_id or "")
+                except ValidationError as exc:
+                    problems.append(f"{path}:{lineno}: {exc}")
+                    continue
+                first = seen.setdefault(doc_id, lineno)
+                if first == lineno:
+                    docs.append(doc)
+                else:
+                    problems.append(
+                        f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})"
+                    )
+        if not (malformed or problems):
+            break
     _raise_collected("manifest", malformed, problems)
     return docs
 
@@ -358,12 +372,18 @@ def load_span_files(
     names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
     parts, malformed, problems, universe = [], [], [], frozenset(universe)
     for expected_source, path in files:
-        checks = _SpanChecks(path, documents, names, expected_source, universe)
-        for linenos, values in _jsonl_values(path, _ANNOTATION_FIELDS, malformed):
-            rows = encode_values(values, names)
-            problems.extend(checks.failures(linenos, values, rows))
-            if not (problems or malformed):  # else the files are refused: keep no rows
-                parts.append(rows)
+        n_parts, n_malformed, n_problems = len(parts), len(malformed), len(problems)
+        for per_line in (False, True):
+            del parts[n_parts:], malformed[n_malformed:], problems[n_problems:]
+            checks = _SpanChecks(path, documents, names, expected_source, universe)
+            chunks = _jsonl_values(path, _ANNOTATION_FIELDS, malformed, per_line)
+            for linenos, values, read in chunks:
+                rows = encode_values(values, names, read)
+                problems.extend(checks.failures(linenos, values, rows))
+                if not (problems or malformed):  # else the files are refused: keep no rows
+                    parts.append(rows)
+            if len(malformed) == n_malformed and len(problems) == n_problems:
+                break
     _raise_collected("annotation", malformed, problems)
     return SpanColumns.build(parts, names)
 
@@ -411,14 +431,19 @@ def load_semantic_group_map(
 
     pairs: dict[tuple[str, str], tuple[str, int]] = {}  # (source, native type) -> (group, line)
     if overrides_path is not None:
-        for linenos, values in _jsonl_values(overrides_path, _OVERRIDE_FIELDS, malformed):
-            for lineno, source, native, group in zip(linenos, *values.values()):
-                where = f"{overrides_path}:{lineno}"
-                conflict = _conflict(pairs, (source, native), group, lineno)
-                if group not in universe:
-                    problems.append(f"{where}: override targets unknown group {group!r}")
-                elif conflict:
-                    problems.append(f"{where}: override {conflict}")
+        for per_line in (False, True):
+            pairs, malformed, problems = {}, [], []
+            chunks = _jsonl_values(overrides_path, _OVERRIDE_FIELDS, malformed, per_line)
+            for linenos, values, _ in chunks:
+                for lineno, source, native, group in zip(linenos, *values.values()):
+                    where = f"{overrides_path}:{lineno}"
+                    conflict = _conflict(pairs, (source, native), group, lineno)
+                    if group not in universe:
+                        problems.append(f"{where}: override targets unknown group {group!r}")
+                    elif conflict:
+                        problems.append(f"{where}: override {conflict}")
+            if not (malformed or problems):
+                break
         _raise_collected("override", malformed, problems)
 
     return SemanticGroupMap(

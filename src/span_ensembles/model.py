@@ -134,16 +134,19 @@ def span_names() -> dict[str, dict]:
     return {col: ({} if col in ("doc_id", "source") else {None: 0}) for col in NAMED_COLUMNS}
 
 
-def encode_values(values: Mapping[str, list], names: Mapping[str, dict]) -> dict[str, np.ndarray]:
+def encode_values(values: Mapping[str, list], names: Mapping[str, dict],
+                  read: Optional[Mapping] = None) -> dict[str, np.ndarray]:
     """Column arrays of plain per-row values (names, ints, floats or None),
     each name coded through ``names``, which grows by the names it lacks in
-    order of first appearance."""
+    order of first appearance.  ``read`` may give what a reader already made
+    of the columns: each name column's distinct names in order of first
+    appearance (``dict.fromkeys``) and each integer column's int64 array."""
     arrays = {}
     for col in COLUMNS:
         column = values[col]
         if col in NAMED_COLUMNS:
             index = names[col]
-            fresh = dict.fromkeys(column)
+            fresh = dict.fromkeys(column) if read is None else read[col]
             for name in fresh:
                 index.setdefault(name, len(index))
             if len(fresh) == 1:
@@ -152,6 +155,8 @@ def encode_values(values: Mapping[str, list], names: Mapping[str, dict]) -> dict
                 arrays[col] = np.fromiter(map(index.__getitem__, column), np.int32, len(column))
         elif col == "score":
             arrays[col] = np.array(column, dtype=np.float64)  # None -> NaN
+        elif read is not None:
+            arrays[col] = read[col]
         else:
             try:
                 arrays[col] = np.array(column, dtype=np.int64)

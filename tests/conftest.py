@@ -13,6 +13,7 @@ from span_ensembles import (
     And,
     Annotation,
     CharMask,
+    DocumentRef,
     Leaf,
     MetricsResult,
     Or,
@@ -244,18 +245,66 @@ JSON_NAMES = {
 }
 
 
-def _field(record, key):
+# The types of a manifest record's fields, and how a message names them.
+MANIFEST_TYPES = {"doc_id": {str}, "length": {int}, "corpus_id": {str, type(None)}}
+MANIFEST_EXPECTED = {"doc_id": "a string", "length": "an integer", "corpus_id": "a string or null"}
+
+
+def _field(record, key, types=FIELD_TYPES, expected=EXPECTED):
     """A record's value of ``key``: KeyError if a required field is absent,
     TypeError, with the record's message, if the value has none of the
     field's types or is an integer beyond 64 bits (a bool is no integer)."""
-    if key not in record and type(None) not in FIELD_TYPES[key]:
+    if key not in record and type(None) not in types[key]:
         raise KeyError(key)
     value = record.get(key)
-    if type(value) not in FIELD_TYPES[key]:
-        raise TypeError(f"field {key!r} is {JSON_NAMES[type(value)]}, expected {EXPECTED[key]}")
+    if type(value) not in types[key]:
+        raise TypeError(f"field {key!r} is {JSON_NAMES[type(value)]}, expected {expected[key]}")
     if type(value) is int and not -(2**63) <= value < 2**63:
-        raise TypeError(f"field {key!r} is an integer beyond 64 bits, expected {EXPECTED[key]}")
+        raise TypeError(f"field {key!r} is an integer beyond 64 bits, expected {expected[key]}")
     return value
+
+
+def _raise_collected(kind, malformed, problems):
+    """One ParseError listing every malformed record, else one
+    ValidationError listing every invalid one."""
+    if malformed:
+        raise ParseError(
+            f"{len(malformed)} malformed {kind} record(s):\n"
+            + "\n".join(message for _, message in malformed),
+            malformed[0][0],
+        )
+    if problems:
+        raise ValidationError(
+            f"{len(problems)} invalid {kind} record(s):\n" + "\n".join(problems)
+        )
+
+
+def scan_manifest(path):
+    """Reference manifest loader: the per-line scan, one ``DocumentRef`` per
+    record, offending records collected as in :func:`scan_annotations`."""
+    docs, seen, malformed, problems = [], {}, [], []
+    for lineno, record in scan_jsonl(path, malformed):
+        try:
+            doc_id, length, corpus_id = (
+                _field(record, key, MANIFEST_TYPES, MANIFEST_EXPECTED) for key in MANIFEST_TYPES
+            )
+            doc = DocumentRef(doc_id, length, corpus_id or "")
+        except KeyError as exc:
+            malformed.append((lineno, f"{path}:{lineno}: missing field {exc.args[0]!r}"))
+            continue
+        except TypeError as exc:
+            malformed.append((lineno, f"{path}:{lineno}: {exc}"))
+            continue
+        except ValidationError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+            continue
+        first = seen.setdefault(doc_id, lineno)
+        if first == lineno:
+            docs.append(doc)
+        else:
+            problems.append(f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})")
+    _raise_collected("manifest", malformed, problems)
+    return docs
 
 
 def scan_annotations(path, documents, expected_source=None):
@@ -291,16 +340,7 @@ def scan_annotations(path, documents, expected_source=None):
             )
         else:
             annotations.append(ann)
-    if malformed:
-        raise ParseError(
-            f"{len(malformed)} malformed annotation record(s):\n"
-            + "\n".join(message for _, message in malformed),
-            malformed[0][0],
-        )
-    if problems:
-        raise ValidationError(
-            f"{len(problems)} invalid annotation record(s):\n" + "\n".join(problems)
-        )
+    _raise_collected("annotation", malformed, problems)
     return annotations
 
 

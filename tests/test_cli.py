@@ -407,6 +407,30 @@ def test_system_named_like_gold_fails(tmp_path, capsys, where):
     assert "system 'gold' has the gold source's name" in captured.err
 
 
+# An overrides file maps types to the groups of a groups file, so without one
+# it is refused before any input file is read: neither its bad line nor the
+# bad gold line is reached.
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_overrides_without_groups_file_are_refused(tmp_path, capsys, where):
+    files = tiny_corpus(tmp_path)
+    (tmp_path / "ov.jsonl").write_text("{oops\n")
+    (tmp_path / "gold.jsonl").write_text("{oops\n")
+    if where == "flag":
+        args = [*files, "--system", f"A={tmp_path / 'a.jsonl'}",
+                "--overrides", str(tmp_path / "ov.jsonl")]
+    else:
+        config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl",
+                  "systems": {"A": "a.jsonl"}, "overrides": "ov.jsonl"}
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        args = ["--config", str(tmp_path / "config.json")]
+    code = main(["ner-eval", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert ("--overrides (config key 'overrides') maps types to groups of a groups file; "
+            "give one with --semgroups (config key 'semgroups')") in captured.err
+
+
 @pytest.mark.parametrize("task", ["vote", "ner-eval", "complementarity", "search"])
 @pytest.mark.parametrize("selection", [",", " , ", ""])
 def test_empty_system_selection_fails(corpus, capsys, task, selection):

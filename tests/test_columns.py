@@ -19,6 +19,7 @@ from collections import Counter
 from dataclasses import replace
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -34,9 +35,15 @@ from span_ensembles import (
     ingest,
     load_annotations,
 )
-from span_ensembles.ingest import disambiguate_spans, load_span_files, map_groups
+from span_ensembles.cli import main
+from span_ensembles.ingest import (
+    disambiguate_spans,
+    load_corpus_manifest,
+    load_span_files,
+    map_groups,
+)
 from span_ensembles.model import COLUMNS, SpanColumns, overlapping, packed_lexsort
-from conftest import scan_annotations, whole_run_disambiguation
+from conftest import scan_annotations, scan_manifest, whole_run_disambiguation
 
 DOCS = {d.doc_id: d for d in (DocumentRef("d1", 40), DocumentRef("d2", 25), DocumentRef("d[3]", 10))}
 GROUPS = ("G1", "G2", "G{3}")
@@ -65,7 +72,7 @@ def records(draw, malformed=True):
             record[key] = draw(st.sampled_from(values))
     faults = [
         "missing", "float", "bool", "string", "numeric-id", "big", "string-score", "bool-score",
-        "numeric-group", "list-cui", "null-begin", "big-score", "two",
+        "numeric-group", "list-cui", "null-begin", "big-score", "two", "big-negative", "1e400",
     ] if malformed else []
     fault = draw(st.sampled_from(["none"] * 13 + faults))
     if fault == "missing":
@@ -92,10 +99,20 @@ def records(draw, malformed=True):
         record["begin"] = None
     elif fault == "big-score":
         record["score"] = 2**64
+    elif fault == "big-negative":
+        record[draw(st.sampled_from(["begin", "end", "score"]))] = -(2**63) - 1
+    elif fault == "1e400":  # written as 1e400 by dump()
+        record[draw(st.sampled_from(["begin", "end", "score"]))] = float("inf")
     elif fault == "two":  # the first bad field in column order names the problem
         record["doc_id"] = 7
         del record["source"]
     return record
+
+
+def dump(record) -> str:
+    """A record's JSON text, an infinite number written as 1e400 (which
+    json reads as infinity) rather than Infinity."""
+    return json.dumps(record).replace("Infinity", "1e400")
 
 
 @st.composite
@@ -113,7 +130,7 @@ def jsonl_files(draw):
         kind = draw(st.sampled_from(kinds))
         if kind == "record":
             trailing = draw(st.sampled_from(["", "", "", "", " ", " \t "]))
-            lines.append(json.dumps(draw(records(malformed=broken))) + trailing)
+            lines.append(dump(draw(records(malformed=broken))) + trailing)
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
         elif kind == "bad":
@@ -122,9 +139,9 @@ def jsonl_files(draw):
             lines.append(draw(st.sampled_from(["[1, 2]", "5", '"text"', "null"])))
         elif kind == "two":
             sep = draw(st.sampled_from([",", " ", ", "]))
-            lines.append(json.dumps(draw(records())) + sep + json.dumps(draw(records())))
+            lines.append(dump(draw(records())) + sep + dump(draw(records())))
         else:
-            text = json.dumps(draw(records()))
+            text = dump(draw(records()))
             cut = draw(st.integers(1, len(text) - 1))
             lines.extend([text[:cut], text[cut:]])
     if lines and draw(st.integers(0, 7)) == 0:
@@ -138,6 +155,13 @@ def jsonl_files(draw):
 def outcome(load, path, expected_source):
     try:
         return "ok", load(path, DOCS, expected_source=expected_source)
+    except EnsembleError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "position", None)
+
+
+def load_outcome(load, path):
+    try:
+        return "ok", load(path)
     except EnsembleError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "position", None)
 
@@ -176,6 +200,136 @@ def test_chunk_of_misaligned_lines_falls_back(tmp_path):
     path.write_text("\n".join([*split, two]) + "\n", encoding="utf-8")
     assert outcome(load_annotations, path, None) == outcome(scan_annotations, path, None)
     assert outcome(load_annotations, path, None)[0] == "ParseError"
+
+
+# JSON text on which orjson and json part: orjson refuses NaN, ±Infinity,
+# 1e400 and a lone surrogate, and reads an integer outside [-2**63, 2**64)
+# as a float.  The integers are the edges of int64 and uint64.
+EDGE_NUMBERS = [
+    "NaN", "Infinity", "-Infinity", "1e400", "-1e400",
+    *map(str, (-(2**63) - 1, -(2**63), 2**63 - 1, 2**64 - 1, 2**64)),
+]
+LONE_SURROGATE = '"\\ud800"'
+
+
+@st.composite
+def edge_files(draw, fields, values):
+    """Lines of a JSONL file whose records hold the JSON text ``values`` of
+    ``fields``: the first value of each field but at most one, which holds
+    another, and maybe an unknown field holding a huge number.  Between them
+    are blank and non-object lines; every line ends in LF, CRLF or a lone CR."""
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["record"] * 6 + ["blank", "not-object"]))
+        if kind == "record":
+            record = {key: first for key, (first, *_) in zip(fields, values)}
+            odd = draw(st.sampled_from([None] * 4 + list(range(len(fields)))))
+            if odd is not None:
+                record[fields[odd]] = draw(st.sampled_from(values[odd][1:]))
+            if draw(st.booleans()):
+                record["extra"] = draw(st.sampled_from(["1" + "0" * 40, str(2**64), "1e400"]))
+            lines.append("{" + ", ".join(f'"{key}": {text}' for key, text in record.items()) + "}")
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  "])))
+        else:
+            lines.append(draw(st.sampled_from(["[1, 2]", "NaN", '"text"', "null"])))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+ANNOTATION_EDGES = edge_files(
+    ["doc_id", "source", "begin", "end", "score"],
+    [['"d1"', LONE_SURROGATE], ['"A"', LONE_SURROGATE], ["2", *EDGE_NUMBERS],
+     ["7", *EDGE_NUMBERS], ["0.5", *EDGE_NUMBERS]],
+)
+MANIFEST_EDGES = edge_files(
+    ["doc_id", "length", "corpus_id"],
+    [['"d1"', '"d2"', LONE_SURROGATE], ["40", *EDGE_NUMBERS], ['"x"', LONE_SURROGATE]],
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANNOTATION_EDGES, MANIFEST_EDGES, st.sampled_from([1, 2, 3, 512]))
+def test_reader_matches_json_line_scan_on_edge_values(
+    tmp_path_factory, text, manifest, chunk_lines
+):
+    path = tmp_path_factory.mktemp("edges") / "a.jsonl"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+        path.write_text(text, encoding="utf-8")
+        assert outcome(load_annotations, path, None) == outcome(scan_annotations, path, None)
+        path.write_text(manifest, encoding="utf-8")
+        assert load_outcome(load_corpus_manifest, path) == load_outcome(scan_manifest, path)
+
+
+@pytest.mark.parametrize("number", EDGE_NUMBERS)
+def test_each_edge_number_reads_as_json_reads_it(tmp_path, number):
+    clean = '{"doc_id": "d1", "source": "A", "begin": 2, "end": 7}\n'
+    for key in ("begin", "end", "score"):
+        fields = {"doc_id": '"d1"', "source": '"A"', "begin": "2", "end": "7", key: number}
+        line = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}\n"
+        for text in (line, clean + line + clean):
+            (tmp_path / "a.jsonl").write_text(text)
+            expected = outcome(scan_annotations, tmp_path / "a.jsonl", None)
+            assert outcome(load_annotations, tmp_path / "a.jsonl", None) == expected
+    for text in (f'{{"doc_id": "d1", "length": {number}}}\n', f'{{"doc_id": "d0", "length": 1}}\n'
+                 f'{{"doc_id": "d1", "length": {number}}}\r\n'):
+        (tmp_path / "m.jsonl").write_text(text)
+        expected = load_outcome(scan_manifest, tmp_path / "m.jsonl")
+        assert load_outcome(load_corpus_manifest, tmp_path / "m.jsonl") == expected
+
+
+# One line of each edge kind, read as line 2 of a gold file by the command
+# line: the exit code and message are the ones the json line scan implies.
+EXIT_CODES = {"ok": 0, "ValidationError": 2, "ParseError": 3}
+
+
+@pytest.mark.parametrize("line", [
+    *(f'{{"doc_id": "d1", "source": "gold", "begin": {n}, "end": 7}}' for n in EDGE_NUMBERS),
+    *(f'{{"doc_id": "d1", "source": "gold", "begin": 2, "end": 7, "score": {n}}}'
+      for n in EDGE_NUMBERS),
+    '{"doc_id": "\\ud800", "source": "gold", "begin": 2, "end": 7}',
+    '{"doc_id": "d1", "source": "gold", "begin": 2, "end": 7, "extra": 1e400}',
+    '{"doc_id": "d1", "source": "gold", "begin": 2, "end": 7, "extra": 18446744073709551616}',
+    "NaN",
+])
+def test_edge_values_exit_with_the_json_line_scan_code(tmp_path, capsys, line):
+    (tmp_path / "manifest.jsonl").write_text('{"doc_id": "d1", "length": 40}\n')
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"doc_id": "d1", "source": "gold", "begin": 0, "end": 3}\n' + line + "\r\n")
+    (tmp_path / "a.jsonl").write_text('{"doc_id": "d1", "source": "A", "begin": 0, "end": 3}\n')
+    expected = outcome(scan_annotations, gold, "gold")
+    code = main(["ner-eval", "--manifest", str(tmp_path / "manifest.jsonl"), "--gold", str(gold),
+                 "--system", f"A={tmp_path / 'a.jsonl'}"])
+    assert code == EXIT_CODES[expected[0]]
+    if expected[0] != "ok":
+        assert expected[1] in capsys.readouterr().err
+
+
+@st.composite
+def decimal_texts(draw):
+    """JSON number text of up to 17 significant digits, maybe with a
+    fraction and an exponent, all within the finite floats."""
+    digits = str(draw(st.integers(0, 10**17 - 1)))
+    point = draw(st.integers(0, len(digits) - 1))
+    text = digits if not point else digits[:point] + "." + digits[point:]
+    if draw(st.booleans()):
+        exponent = draw(st.integers(-340, 290))
+        plus = "+" if exponent >= 0 and draw(st.booleans()) else ""
+        text += draw(st.sampled_from("eE")) + plus + str(exponent)
+    return draw(st.sampled_from(["", "-"])) + text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr), decimal_texts()))
+def test_orjson_reads_each_number_as_json_does(text):
+    got, expected = orjson.loads(text), json.loads(text)
+    assert type(got) is type(expected)
+    if type(got) is float:
+        assert got.hex() == expected.hex()
+    else:
+        assert got == expected
 
 
 @st.composite

@@ -1,0 +1,50 @@
+"""Every third-party module that the package imports is declared in
+``pyproject.toml``, so a missing dependency fails here rather than at a
+user's first run."""
+
+import ast
+import re
+import sys
+from importlib.metadata import packages_distributions
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The top-level names of the absolute imports in one source file."""
+    modules = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+def normalized(name: str) -> str:
+    return re.sub(r"[-_.]+", "-", name).lower()
+
+
+def test_third_party_imports_are_declared_dependencies():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {normalized(re.match(r"[A-Za-z0-9._-]+", spec).group())
+                for spec in project["dependencies"]}
+    src = ROOT / "src"
+    own = {path.name for path in src.iterdir() if path.is_dir()}
+    distributions = packages_distributions()
+    third_party = {
+        module
+        for path in src.rglob("*.py")
+        for module in imported_modules(path)
+        if module not in sys.stdlib_module_names and module not in own and module != "__future__"
+    }
+    assert third_party, "the package imports no third-party module"
+    missing = {
+        module for module in third_party
+        if not {normalized(d) for d in distributions.get(module, [module])} & declared
+    }
+    assert not missing, f"imported but not declared in pyproject.toml: {sorted(missing)}"
