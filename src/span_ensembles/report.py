@@ -5,6 +5,17 @@ Markdown output rounds to 2 decimals for display; CSV and JSON keep full
 precision and the raw counts, so anything reported can be recomputed exactly.
 Row order is deterministic everywhere: (corpus, group, combination), except
 complementarity, which keeps the order its rows are given in.
+
+A JSON report is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
+of its layout's payload, but not written by ``json``'s indented encoder,
+which is pure Python.  Each metrics object is filled into one fixed
+template per indentation depth; strings go through the C
+``json.encoder.encode_basestring_ascii`` and ints through ``int.__repr__``.
+A top-level row's floats are formatted in one ``orjson.dumps`` call, which
+writes what ``float.__repr__`` writes for every float in [1e-4, 1e16); any
+other float (zero, NaN and the infinities included) is formatted by
+``json``'s own rule.  Rows are rendered one at a time, so only one row's
+floats are held at once.
 """
 
 from __future__ import annotations
@@ -13,8 +24,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, Optional, Sequence
+from functools import lru_cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Callable, Iterable, Optional, Sequence
+
+import orjson
 
 from .errors import ConfigError
 from .metrics import CuiMetricsResult, MetricsResult
@@ -120,30 +135,13 @@ def _metric_cells(m: MetricsResult) -> list[str]:
     ]
 
 
-def metrics_to_dict(m: MetricsResult) -> dict:
-    return {
-        "precision": m.precision,
-        "recall": m.recall,
-        "f1": m.f1,
-        "ci_precision": list(m.ci_precision) if m.ci_precision else None,
-        "ci_recall": list(m.ci_recall) if m.ci_recall else None,
-        "ci_f1": list(m.ci_f1) if m.ci_f1 else None,
-        "tp": m.tp,
-        "fp": m.fp,
-        "fn": m.fn,
-        "n_gold": m.n_gold,
-        "n_pred": m.n_pred,
-        "degenerate": m.degenerate,
-    }
-
-
-def cui_metrics_to_dict(m: CuiMetricsResult) -> dict:
+def _cui_object(m: CuiMetricsResult) -> dict:
     return {
         "macro_precision": m.macro_precision,
         "macro_recall": m.macro_recall,
         "macro_f1": m.macro_f1,
         "degenerate": m.degenerate,
-        "per_label": {label: metrics_to_dict(res) for label, res in sorted(m.per_label.items())},
+        "per_label": dict(m.per_label),
     }
 
 
@@ -155,18 +153,109 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
-# Tokens of the indented JSON encoder joined at a time.
-JSON_BATCH = 4096
+# A float's place in a rendered row: encoded strings escape every control
+# character, so it cannot occur in the row's own text.
+_FLOAT = "\0"
+
+_METRIC_MEMBERS = (
+    '"ci_f1": %s', '"ci_precision": %s', '"ci_recall": %s', '"degenerate": %s',
+    f'"f1": {_FLOAT}', '"fn": %d', '"fp": %d', '"n_gold": %d', '"n_pred": %d',
+    f'"precision": {_FLOAT}', f'"recall": {_FLOAT}', '"tp": %d',
+)
 
 
-def _json_text(layout: str, rows: list, key: str = "rows") -> str:
-    """``json.dumps(..., indent=2, sort_keys=True)``, joined in batches: the
-    indented encoder is pure Python and yields a small string per token, and
-    holding them all until one join left a few MB of them scattered over the
-    allocator's arenas, so a process's peak memory grew by steps from call to
-    call."""
-    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode({"layout": layout, key: rows})
-    return "".join("".join(batch) for batch in iter(lambda: list(islice(tokens, JSON_BATCH)), []))
+def _block(opening: str, closing: str, members: Sequence[str], depth: int) -> str:
+    """An indented JSON object or array at ``depth`` (two spaces a level)."""
+    if not members:
+        return opening + closing
+    inner = "\n" + "  " * (depth + 1)
+    return f"{opening}{inner}{(',' + inner).join(members)}\n{'  ' * depth}{closing}"
+
+
+@lru_cache(maxsize=None)
+def _metrics_template(depth: int) -> tuple[str, str]:
+    """A metrics object at ``depth`` (its intervals and flag as %s, its counts
+    as %d) and one of its [lo, hi] intervals, with _FLOAT for each float."""
+    return (
+        _block("{", "}", _METRIC_MEMBERS, depth),
+        _block("[", "]", (_FLOAT, _FLOAT), depth + 1),
+    )
+
+
+def _metrics_json(m: MetricsResult, depth: int, floats: list) -> str:
+    template, interval = _metrics_template(depth)
+    cells = []
+    for ci in (m.ci_f1, m.ci_precision, m.ci_recall):
+        cells.append(interval if ci else "null")
+        floats.extend(ci or ())
+    floats += (m.f1, m.precision, m.recall)
+    flag = "true" if m.degenerate else "false"
+    return template % (*cells, flag, m.fn, m.fp, m.n_gold, m.n_pred, m.tp)
+
+
+def _json_value(value, depth: int, floats: list) -> str:
+    """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    ``depth``, each float as _FLOAT and appended to ``floats`` in text order;
+    a MetricsResult is written as its 12 fields."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        floats.append(value)
+        return _FLOAT
+    if isinstance(value, MetricsResult):
+        return _metrics_json(value, depth, floats)
+    if isinstance(value, (list, tuple)):
+        return _block("[", "]", [_json_value(v, depth + 1, floats) for v in value], depth)
+    if isinstance(value, dict):
+        members = [
+            f"{encode_basestring_ascii(k)}: {_json_value(v, depth + 1, floats)}"
+            for k, v in sorted(value.items())
+        ]
+        return _block("{", "}", members, depth)
+    raise TypeError(f"{type(value).__name__} is not written to JSON reports")
+
+
+def _float_texts(floats: list) -> list[str]:
+    """What ``json`` writes for each float: orjson's text inside [1e-4, 1e16),
+    where it equals ``float.__repr__``, and ``json``'s own elsewhere."""
+    texts = orjson.dumps(floats, default=float)[1:-1].decode().split(",")
+    for i, value in enumerate(floats):
+        if not 1e-4 <= value < 1e16:  # NaN included
+            texts[i] = json.dumps(value)
+    return texts
+
+
+def _fill(text: str, values: Sequence[str]) -> str:
+    """``text`` with its n-th _FLOAT replaced by ``values[n]``, in one join."""
+    return "".join(chain.from_iterable(zip(text.split(_FLOAT), [*values, ""])))
+
+
+def _row_json(row, depth: int) -> str:
+    floats: list = []
+    text = _json_value(row, depth, floats)
+    return _fill(text, _float_texts(floats)) if floats else text
+
+
+def _json_text(layout: str, rows: Iterable, key: str = "rows") -> str:
+    """``json.dumps({"layout": layout, key: rows}, indent=2, sort_keys=True)``,
+    with every MetricsResult written as its fields.  Each row is rendered
+    alone, and the report is joined once: a large string built by parts
+    would leave copies of itself about the allocator."""
+    rendered = [_row_json(row, 2) for row in rows]
+    members = {
+        "layout": encode_basestring_ascii(layout),
+        key: _block("[", "]", [_FLOAT] * len(rendered), 1),
+    }
+    outline = [f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(members.items())]
+    return _fill(_block("{", "}", outline, 0), rendered)
 
 
 def _md_cell(text: str) -> str:
@@ -253,31 +342,25 @@ def _emit_ensemble_panels(blocks: Sequence[PanelBlock], fmt: str) -> str:
                 )
         text += _markdown_table(["Corpus", "Group", "System", "p", "r", "F1"], single_rows)
         return text
-    payload = []
-    for block in ordered:
-        result = block.result
+    return _json_text(ENSEMBLE_PANELS, map(_panel_object, ordered), key="blocks")
 
-        def items(seq):
-            return [
-                {"combination": s.expression, "size": s.size, "metrics": metrics_to_dict(s.metrics)}
-                for s in seq
-            ]
 
-        payload.append(
-            {
-                "corpus": block.corpus,
-                "group": block.group,
-                "by_f1": items(result.by_f1),
-                "by_precision": items(result.by_precision),
-                "by_recall": items(result.by_recall),
-                "pareto": items(result.pareto),
-                "beating_all_singles": items(result.beating_all_singles),
-                "singles": {
-                    name: metrics_to_dict(m) for name, m in sorted(result.singles.items())
-                },
-            }
-        )
-    return _json_text(ENSEMBLE_PANELS, payload, key="blocks")
+def _panel_object(block: PanelBlock) -> dict:
+    result = block.result
+
+    def items(seq):
+        return [{"combination": s.expression, "size": s.size, "metrics": s.metrics} for s in seq]
+
+    return {
+        "corpus": block.corpus,
+        "group": block.group,
+        "by_f1": items(result.by_f1),
+        "by_precision": items(result.by_precision),
+        "by_recall": items(result.by_recall),
+        "pareto": items(result.pareto),
+        "beating_all_singles": items(result.beating_all_singles),
+        "singles": dict(result.singles),
+    }
 
 
 @dataclass(frozen=True)
@@ -308,7 +391,7 @@ _TABLES = {
             "corpus": r.corpus,
             "group": r.group,
             "system": r.system,
-            "metrics": metrics_to_dict(r.metrics),
+            "metrics": r.metrics,
         },
     ),
     VOTE: _Table(
@@ -324,7 +407,7 @@ _TABLES = {
             "corpus": r.corpus,
             "group": r.group,
             "systems": list(r.systems),
-            "metrics": metrics_to_dict(r.metrics),
+            "metrics": r.metrics,
         },
     ),
     CUI: _Table(
@@ -350,7 +433,7 @@ _TABLES = {
             "level": r.level,
             "kind": r.kind,
             "combination": r.combination,
-            "metrics": cui_metrics_to_dict(r.metrics),
+            "metrics": _cui_object(r.metrics),
         },
     ),
     COMPLEMENTARITY: _Table(
@@ -375,7 +458,7 @@ _TABLES = {
             "system_a": r.system_a,
             "system_b": r.system_b,
             "comp_rate": r.comp_rate,
-            "restricted": metrics_to_dict(r.restricted),
+            "restricted": r.restricted,
         },
     ),
 }
@@ -401,4 +484,4 @@ def emit_table(results: Sequence, layout: str, fmt: str = CSV_FORMAT) -> str:
     if fmt == MARKDOWN_FORMAT:
         body = _markdown_table(table.markdown_header, [table.markdown_cells(r) for r in rows])
         return f"## {table.title}\n\n" + body
-    return _json_text(layout, [table.json_object(r) for r in rows])
+    return _json_text(layout, map(table.json_object, rows))

@@ -11,14 +11,24 @@ arrays never outgrow a block (or the one document longer than it) and no
 task loops over documents or spans in Python.  Character scores come from
 count tables built by one boundary sweep per block; majority vote reads the
 same coverage patterns, and concept layers resolve a block at a time.
+
+The search scores and ranks as arrays.  tp and fp of every ensemble come
+from one product of its truth table with the count table, taken
+:data:`SCORE_CELLS` cells at a time; precision, recall and F1 are float
+arrays computed as ``MetricsResult.from_counts`` computes them, so they are
+the same floats.  Ties break on each expression string's sort rank, cached
+with the space.  A ``MetricsResult`` is built only for the rows a result
+reports, once per row; ``SearchResult.evaluated`` builds any other row when
+it is read.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
-from itertools import groupby
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -50,6 +60,9 @@ MENTION_LEVEL = "mention"
 
 # Most characters in one block of documents; a longer document is a block alone.
 BLOCK_CHARS = 2**16
+
+# Most truth-table cells scored in one matrix product (8 MB once cast to int64).
+SCORE_CELLS = 2**20
 
 
 @dataclass(frozen=True)
@@ -92,7 +105,8 @@ class SearchResult:
 
     Every expression string re-parses and re-evaluates to its reported
     counts; the Pareto set keeps ensembles no other ensemble beats strictly
-    on both precision and recall.
+    on both precision and recall.  ``evaluated`` is every scored ensemble,
+    as a :class:`ScoredRows` view that builds each one when it is read.
     """
 
     group: str
@@ -102,7 +116,7 @@ class SearchResult:
     pareto: tuple[ScoredEnsemble, ...]
     singles: Mapping[str, MetricsResult]
     beating_all_singles: tuple[ScoredEnsemble, ...]
-    evaluated: tuple[ScoredEnsemble, ...] = field(repr=False)
+    evaluated: Sequence[ScoredEnsemble] = field(repr=False)
 
 
 def _require_sources(store: AnnotationStore, *sources: str) -> None:
@@ -171,28 +185,88 @@ def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.
 
 @lru_cache(maxsize=1)
 def _ensemble_space(pool: tuple[str, ...], min_size: int, max_size: int):
-    """Expression strings, sizes and truth tables (over the 2^k patterns) of the
-    search space; cached, since only the scoring depends on the group."""
+    """Expression strings, sizes, truth tables (over the 2^k patterns) and
+    string sort ranks of the search space; cached, since only the scoring
+    depends on the group."""
     trees = enumerate_ensembles(pool, min_size, max_size, SEMANTIC)
     if min_size > 1:
         trees = [Leaf(s) for s in pool] + trees
     columns = pattern_columns(pool)
     tables = np.array([evaluate(t, columns) for t in trees])
-    tables.flags.writeable = False
-    return tuple(map(to_string, trees)), tuple(map(tree_size, trees)), tables
+    expressions = tuple(map(to_string, trees))
+    rank = np.empty(len(expressions), dtype=np.int64)
+    rank[sorted(range(len(expressions)), key=expressions.__getitem__)] = np.arange(len(expressions))
+    for array in (tables, rank):
+        array.flags.writeable = False
+    return expressions, tuple(map(tree_size, trees)), tables, rank
 
 
-def _pareto_front(scored: Sequence[ScoredEnsemble]) -> tuple[ScoredEnsemble, ...]:
-    """Ensembles not strictly dominated in both precision and recall: walking
-    precision downwards, an item is kept unless a higher tier beats its recall."""
-    ordered = sorted(scored, key=lambda s: (-s.metrics.precision, -s.metrics.recall, s.expression))
-    front = []
-    higher_recall = -1.0  # best recall among strictly higher precisions
-    for _, tier in groupby(ordered, key=lambda s: s.metrics.precision):
-        tier = list(tier)
-        front.extend(s for s in tier if s.metrics.recall >= higher_recall)
-        higher_recall = max(higher_recall, tier[0].metrics.recall)
-    return tuple(front)
+def _score(tables: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """fp and tp (the columns) of the truth tables ``rows`` over the count
+    table, :data:`SCORE_CELLS` table cells at a time: the product casts the
+    bool tables to int64, so a block's copy never outgrows 8 bytes a cell."""
+    step = max(1, SCORE_CELLS // tables.shape[1])
+    scores = np.empty((len(rows), 2), dtype=np.int64)
+    for lo in range(0, len(rows), step):
+        scores[lo : lo + step] = tables[rows[lo : lo + step]] @ counts.T
+    return scores
+
+
+def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Precision, recall and F1 of count arrays, by the operations of
+    ``MetricsResult.from_counts`` in its order, so every float is the one it
+    computes (counts below 2^53 convert to floats exactly)."""
+    n_pred, n_gold = tp + fp, tp + fn
+    precision = np.divide(tp, n_pred, out=np.zeros(len(tp)), where=n_pred != 0)
+    recall = np.divide(tp, n_gold, out=np.zeros(len(tp)), where=n_gold != 0)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(tp)), where=total != 0)
+    return precision, recall, f1
+
+
+def _pareto_front(precision: np.ndarray, recall: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Indices of the items no other item beats strictly in both precision
+    and recall, by descending precision, then recall, then rank: walking the
+    precision tiers downwards, an item is kept unless a higher tier beats
+    its recall."""
+    order = np.lexsort((rank, -recall, -precision))
+    p, r = precision[order], recall[order]
+    new_tier = np.ones(len(p), dtype=bool)
+    new_tier[1:] = p[1:] != p[:-1]
+    tier_start = np.maximum.accumulate(np.where(new_tier, np.arange(len(p)), 0))
+    # best recall among strictly higher precisions: everything before the tier
+    higher = np.concatenate(([-1.0], np.maximum.accumulate(r)))[tier_start]
+    return order[r >= higher]
+
+
+class ScoredRows(Sequence):
+    """Every ensemble a search scored, in scoring order, as a read-only
+    sequence: an item is built from its counts when it is read, and the
+    view equals the tuple of its items."""
+
+    def __init__(self, expressions, sizes, rows: np.ndarray, scores: np.ndarray, n_gold: int):
+        self._expressions, self._sizes, self._rows = expressions, sizes, rows
+        self._fp, self._tp = scores.T
+        self._n_gold = n_gold
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(len(self))[index]))
+        i = range(len(self))[index]
+        row, tp = int(self._rows[i]), int(self._tp[i])
+        metrics = MetricsResult.from_counts(tp, int(self._fp[i]), self._n_gold - tp)
+        return ScoredEnsemble(self._expressions[row], self._sizes[row], metrics)
+
+    def __eq__(self, other):
+        if isinstance(other, (ScoredRows, tuple)):
+            return len(self) == len(other) and all(map(operator.eq, self, other))
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} scored ensembles>"
 
 
 def _stratified_sample(
@@ -244,49 +318,45 @@ def grid_search(
     check_search_space(len(pool), config.min_size, max_size)
 
     counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
-    expressions, sizes, tables = _ensemble_space(pool, config.min_size, max_size)
+    expressions, sizes, tables, space_rank = _ensemble_space(pool, config.min_size, max_size)
     rows = list(range(len(sizes)))
     if config.mode == SAMPLED:
         singles = [i for i in rows if sizes[i] == 1]
         rest = [i for i in rows if sizes[i] > 1]
         rows = singles + _stratified_sample(rest, sizes, config.sample_budget, config.seed)
+    rows = np.array(rows, dtype=np.int64)
 
     n_gold = int(counts[1].sum())
-    scored = [
-        ScoredEnsemble(expressions[i], sizes[i], MetricsResult.from_counts(tp, fp, n_gold - tp))
-        for i, (fp, tp) in zip(rows, (tables[rows] @ counts.T).tolist())
-    ]
+    scores = _score(tables, rows, counts)
+    evaluated = ScoredRows(expressions, sizes, rows, scores, n_gold)
+    tp = scores[:, 1]
+    precision, recall, f1 = _prf(tp, scores[:, 0], n_gold - tp)
+    rank = space_rank[rows]
 
-    def ranked(metric: str) -> tuple[ScoredEnsemble, ...]:
-        ordered = sorted(scored, key=lambda s: (-getattr(s.metrics, metric), s.expression))
-        return tuple(ordered[: config.top_k])
+    def ranked(metric: np.ndarray) -> np.ndarray:
+        return np.lexsort((rank, -metric))[: config.top_k]
 
-    singles_map = {s.expression: s.metrics for s in scored if s.size == 1}
-
-    def beats_all(item: ScoredEnsemble) -> bool:
-        m = item.metrics
-        if config.beat_singles_f1_only:
-            return all(m.f1 > s.f1 for s in singles_map.values())
-        return all(
-            m.f1 > s.f1 and m.precision > s.precision and m.recall > s.recall
-            for s in singles_map.values()
-        )
-
-    beating = tuple(
-        sorted(
-            (s for s in scored if beats_all(s)),
-            key=lambda s: (-s.metrics.f1, s.expression),
-        )
-    )
+    single = np.flatnonzero(np.array(sizes)[rows] == 1)
+    beats = f1 > f1[single].max(initial=-np.inf)
+    if not config.beat_singles_f1_only:
+        beats &= precision > precision[single].max(initial=-np.inf)
+        beats &= recall > recall[single].max(initial=-np.inf)
+    beating = np.flatnonzero(beats)
+    views = {
+        "by_f1": ranked(f1),
+        "by_precision": ranked(precision),
+        "by_recall": ranked(recall),
+        "pareto": _pareto_front(precision, recall, rank),
+        "beating_all_singles": beating[np.lexsort((rank[beating], -f1[beating]))],
+    }
+    # one ScoredEnsemble per reported row, shared by every view showing it
+    shown = {i: evaluated[i] for i in np.unique(np.concatenate([single, *views.values()])).tolist()}
+    singles_map = {shown[i].expression: shown[i].metrics for i in single.tolist()}
     return SearchResult(
         group=config.group,
-        by_f1=ranked("f1"),
-        by_precision=ranked("precision"),
-        by_recall=ranked("recall"),
-        pareto=_pareto_front(scored),
         singles=dict(sorted(singles_map.items())),
-        beating_all_singles=beating,
-        evaluated=tuple(scored),
+        evaluated=evaluated,
+        **{name: tuple(shown[i] for i in order.tolist()) for name, order in views.items()},
     )
 
 

@@ -8,8 +8,14 @@ depend on evaluation order or thread scheduling.
 
 from __future__ import annotations
 
-import hashlib
 import random
+
+# CPython's built-in blake2b, the one hashlib re-exports: importing hashlib
+# would also load OpenSSL (about 3.6 MB resident), which nothing here uses.
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without _blake2
+    from hashlib import blake2b
 
 _SEP = "\x1f"
 
@@ -17,7 +23,7 @@ _SEP = "\x1f"
 def digest(*key: object) -> int:
     """64-bit digest of the key tuple."""
     text = _SEP.join(str(part) for part in key)
-    raw = hashlib.blake2b(text.encode("utf-8"), digest_size=8).digest()
+    raw = blake2b(text.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(raw, "big")
 
 

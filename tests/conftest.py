@@ -111,6 +111,69 @@ def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:
     return {table(t) for t in trees(variables)}
 
 
+def sorted_search_views(scored, top_k: int, f1_only: bool) -> dict:
+    """A search's ranked views by their definitions, from its scored
+    ensembles one object at a time: top-k lists by sorting on (-metric,
+    expression), the Pareto set by a walk down the precision tiers, the
+    ensembles that beat each single system one comparison at a time, and
+    the singles by name."""
+
+    def ranked(metric: str) -> tuple:
+        ordered = sorted(scored, key=lambda s: (-getattr(s.metrics, metric), s.expression))
+        return tuple(ordered[:top_k])
+
+    ordered = sorted(scored, key=lambda s: (-s.metrics.precision, -s.metrics.recall, s.expression))
+    front = []
+    higher_recall = -1.0  # best recall among strictly higher precisions
+    for _, tier in itertools.groupby(ordered, key=lambda s: s.metrics.precision):
+        tier = list(tier)
+        front.extend(s for s in tier if s.metrics.recall >= higher_recall)
+        higher_recall = max(higher_recall, tier[0].metrics.recall)
+    singles = {s.expression: s.metrics for s in scored if s.size == 1}
+
+    def beats_all(m: MetricsResult) -> bool:
+        if f1_only:
+            return all(m.f1 > s.f1 for s in singles.values())
+        return all(
+            m.f1 > s.f1 and m.precision > s.precision and m.recall > s.recall
+            for s in singles.values()
+        )
+
+    beating = sorted(
+        (s for s in scored if beats_all(s.metrics)), key=lambda s: (-s.metrics.f1, s.expression)
+    )
+    return {
+        "by_f1": ranked("f1"),
+        "by_precision": ranked("precision"),
+        "by_recall": ranked("recall"),
+        "pareto": tuple(front),
+        "singles": dict(sorted(singles.items())),
+        "beating_all_singles": tuple(beating),
+    }
+
+
+def metrics_json_default(value) -> dict:
+    """``json.dumps``'s ``default`` for report payloads: a MetricsResult as
+    the JSON object of its fields."""
+    if not isinstance(value, MetricsResult):
+        raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    m = value
+    return {
+        "precision": m.precision,
+        "recall": m.recall,
+        "f1": m.f1,
+        "ci_precision": list(m.ci_precision) if m.ci_precision else None,
+        "ci_recall": list(m.ci_recall) if m.ci_recall else None,
+        "ci_f1": list(m.ci_f1) if m.ci_f1 else None,
+        "tp": m.tp,
+        "fp": m.fp,
+        "fn": m.fn,
+        "n_gold": m.n_gold,
+        "n_pred": m.n_pred,
+        "degenerate": m.degenerate,
+    }
+
+
 def doc_coverage(store, doc, rows) -> np.ndarray:
     """Coverage of one document by each (source, group) row, span by span: a
     boolean (len(rows), doc.length) matrix."""

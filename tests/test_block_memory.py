@@ -5,13 +5,17 @@ Scoring tasks hold per-character arrays for one block of documents
 tables, votes and concept layers does not grow with the number of documents.
 The set-up (reading, disambiguation and the store) holds the columns once
 plus temporaries, so its peak grows with the columns it ends with.  Both are
-measured with ``tracemalloc`` on a corpus and on one ten times larger."""
+measured with ``tracemalloc`` on a corpus and on one ten times larger.
+Scoring a search's truth tables casts them to int64 ``search.SCORE_CELLS``
+cells at a time, so its peak is bounded by the block, not the tables."""
 
 from __future__ import annotations
 
 import json
 import random
 import tracemalloc
+
+import numpy as np
 
 from span_ensembles import (
     ALL_GROUPS,
@@ -23,7 +27,8 @@ from span_ensembles import (
 )
 from span_ensembles.cli import _build_store, _resolve_run_config, build_parser
 from span_ensembles.model import COLUMNS, GOLD_SOURCE
-from span_ensembles.search import _count_table, cui_scores
+from span_ensembles import search
+from span_ensembles.search import _count_table, _score, cui_scores
 
 SOURCES = ("A", "B", "C", "D")
 GROUPS = ("G1", "G2")
@@ -120,3 +125,19 @@ def test_set_up_peak_grows_with_the_columns(tmp_path):
     assert large_peak - small_peak <= 2 * (large_bytes - small_bytes), (
         small_peak, small_bytes, large_peak, large_bytes
     )
+
+
+def test_scoring_peak_is_bounded_by_the_block():
+    # 4,096 truth tables of 1,024 cells: cast to int64 at once, they take 32 MB
+    rng = np.random.default_rng(3)
+    tables = rng.random((4096, 1024)) < 0.5
+    counts = rng.integers(0, 1000, size=(2, 1024))
+    tracemalloc.start()
+    try:
+        scores = _score(tables, np.arange(len(tables)), counts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.tolist() == (tables.astype(np.int64) @ counts.T).tolist()
+    # one block's bool rows and their int64 copy, beside the scores
+    assert peak <= 9 * search.SCORE_CELLS + scores.nbytes + 64 * 1024, peak

@@ -53,6 +53,7 @@ from conftest import (
     per_document_count_table,
     per_document_vote,
     set_eval,
+    sorted_search_views,
 )
 
 GROUPS = ("G1", "G2")
@@ -159,7 +160,38 @@ def test_pareto_front_matches_quadratic_definition(counts):
     scored = [
         ScoredEnsemble(f"e{i:02d}", 1, MetricsResult.from_counts(*c)) for i, c in enumerate(counts)
     ]
-    assert _pareto_front(scored) == quadratic_pareto(scored)
+    precision = np.array([s.metrics.precision for s in scored])
+    recall = np.array([s.metrics.recall for s in scored])
+    front = _pareto_front(precision, recall, np.arange(len(scored)))
+    assert tuple(scored[i] for i in front) == quadratic_pareto(scored)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ranked_views_match_sorted_definitions(data):
+    # small corpora tie heavily on every metric, so the expression order counts
+    store, systems = data.draw(corpora())
+    k = len(systems)
+    min_size = data.draw(st.integers(1, k))
+    config = SearchConfig(
+        sources=systems,
+        group=data.draw(st.sampled_from((*GROUPS, ALL_GROUPS))),
+        min_size=min_size,
+        max_size=data.draw(st.integers(min_size, k)),
+        mode=data.draw(st.sampled_from(("exhaustive", SAMPLED))),
+        sample_budget=data.draw(st.integers(1, 12)),
+        seed=data.draw(st.integers(0, 3)),
+        top_k=data.draw(st.integers(1, 6)),
+        beat_singles_f1_only=data.draw(st.booleans()),
+    )
+    # score the truth tables a few cells at a time, so blocks end anywhere
+    with mock.patch.object(search, "SCORE_CELLS", data.draw(st.integers(1, 64))):
+        result = grid_search(store, GOLD_SOURCE, config)
+    scored = tuple(result.evaluated)
+    expected = sorted_search_views(scored, config.top_k, config.beat_singles_f1_only)
+    for view, items in expected.items():
+        assert getattr(result, view) == items, view
+    assert result == grid_search(store, GOLD_SOURCE, config)
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,6 +20,10 @@ systems, so vote ties occur and the search space is the k=6 one, on a
 budget patched to 1 character and to one that splits the corpus partway
 through its document list, so a bug at a block boundary changes a digest.
 
+Apart from the digests, every JSON report of the three tables must equal
+``json.dumps(json.loads(text), indent=2, sort_keys=True)``: the format
+holds even where a digest is re-recorded.
+
 A deliberate report change updates the tables below and says why in
 ``CHANGES.md``.
 """
@@ -94,12 +98,11 @@ def test_report_digest_in_small_blocks(corpus, tmp_path, monkeypatch, budget, ta
     test_report_digest(corpus, tmp_path, task, fmt, seed)
 
 
-# JSON reports are joined from batches of encoder tokens; a batch of 1 and
-# one of 7 split every report many times over, mid-object included.
-@pytest.mark.parametrize("batch", [1, 7])
+# JSON reports take most float texts from orjson; with every float written
+# by json's own rule instead, each JSON report keeps its digest.
 @pytest.mark.parametrize("task,fmt,seed", sorted(k for k in DIGESTS if k[1] == "json"))
-def test_json_digest_in_small_batches(corpus, tmp_path, monkeypatch, batch, task, fmt, seed):
-    monkeypatch.setattr(report, "JSON_BATCH", batch)
+def test_json_digest_with_every_float_by_json_rule(corpus, tmp_path, monkeypatch, task, fmt, seed):
+    monkeypatch.setattr(report, "_float_texts", lambda floats: [json.dumps(x) for x in floats])
     test_report_digest(corpus, tmp_path, task, fmt, seed)
 
 
@@ -320,3 +323,29 @@ def test_six_system_report_digest(six_corpus, tmp_path, task, fmt, seed):
     )
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIX_DIGESTS[(task, fmt, seed)]
+
+
+JSON_REPORTS = [
+    *(("corpus", task, [task], seed) for task, fmt, seed in sorted(DIGESTS) if fmt == "json"),
+    *(("mapped_corpus", call, MAPPED_CALLS[call], seed)
+      for call, fmt, seed in sorted(MAPPED_DIGESTS) if fmt == "json"),
+    *(("six_corpus", task, SIX_CALLS[task], seed)
+      for task, fmt, seed in sorted(SIX_DIGESTS) if fmt == "json"),
+]
+
+
+@pytest.mark.parametrize(
+    "fixture,name,argv,seed", JSON_REPORTS, ids=[f"{f}-{n}-{s}" for f, n, _, s in JSON_REPORTS]
+)
+def test_json_report_is_its_own_json_dumps(request, tmp_path, fixture, name, argv, seed):
+    config = request.getfixturevalue(fixture) / "config.json"
+    out = tmp_path / "report"
+    code = main(
+        [
+            *argv, "--config", str(config), "--group", "each", "--seed", str(seed),
+            "--format", "json", "--out", str(out),
+        ]
+    )
+    assert code == 0
+    text = out.read_text(encoding="utf-8")
+    assert json.dumps(json.loads(text), indent=2, sort_keys=True) == text

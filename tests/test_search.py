@@ -1,4 +1,9 @@
+from collections.abc import Sequence
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from span_ensembles import (
     ALL_GROUPS,
@@ -7,6 +12,7 @@ from span_ensembles import (
     ConfigError,
     DocumentRef,
     Leaf,
+    MetricsResult,
     SearchConfig,
     SourceSpec,
     SynthSpec,
@@ -30,7 +36,7 @@ from span_ensembles import (
 from span_ensembles import expr, search
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED
+from span_ensembles.search import SAMPLED, ScoredRows, _prf
 
 
 def two_system_store():
@@ -78,6 +84,20 @@ def test_union_of_complementary_systems_wins_recall():
         SearchConfig(sources=("A", "B"), seed=0, top_k=5, beat_singles_f1_only=True),
     )
     assert any(s.expression == "(A|B)" for s in relaxed.beating_all_singles)
+
+
+def test_ensemble_short_of_a_single_recall_does_not_beat_it():
+    # gold [0, 40); A: 38 tp, 35 fp; B: 36 tp, 25 fp; A&B: 36 tp, 0 fp
+    docs = [DocumentRef("d1", 100)]
+    spans = [(GOLD_SOURCE, 0, 40), ("A", 0, 38), ("A", 40, 75), ("B", 0, 36), ("B", 75, 100)]
+    store = AnnotationStore(docs, [Annotation("d1", s, b, e, group="g") for s, b, e in spans])
+    both = {}
+    for f1_only in (False, True):
+        config = SearchConfig(sources=("A", "B"), beat_singles_f1_only=f1_only)
+        result = grid_search(store, GOLD_SOURCE, config)
+        both[f1_only] = [s.expression for s in result.beating_all_singles]
+    # A&B beats both singles on F1 and precision, but A's recall is higher
+    assert "(A&B)" not in both[False] and "(A&B)" in both[True]
 
 
 def test_single_source_search_degenerates_to_baseline():
@@ -223,6 +243,84 @@ def test_search_space_count_is_exact():
                     patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count - 1)
                     with pytest.raises(ConfigError, match=f"holds {count:,} ensembles"):
                         expr.check_search_space(k, low, high)
+
+
+def test_search_table_cells_beyond_the_limit_are_refused_before_any_work(monkeypatch):
+    sources = tuple("ABCDEFGHIJKL")
+    store = AnnotationStore(
+        [DocumentRef("d1", 10)],
+        [Annotation("d1", s, 0, 5) for s in (GOLD_SOURCE, *sources)],
+    )
+
+    def no_work(*args):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(search, "enumerate_ensembles", no_work)
+    monkeypatch.setattr(search, "_count_table", no_work)
+    # 27,644 ensembles pass the row limit, but their tables hold 27,644 x 2^12 cells
+    with pytest.raises(ConfigError, match=r"113,229,824 cells \(27,644 ensembles.*--max-size"):
+        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources, max_size=4))
+
+
+def test_table_cell_count_is_exact():
+    for k in range(1, 8):  # every full search up to 7 sources passes both limits
+        expr.check_search_space(k, 1, k)
+        expr.check_search_space(k, 2, k)
+    with pytest.raises(ConfigError, match="113,229,824 cells"):
+        expr.check_search_space(12, 1, 4)
+    for k in range(1, 6):
+        for low in range(1, k + 1):
+            for high in range(low, k + 1):
+                # a search from size 2 up keeps the k single sources as baselines
+                rows = len(expr.enumerate_ensembles("ABCDE"[:k], low, high))
+                rows += k if low > 1 else 0
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(expr, "MAX_TABLE_CELLS", rows * 2**k)
+                    expr.check_search_space(k, low, high)
+                    patch.setattr(expr, "MAX_TABLE_CELLS", rows * 2**k - 1)
+                    with pytest.raises(ConfigError, match=f"hold {rows * 2**k:,} cells"):
+                        expr.check_search_space(k, low, high)
+
+
+COUNTS = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 2**40))
+
+
+@given(st.lists(st.tuples(COUNTS, COUNTS, COUNTS), min_size=1, max_size=30))
+def test_array_prf_is_from_counts_bit_for_bit(counts):
+    tp, fp, fn = (np.array(c, dtype=np.int64) for c in zip(*counts))
+    arrays = _prf(tp, fp, fn)
+    singles = [MetricsResult.from_counts(*c) for c in counts]
+    for name, array in zip(("precision", "recall", "f1"), arrays):
+        expected = np.array([getattr(m, name) for m in singles])
+        assert array.dtype == np.float64
+        assert array.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), name
+
+
+def test_evaluated_view_is_a_read_only_sequence():
+    store = synth_store()
+    config = SearchConfig(sources=("A", "B", "C"), min_size=2, top_k=3)
+    result = grid_search(store, GOLD_SOURCE, config)
+    view = result.evaluated
+    assert isinstance(view, ScoredRows) and isinstance(view, Sequence)
+    # scoring order: the singles kept as baselines, then the space by (size, expression)
+    trees = [Leaf(s) for s in "ABC"] + expr.enumerate_ensembles("ABC", 2, 3)
+    assert [item.expression for item in view] == [expr.to_string(t) for t in trees]
+    items = tuple(view)
+    assert len(view) == len(items) == 3 + 2 * 3 + 8
+    assert view == items and items == view and not view != items
+    assert view != items[:-1] and view != items[::-1] and view != list(items)
+    for i in (0, 4, len(items) - 1, -1, -len(items)):
+        assert view[i] == items[i]
+        assert view[i].metrics == evaluate_expression(store, parse(view[i].expression), GOLD_SOURCE)
+    assert view[np.int64(2)] == items[2]
+    assert view[1:7:2] == items[1:7:2] and view[::-1] == items[::-1]
+    for i in (len(items), -len(items) - 1):
+        with pytest.raises(IndexError):
+            view[i]
+    assert view.index(items[5]) == 5 and items[5] in view
+    with pytest.raises(TypeError):
+        view[0] = items[1]
+    assert grid_search(store, GOLD_SOURCE, config).evaluated == view
 
 
 def test_grid_search_unknown_source():
