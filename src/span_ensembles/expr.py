@@ -33,12 +33,6 @@ MAX_SIGNATURE_LEAVES = 12
 # sources (129,005 ensembles) fits, one over 8 (2,132,088) does not.
 MAX_SEARCH_ENSEMBLES = 150_000
 
-# The most truth-table cells a search may hold: its rows times the 2^k
-# coverage patterns of k sources.  Every full search over up to 7 sources
-# (129,005 x 128 = 16,512,640 cells) fits; k=12 with --max-size 4
-# (27,644 x 4,096) does not.
-MAX_TABLE_CELLS = 2**24
-
 
 @dataclass(frozen=True)
 class Leaf:
@@ -306,14 +300,11 @@ def _syntactic_trees(variables: tuple[str, ...]) -> Iterator[ExprTree]:
 
 def check_search_space(n_sources: int, min_size: int, max_size: int) -> None:
     """Refuse a search whose SEMANTIC space holds more than
-    ``MAX_SEARCH_ENSEMBLES`` ensembles, or whose truth tables hold more than
-    ``MAX_TABLE_CELLS`` cells, counted from the sizes alone: C(n, i) subsets
-    of each allowed size i, of a(i) = 1, 2, 8, 52, 472, ... read-once
-    functions each, plus the n single sources a search with ``min_size`` > 1
-    keeps as baselines, each row 2^n cells.  a(i) counts the splits of i
-    variables into two or more blocks, each a leaf or one of the a(j) / 2
-    trees of j variables under the other operator, twice: once per root
-    operator."""
+    ``MAX_SEARCH_ENSEMBLES`` ensembles, counted from the sizes alone: C(n, i)
+    subsets of each allowed size i, of a(i) = 1, 2, 8, 52, 472, ... read-once
+    functions each.  a(i) counts the splits of i variables into two or more
+    blocks, each a leaf or one of the a(j) / 2 trees of j variables under
+    the other operator, twice: once per root operator."""
     top = min(max_size, n_sources)
     a = [1, 1]
     for i in range(2, top + 1):
@@ -322,13 +313,6 @@ def check_search_space(n_sources: int, min_size: int, max_size: int) -> None:
     if count > MAX_SEARCH_ENSEMBLES:
         raise ConfigError(f"the search space holds {count:,} ensembles over {n_sources} sources, "
                           f"more than {MAX_SEARCH_ENSEMBLES:,}; lower --max-size")
-    rows = count + (n_sources if min_size > 1 else 0)
-    cells = rows << n_sources
-    if cells > MAX_TABLE_CELLS:
-        raise ConfigError(f"the search's truth tables hold {cells:,} cells ({rows:,} ensembles "
-                          f"over {n_sources} sources, {2**n_sources:,} coverage patterns each), "
-                          f"more than {MAX_TABLE_CELLS:,}; lower --max-size or select fewer "
-                          "systems with --systems")
 
 
 def enumerate_ensembles(

@@ -10,12 +10,9 @@ A JSON report is exactly ``json.dumps(payload, indent=2, sort_keys=True)``
 of its layout's payload, but not written by ``json``'s indented encoder,
 which is pure Python.  Each metrics object is filled into one fixed
 template per indentation depth; strings go through the C
-``json.encoder.encode_basestring_ascii`` and ints through ``int.__repr__``.
-A top-level row's floats are formatted in one ``orjson.dumps`` call, which
-writes what ``float.__repr__`` writes for every float in [1e-4, 1e16); any
-other float (zero, NaN and the infinities included) is formatted by
-``json``'s own rule.  Rows are rendered one at a time, so only one row's
-floats are held at once.
+``json.encoder.encode_basestring_ascii``, ints through ``int.__repr__``
+and floats by ``json``'s own rule: ``float.__repr__``, or ``NaN``,
+``Infinity`` and ``-Infinity`` for the values that have no finite text.
 """
 
 from __future__ import annotations
@@ -23,13 +20,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Optional, Sequence
-
-import orjson
 
 from .errors import ConfigError
 from .metrics import CuiMetricsResult, MetricsResult
@@ -153,14 +148,10 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return buffer.getvalue()
 
 
-# A float's place in a rendered row: encoded strings escape every control
-# character, so it cannot occur in the row's own text.
-_FLOAT = "\0"
-
 _METRIC_MEMBERS = (
     '"ci_f1": %s', '"ci_precision": %s', '"ci_recall": %s', '"degenerate": %s',
-    f'"f1": {_FLOAT}', '"fn": %d', '"fp": %d', '"n_gold": %d', '"n_pred": %d',
-    f'"precision": {_FLOAT}', f'"recall": {_FLOAT}', '"tp": %d',
+    '"f1": %s', '"fn": %d', '"fp": %d', '"n_gold": %d', '"n_pred": %d',
+    '"precision": %s', '"recall": %s', '"tp": %d',
 )
 
 
@@ -174,29 +165,31 @@ def _block(opening: str, closing: str, members: Sequence[str], depth: int) -> st
 
 @lru_cache(maxsize=None)
 def _metrics_template(depth: int) -> tuple[str, str]:
-    """A metrics object at ``depth`` (its intervals and flag as %s, its counts
-    as %d) and one of its [lo, hi] intervals, with _FLOAT for each float."""
-    return (
-        _block("{", "}", _METRIC_MEMBERS, depth),
-        _block("[", "]", (_FLOAT, _FLOAT), depth + 1),
+    """A metrics object at ``depth`` (its counts as %d, every other member as
+    %s) and one of its [lo, hi] intervals."""
+    return _block("{", "}", _METRIC_MEMBERS, depth), _block("[", "]", ("%s", "%s"), depth + 1)
+
+
+def _float_json(value: float) -> str:
+    """A float as ``json`` writes it."""
+    return float.__repr__(value) if math.isfinite(value) else json.dumps(value)
+
+
+def _metrics_json(m: MetricsResult, depth: int) -> str:
+    template, interval = _metrics_template(depth)
+    cells = [
+        interval % (_float_json(ci[0]), _float_json(ci[1])) if ci else "null"
+        for ci in (m.ci_f1, m.ci_precision, m.ci_recall)
+    ]
+    return template % (
+        *cells, "true" if m.degenerate else "false", _float_json(m.f1),
+        m.fn, m.fp, m.n_gold, m.n_pred, _float_json(m.precision), _float_json(m.recall), m.tp,
     )
 
 
-def _metrics_json(m: MetricsResult, depth: int, floats: list) -> str:
-    template, interval = _metrics_template(depth)
-    cells = []
-    for ci in (m.ci_f1, m.ci_precision, m.ci_recall):
-        cells.append(interval if ci else "null")
-        floats.extend(ci or ())
-    floats += (m.f1, m.precision, m.recall)
-    flag = "true" if m.degenerate else "false"
-    return template % (*cells, flag, m.fn, m.fp, m.n_gold, m.n_pred, m.tp)
-
-
-def _json_value(value, depth: int, floats: list) -> str:
+def _json_value(value, depth: int) -> str:
     """``value`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
-    ``depth``, each float as _FLOAT and appended to ``floats`` in text order;
-    a MetricsResult is written as its 12 fields."""
+    ``depth``; a MetricsResult is written as its 12 fields."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None:
@@ -208,54 +201,33 @@ def _json_value(value, depth: int, floats: list) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, float):
-        floats.append(value)
-        return _FLOAT
+        return _float_json(value)
     if isinstance(value, MetricsResult):
-        return _metrics_json(value, depth, floats)
+        return _metrics_json(value, depth)
     if isinstance(value, (list, tuple)):
-        return _block("[", "]", [_json_value(v, depth + 1, floats) for v in value], depth)
+        return _block("[", "]", [_json_value(v, depth + 1) for v in value], depth)
     if isinstance(value, dict):
         members = [
-            f"{encode_basestring_ascii(k)}: {_json_value(v, depth + 1, floats)}"
+            f"{encode_basestring_ascii(k)}: {_json_value(v, depth + 1)}"
             for k, v in sorted(value.items())
         ]
         return _block("{", "}", members, depth)
     raise TypeError(f"{type(value).__name__} is not written to JSON reports")
 
 
-def _float_texts(floats: list) -> list[str]:
-    """What ``json`` writes for each float: orjson's text inside [1e-4, 1e16),
-    where it equals ``float.__repr__``, and ``json``'s own elsewhere."""
-    texts = orjson.dumps(floats, default=float)[1:-1].decode().split(",")
-    for i, value in enumerate(floats):
-        if not 1e-4 <= value < 1e16:  # NaN included
-            texts[i] = json.dumps(value)
-    return texts
-
-
-def _fill(text: str, values: Sequence[str]) -> str:
-    """``text`` with its n-th _FLOAT replaced by ``values[n]``, in one join."""
-    return "".join(chain.from_iterable(zip(text.split(_FLOAT), [*values, ""])))
-
-
-def _row_json(row, depth: int) -> str:
-    floats: list = []
-    text = _json_value(row, depth, floats)
-    return _fill(text, _float_texts(floats)) if floats else text
-
-
 def _json_text(layout: str, rows: Iterable, key: str = "rows") -> str:
     """``json.dumps({"layout": layout, key: rows}, indent=2, sort_keys=True)``,
-    with every MetricsResult written as its fields.  Each row is rendered
-    alone, and the report is joined once: a large string built by parts
-    would leave copies of itself about the allocator."""
-    rendered = [_row_json(row, 2) for row in rows]
-    members = {
-        "layout": encode_basestring_ascii(layout),
-        key: _block("[", "]", [_FLOAT] * len(rendered), 1),
-    }
-    outline = [f"{encode_basestring_ascii(k)}: {v}" for k, v in sorted(members.items())]
-    return _fill(_block("{", "}", outline, 0), rendered)
+    with every MetricsResult written as its fields.  The rendered rows are
+    joined into the report once: nesting them in blocks would copy the
+    whole report at each level, and the copies raise peak memory."""
+    rendered = [_json_value(row, 2) for row in rows]
+    if not rendered:
+        return _json_value({"layout": layout, key: []}, 0)
+    # the outline around one row; no layout name holds "null"
+    head, tail = _json_value({"layout": layout, key: [None]}, 0).split("null")
+    rendered[0] = head + rendered[0]
+    rendered[-1] += tail
+    return ",\n    ".join(rendered)
 
 
 def _md_cell(text: str) -> str:

@@ -192,7 +192,9 @@ def _ensemble_space(pool: tuple[str, ...], min_size: int, max_size: int):
     if min_size > 1:
         trees = [Leaf(s) for s in pool] + trees
     columns = pattern_columns(pool)
-    tables = np.array([evaluate(t, columns) for t in trees])
+    tables = np.empty((len(trees), 2 ** len(pool)), dtype=bool)
+    for row, tree in zip(tables, trees):
+        row[:] = evaluate(tree, columns)
     expressions = tuple(map(to_string, trees))
     rank = np.empty(len(expressions), dtype=np.int64)
     rank[sorted(range(len(expressions)), key=expressions.__getitem__)] = np.arange(len(expressions))

@@ -38,6 +38,7 @@ import pytest
 
 from span_ensembles import report, search
 from span_ensembles.cli import main
+from conftest import metrics_json_default
 
 DIGESTS = {
     ("vote", "csv", 3): "070346014fe96aff2b2a447c4c12b32f3c1ac588e031c5e0308dff5d66b2e4db",
@@ -98,11 +99,15 @@ def test_report_digest_in_small_blocks(corpus, tmp_path, monkeypatch, budget, ta
     test_report_digest(corpus, tmp_path, task, fmt, seed)
 
 
-# JSON reports take most float texts from orjson; with every float written
-# by json's own rule instead, each JSON report keeps its digest.
+# The JSON digests are those of the stdlib encoder: with every JSON report
+# written by json.dumps itself instead of the report renderer, each keeps it.
 @pytest.mark.parametrize("task,fmt,seed", sorted(k for k in DIGESTS if k[1] == "json"))
-def test_json_digest_with_every_float_by_json_rule(corpus, tmp_path, monkeypatch, task, fmt, seed):
-    monkeypatch.setattr(report, "_float_texts", lambda floats: [json.dumps(x) for x in floats])
+def test_json_digest_by_json_dumps(corpus, tmp_path, monkeypatch, task, fmt, seed):
+    def dumps(layout, rows, key="rows"):
+        payload = {"layout": layout, key: list(rows)}
+        return json.dumps(payload, indent=2, sort_keys=True, default=metrics_json_default)
+
+    monkeypatch.setattr(report, "_json_text", dumps)
     test_report_digest(corpus, tmp_path, task, fmt, seed)
 
 

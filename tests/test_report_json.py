@@ -1,7 +1,7 @@
 """JSON reports are ``json.dumps(payload, indent=2, sort_keys=True)``.
 
 ``report._json_text`` writes them from fixed templates, C-encoded strings
-and one ``orjson`` call per row for the floats.  Here it is compared with
+and ``json``'s float rule.  Here it is compared with
 ``json.dumps`` itself on random rows of every layout: any float (NaN, the
 infinities, -0.0, subnormals, and 1e-4 and 1e16 with their neighbours),
 any string (non-ASCII, astral, control characters, DEL, quotes and
@@ -32,7 +32,7 @@ from span_ensembles.report import (
 )
 from conftest import metrics_json_default
 
-# where orjson's float text and float.__repr__ part ways, and their neighbours
+# where float.__repr__ switches to exponent form, and their neighbours
 EDGES = [
     x
     for edge in (1e-4, 1e16)
@@ -108,5 +108,5 @@ def test_json_text_is_json_dumps(data):
 
 
 @given(st.lists(FLOATS, max_size=40))
-def test_float_texts_follow_json_rule(floats):
-    assert report._float_texts(EDGES + floats) == [json.dumps(x) for x in EDGES + floats]
+def test_float_json_is_json_dumps(floats):
+    assert [report._float_json(x) for x in EDGES + floats] == [json.dumps(x) for x in EDGES + floats]

@@ -245,43 +245,6 @@ def test_search_space_count_is_exact():
                         expr.check_search_space(k, low, high)
 
 
-def test_search_table_cells_beyond_the_limit_are_refused_before_any_work(monkeypatch):
-    sources = tuple("ABCDEFGHIJKL")
-    store = AnnotationStore(
-        [DocumentRef("d1", 10)],
-        [Annotation("d1", s, 0, 5) for s in (GOLD_SOURCE, *sources)],
-    )
-
-    def no_work(*args):
-        raise AssertionError("the search started")
-
-    monkeypatch.setattr(search, "enumerate_ensembles", no_work)
-    monkeypatch.setattr(search, "_count_table", no_work)
-    # 27,644 ensembles pass the row limit, but their tables hold 27,644 x 2^12 cells
-    with pytest.raises(ConfigError, match=r"113,229,824 cells \(27,644 ensembles.*--max-size"):
-        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources, max_size=4))
-
-
-def test_table_cell_count_is_exact():
-    for k in range(1, 8):  # every full search up to 7 sources passes both limits
-        expr.check_search_space(k, 1, k)
-        expr.check_search_space(k, 2, k)
-    with pytest.raises(ConfigError, match="113,229,824 cells"):
-        expr.check_search_space(12, 1, 4)
-    for k in range(1, 6):
-        for low in range(1, k + 1):
-            for high in range(low, k + 1):
-                # a search from size 2 up keeps the k single sources as baselines
-                rows = len(expr.enumerate_ensembles("ABCDE"[:k], low, high))
-                rows += k if low > 1 else 0
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(expr, "MAX_TABLE_CELLS", rows * 2**k)
-                    expr.check_search_space(k, low, high)
-                    patch.setattr(expr, "MAX_TABLE_CELLS", rows * 2**k - 1)
-                    with pytest.raises(ConfigError, match=f"hold {rows * 2**k:,} cells"):
-                        expr.check_search_space(k, low, high)
-
-
 COUNTS = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 2**40))
 
 
