@@ -342,25 +342,24 @@ def _task_synth(args: argparse.Namespace) -> str:
     )
     documents, annotations = generate_annotations(spec)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_manifest(documents, out_dir / "manifest.jsonl")
-    system_files = {}
-    for source in sorted({GOLD_SOURCE, *(s.name for s in spec.sources)}):
-        anns = [a for a in annotations if a.source == source]
-        filename = f"{source}.jsonl"
-        write_annotations(anns, out_dir / filename)
-        if source != GOLD_SOURCE:
-            system_files[source] = filename
+    names = sorted({GOLD_SOURCE, *(s.name for s in spec.sources)})
     config = {
         "manifest": "manifest.jsonl",
         "gold": f"{GOLD_SOURCE}.jsonl",
-        "systems": system_files,
+        "systems": {name: f"{name}.jsonl" for name in names if name != GOLD_SOURCE},
         "corpus_id": spec.corpus_id,
     }
-    (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_manifest(documents, out_dir / "manifest.jsonl")
+        for name in names:
+            write_annotations([a for a in annotations if a.source == name], out_dir / f"{name}.jsonl")
+        (out_dir / "config.json").write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to {out_dir}: {exc.strerror or exc}") from None
     return (
         f"wrote {len(documents)} docs, {len(annotations)} annotations, "
-        f"{len(system_files)} systems to {out_dir}\n"
+        f"{len(config['systems'])} systems to {out_dir}\n"
     )
 
 

@@ -12,11 +12,13 @@ JSON of one chunk: each line is decoded by ``orjson.loads``, and each field
 of the file's field table is read in one pass.  A chunk that orjson cannot
 take line by line as objects goes to ``json``, one line at a time, and a
 file in which any record is malformed or invalid is read again that way, so
-that every reported problem is the one ``json`` finds.  Annotation files become
-:class:`~span_ensembles.model.SpanColumns`, names coded through one table
-shared by every file, and their record checks run as array checks.  Group
-mapping and disambiguation return row masks, so the columns are never
-copied until the store gathers them, once, into its order.
+that every reported problem is the one ``json`` finds.  Each annotation file is
+read on its own (:func:`load_span_file`), names coded through tables of its
+own, and its records are checked once it is read, as array checks over its
+columns; the files are then joined into one
+:class:`~span_ensembles.model.SpanColumns` by recoding each name column
+through one table.  Group mapping and disambiguation return row masks, so the
+columns are never copied until the store gathers them, once, into its order.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
 
 import numpy as np
 import orjson
@@ -36,14 +38,13 @@ import orjson
 from . import seeds
 from .errors import ConfigError, ParseError, ValidationError
 from .model import (
+    COLUMNS,
     CUI_PATTERN,
+    RECORD_PROBLEMS,
     Annotation,
     DocumentRef,
     SemanticGroupMap,
     SpanColumns,
-    bad_cui_message,
-    bad_score_message,
-    bad_span_message,
     encode_values,
     overlapping,
     span_names,
@@ -51,9 +52,9 @@ from .model import (
 
 PathLike = Union[str, Path]
 
-# Lines per chunk: enough to amortize the per-chunk column reads and checks
-# (1024 lines are 1-2% faster), few enough that a chunk's decoded objects,
-# each dict pre-sized by orjson, add no peak memory over a json-decoded read.
+# Lines per chunk: enough to amortize the per-chunk column reads (1024 lines
+# are 1-2% faster), few enough that a chunk's decoded objects, each dict
+# pre-sized by orjson, add no peak memory over a json-decoded read.
 CHUNK_LINES = 512
 
 _INT64 = (-(2**63), 2**63 - 1)
@@ -283,72 +284,69 @@ def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
     return docs
 
 
-class _SpanChecks:
-    """The record checks of one annotation file, as array checks over chunks.
+def load_span_file(
+    path: PathLike,
+    documents: Mapping[str, DocumentRef],
+    expected_source: Optional[str] = None,
+    universe: Collection[str] = (),
+) -> tuple[tuple[dict, dict], list[tuple[int, str]], list[str]]:
+    """One annotation file: its columns as a part for :meth:`SpanColumns.join`
+    (arrays, and name tables of its own, documents coded by their position
+    in ``documents``), its malformed records as (line number, message) and
+    its invalid records' messages, both in line order.
 
-    A record's first failing check names its problem, in this order: its
-    span, its CUI, its score, then its document, its bounds in that
-    document, its source, and a group given with no native type that is
-    outside ``universe`` (any group if it is empty).
+    A record's first failing check names its problem: its span, its CUI, its
+    score, its document, its bounds in that document, its source (an expected
+    source of None accepts any), then a group given with no native type
+    outside ``universe`` (an empty one accepts any).  The checks run once,
+    over the file's columns, each name's once per name.  A failing score is
+    named by its JSON value: NaN in the columns also stands for no score.
     """
-
-    def __init__(self, path: PathLike, documents: Mapping[str, DocumentRef], names: dict,
-                 expected_source: Optional[str], universe: frozenset):
-        self.path = path
-        self.names = names
-        self.n_docs = len(documents)
-        self.lengths = np.array([d.length for d in documents.values()] + [0], dtype=np.int64)
-        self.expected_source = expected_source
-        self.accepts = {"cui": CUI_PATTERN.match, "group": lambda g: not universe or g in universe}
-        # per code of each column of ``accepts``, grown as names are added
-        self.ok = {col: np.ones(1, dtype=bool) for col in self.accepts}
-
-    def failures(self, linenos: Sequence[int], values: dict, rows: dict):
-        """Problem per failing row, in line order."""
-        for col, accepts in self.accepts.items():
-            fresh = [bool(accepts(name)) for name in islice(self.names[col], len(self.ok[col]), None)]
-            self.ok[col] = np.concatenate((self.ok[col], np.array(fresh, dtype=bool)))
-        begin, end, doc, score = rows["begin"], rows["end"], rows["doc_id"], rows["score"]
-        unknown = doc >= self.n_docs
-        expected = self.names["source"].get(self.expected_source, -1)
-        # NaN stands for no score; a JSON NaN, a score that is not None, fails
-        bad_score = ~((score >= 0.0) & (score <= 1.0))
-        if np.isnan(score).any():
-            bad_score &= ~np.fromiter(
-                map(operator.is_, values["score"], repeat(None)), dtype=bool, count=len(score)
-            )
-        checks = [
-            (begin < 0) | (end <= begin),
-            ~self.ok["cui"][rows["cui"]],
-            bad_score,
-            unknown,
-            end > self.lengths[np.where(unknown, self.n_docs, doc)],
-            np.full(len(begin), self.expected_source is not None) & (rows["source"] != expected),
-            (rows["native_type"] == 0) & ~self.ok["group"][rows["group"]],
-        ]
-        failed = np.select(checks, list(range(1, len(checks) + 1)), 0)
-        return [
-            f"{self.path}:{linenos[i]}: {self._problem(int(failed[i]), i, values, rows)}"
-            for i in np.flatnonzero(failed).tolist()
-        ]
-
-    def _problem(self, check: int, i: int, values: dict, rows: dict) -> str:
-        begin, end = values["begin"][i], values["end"][i]
-        doc_id, source = values["doc_id"][i], values["source"][i]
-        if check == 1:
-            return bad_span_message(begin, end, source, doc_id)
-        if check == 2:
-            return bad_cui_message(values["cui"][i])
-        if check == 3:
-            return bad_score_message(values["score"][i])
-        if check == 4:
-            return f"unknown doc {doc_id!r}"
-        if check == 5:
-            length = self.lengths[rows["doc_id"][i]]
-            return f"span [{begin}, {end}) exceeds doc {doc_id!r} length {length}"
-        if check == 6:
-            return f"source {source!r} != expected {self.expected_source!r}"
-        return f"group {values['group'][i]!r} not in the group universe"
+    for per_line in (False, True):
+        names, malformed, raw_scores = span_names(documents), [], {}  # raw_scores: line -> score
+        chunks, bad_scores, lines = [encode_values(dict.fromkeys(COLUMNS, []), names)], [], []
+        for linenos, values, read in _jsonl_values(path, _ANNOTATION_FIELDS, malformed, per_line):
+            chunks.append(encode_values(values, names, read))
+            score = chunks[-1]["score"]
+            bad_score = ~((score >= 0.0) & (score <= 1.0))
+            if bad_score.any():
+                has_score = map(operator.is_not, values["score"], repeat(None))
+                bad_score &= np.fromiter(has_score, dtype=bool, count=len(score))
+                failing = np.flatnonzero(bad_score).tolist()
+                raw_scores.update((linenos[i], values["score"][i]) for i in failing)
+            bad_scores.append(bad_score)
+            lines.append(linenos)
+        columns = {col: np.concatenate([chunk.pop(col) for chunk in chunks]) for col in COLUMNS}
+        begin, end, doc, native = (columns[c] for c in ("begin", "end", "doc_id", "native_type"))
+        valid = {  # per name, then per row
+            "cui": [c is None or bool(CUI_PATTERN.match(c)) for c in names["cui"]],
+            "source": [expected_source in (None, s) for s in names["source"]],
+            "group": [g is None or not universe or g in universe for g in names["group"]],
+        }
+        valid = {col: np.array(ok, dtype=bool)[columns[col]] for col, ok in valid.items()}
+        lengths = np.array([documents[d].length if d in documents else 0 for d in names["doc_id"]],
+                           dtype=np.int64)
+        checks = {  # the problem each check names, a template of the row's fields
+            RECORD_PROBLEMS["span"]: (begin < 0) | (end <= begin),
+            RECORD_PROBLEMS["cui"]: ~valid["cui"],
+            RECORD_PROBLEMS["score"]: np.concatenate([np.zeros(0, dtype=bool), *bad_scores]),
+            "unknown doc {doc_id!r}": doc >= len(documents),
+            "span [{begin}, {end}) exceeds doc {doc_id!r} length {length}": end > lengths[doc],
+            "source {source!r} != expected {expected_source!r}": ~valid["source"],
+            "group {group!r} not in the group universe": (native == 0) & ~valid["group"],
+        }
+        failed = np.select(list(checks.values()), list(range(1, len(checks) + 1)), 0)
+        problems, templates = [], [None, *checks]
+        line_of = list(chain.from_iterable(lines)) if failed.any() else []  # by row
+        tables = {col: tuple(table) for col, table in names.items()}
+        for i in np.flatnonzero(failed).tolist():
+            row = {col: columns[col][i].item() for col in COLUMNS}
+            row.update({col: tables[col][row[col]] for col in tables}, length=lengths[doc[i]],
+                       score=raw_scores.get(line_of[i]), expected_source=expected_source)
+            problems.append(f"{path}:{line_of[i]}: " + templates[failed[i]].format(**row))
+        if not (malformed or problems):
+            break
+    return (columns, names), malformed, problems
 
 
 def load_span_files(
@@ -356,36 +354,29 @@ def load_span_files(
     documents: Union[Mapping[str, DocumentRef], Iterable[DocumentRef]],
     universe: Iterable[str] = (),
 ) -> SpanColumns:
-    """Read annotation files, given as (expected source, path) pairs, into one
-    set of columns, rows in file order, names coded through one table.
+    """Read one or more annotation files, given as (expected source, path)
+    pairs, each by :func:`load_span_file`, and join them, rows in file order:
+    documents first, in manifest order, then every other name in order of
+    first appearance.
 
-    Each record is checked against its document; an expected source of None
-    accepts any source, and an empty ``universe`` any group.  Offending
-    records are collected, file by file in the given order, into one error:
-    a ParseError listing every malformed record (not a JSON object, a
-    missing field, a value of the wrong type), else a ValidationError
-    listing every invalid one.
+    Offending records are collected, file by file in the given order, into
+    one error: a ParseError listing every malformed record (not a JSON
+    object, a missing field, a value of the wrong type), else a
+    ValidationError listing every invalid one.
     """
     if not isinstance(documents, Mapping):
         documents = {d.doc_id: d for d in documents}
-    names = span_names()
-    names["doc_id"].update((doc_id, i) for i, doc_id in enumerate(documents))
     parts, malformed, problems, universe = [], [], [], frozenset(universe)
     for expected_source, path in files:
-        n_parts, n_malformed, n_problems = len(parts), len(malformed), len(problems)
-        for per_line in (False, True):
-            del parts[n_parts:], malformed[n_malformed:], problems[n_problems:]
-            checks = _SpanChecks(path, documents, names, expected_source, universe)
-            chunks = _jsonl_values(path, _ANNOTATION_FIELDS, malformed, per_line)
-            for linenos, values, read in chunks:
-                rows = encode_values(values, names, read)
-                problems.extend(checks.failures(linenos, values, rows))
-                if not (problems or malformed):  # else the files are refused: keep no rows
-                    parts.append(rows)
-            if len(malformed) == n_malformed and len(problems) == n_problems:
-                break
+        part, bad, invalid = load_span_file(path, documents, expected_source, universe)
+        malformed += bad
+        problems += invalid
+        if malformed or problems:  # the files are refused: keep no rows
+            parts.clear()
+        else:
+            parts.append(part)
     _raise_collected("annotation", malformed, problems)
-    return SpanColumns.build(parts, names)
+    return SpanColumns.join(parts)
 
 
 def load_annotations(

@@ -57,28 +57,24 @@ class Annotation:
 
     def __post_init__(self):
         if self.begin < 0 or self.end <= self.begin:
-            raise ValidationError(bad_span_message(self.begin, self.end, self.source, self.doc_id))
+            raise ValidationError(RECORD_PROBLEMS["span"].format(**vars(self)))
         if self.cui is not None and not CUI_PATTERN.match(self.cui):
-            raise ValidationError(bad_cui_message(self.cui))
+            raise ValidationError(RECORD_PROBLEMS["cui"].format(**vars(self)))
         if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValidationError(bad_score_message(self.score))
+            raise ValidationError(RECORD_PROBLEMS["score"].format(**vars(self)))
 
     @property
     def length(self) -> int:
         return self.end - self.begin
 
 
-# The record checks' messages, shared by Annotation and the column checks of ingest.
-def bad_span_message(begin: int, end: int, source: str, doc_id: str) -> str:
-    return f"bad span [{begin}, {end}) from source {source!r} in doc {doc_id!r}"
-
-
-def bad_cui_message(cui: str) -> str:
-    return f"bad concept id {cui!r} (expected 'C' + 7 digits)"
-
-
-def bad_score_message(score: float) -> str:
-    return f"score {score} outside [0, 1]"
+# The record checks' messages, shared by Annotation and the column checks of
+# ingest: templates of a record's fields.
+RECORD_PROBLEMS = {
+    "span": "bad span [{begin}, {end}) from source {source!r} in doc {doc_id!r}",
+    "cui": "bad concept id {cui!r} (expected 'C' + 7 digits)",
+    "score": "score {score} outside [0, 1]",
+}
 
 
 @dataclass(frozen=True)
@@ -128,10 +124,13 @@ NAMED_COLUMNS = {
 }
 
 
-def span_names() -> dict[str, dict]:
-    """Empty name -> code tables, one per coded column; code 0 of the optional
-    columns (group, native type, CUI) stands for no value."""
-    return {col: ({} if col in ("doc_id", "source") else {None: 0}) for col in NAMED_COLUMNS}
+def span_names(doc_ids: Iterable[str] = ()) -> dict[str, dict]:
+    """Name -> code tables, one per coded column, empty but for ``doc_ids``,
+    coded by position; code 0 of the optional columns (group, native type,
+    CUI) stands for no value."""
+    names = {col: ({} if col == "source" else {None: 0}) for col in NAMED_COLUMNS}
+    names["doc_id"] = {doc_id: i for i, doc_id in enumerate(doc_ids)}
+    return names
 
 
 def encode_values(values: Mapping[str, list], names: Mapping[str, dict],
@@ -191,23 +190,31 @@ class SpanColumns:
     cuis: tuple[Optional[str], ...]
 
     @classmethod
-    def build(cls, parts: list[dict[str, np.ndarray]], names: Mapping[str, dict]) -> "SpanColumns":
-        """Columns from arrays coded through ``names``, concatenated in order.
+    def join(cls, parts: list[tuple[dict, Mapping]]) -> "SpanColumns":
+        """Columns of one or more parts, rows in part order.  A part is a pair:
+        its arrays by column, and by coded column the names its codes index,
+        in code order.  Each coded column is recoded through one table, the
+        parts' names in order of first appearance.
 
-        Each column leaves ``parts`` as it is concatenated, so no more than
-        one column is held twice.
+        The arrays are recoded in place, and each column leaves ``parts`` as
+        it is concatenated, so no more than one column is held twice.
         """
-        if not parts:
-            parts = [encode_values({col: [] for col in COLUMNS}, names)]
-        arrays = {col: np.concatenate([part.pop(col) for part in parts]) for col in COLUMNS}
-        return cls(**arrays, **{attr: tuple(names[col]) for col, attr in NAMED_COLUMNS.items()})
+        tables = {}
+        for col, attr in NAMED_COLUMNS.items():
+            table: dict = {}
+            for arrays, names in parts:
+                codes = (table.setdefault(name, len(table)) for name in names[col])
+                np.take(np.fromiter(codes, np.int32, len(names[col])), arrays[col], out=arrays[col])
+            tables[attr] = tuple(table)
+        arrays = {col: np.concatenate([arrays.pop(col) for arrays, _ in parts]) for col in COLUMNS}
+        return cls(**arrays, **tables)
 
     @classmethod
     def from_annotations(cls, annotations: Iterable[Annotation]) -> "SpanColumns":
         anns = list(annotations)
         names = span_names()
         values = {col: [getattr(a, col) for a in anns] for col in COLUMNS}
-        return cls.build([encode_values(values, names)], names)
+        return cls.join([(encode_values(values, names), names)])
 
     def __len__(self) -> int:
         return len(self.begin)

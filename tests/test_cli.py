@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from span_ensembles import cli
 from span_ensembles.cli import main
 
 SEARCH_CSV_COLUMNS = [
@@ -280,6 +281,31 @@ def test_unwritable_out_is_validation_error(corpus, capsys, tmp_path):
     assert captured.out == ""
     assert f"cannot write report to {target}" in captured.err
     assert not target.exists()
+
+
+def test_unwritable_synth_out_dir_is_validation_error(capsys, tmp_path):
+    (tmp_path / "file").write_text("")
+    target = tmp_path / "file" / "corpus"  # a directory under a regular file
+    code = main(["synth", "--out-dir", str(target), "--docs", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write to {target}: Not a directory\n"
+
+
+@pytest.mark.parametrize("task", sorted(cli.REPORT_TASKS))
+def test_each_report_task_builds_its_store_once_through_the_module_hook(
+    corpus, capsys, monkeypatch, task
+):
+    # perfbench/run.py times set-up by replacing cli._build_store: a report
+    # that built its store another way would read as no set-up at all.
+    calls = []
+    build_store = cli._build_store
+    monkeypatch.setattr(cli, "_build_store", lambda cfg: calls.append(cfg) or build_store(cfg))
+    expr = ["--expr", "(A|B)"] if task in ("ensemble-eval", "cui-eval") else []
+    code = main([task, "--config", str(corpus / "config.json"), *expr])
+    assert code == 0 and capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_complementarity_quotes_and_escapes_corpus_id(corpus, capsys):

@@ -30,7 +30,9 @@ from span_ensembles import (
     DisambiguationPolicy,
     DocumentRef,
     EnsembleError,
+    ParseError,
     SemanticGroupMap,
+    ValidationError,
     disambiguate_overlaps,
     ingest,
     load_annotations,
@@ -42,7 +44,7 @@ from span_ensembles.ingest import (
     load_span_files,
     map_groups,
 )
-from span_ensembles.model import COLUMNS, SpanColumns, overlapping, packed_lexsort
+from span_ensembles.model import COLUMNS, NAMED_COLUMNS, SpanColumns, overlapping, packed_lexsort
 from conftest import scan_annotations, scan_manifest, whole_run_disambiguation
 
 DOCS = {d.doc_id: d for d in (DocumentRef("d1", 40), DocumentRef("d2", 25), DocumentRef("d[3]", 10))}
@@ -65,7 +67,7 @@ def records(draw, malformed=True):
         ("group", [*GROUPS, None]),
         ("native_type", ["T047", "x-type", None]),
         ("cui", ["C0000001", "C0000042", "C12", None]),
-        ("score", [0.25, 0.9, 1.5, -0.1, 1, float("nan"), None]),
+        ("score", [0.25, 0.9, 1.5, -0.1, 1, 2, -1, float("nan"), None]),
         ("extra", [[1, {"a": 2}], "}{", None]),
     ):
         if draw(st.booleans()):
@@ -189,6 +191,87 @@ def test_chunked_reader_matches_line_scan(
         patch.setattr(ingest, "CHUNK_LINES", chunk_lines)
         got = outcome(load_annotations, path, expected_source)
     assert got == outcome(scan_annotations, path, expected_source)
+
+
+@st.composite
+def annotation_file_sets(draw):
+    """2-4 annotation files, each (expected source, lines).  Most hold valid
+    records of their expected source (of A, B and gold if None); the others
+    are drawn by :func:`jsonl_files`, with bad records of every kind.  All
+    draw their names from one pool, so files share names and meet them in
+    different orders."""
+    files = []
+    for _ in range(draw(st.integers(2, 4))):
+        expected = draw(st.sampled_from([None, "A", "B", "gold"]))
+        if draw(st.integers(0, 3)) == 0:
+            lines = draw(jsonl_files())
+        else:
+            anns = [a for a in draw(annotation_lists()) if expected in (None, a.source)]
+            records = ({k: v for k, v in vars(a).items() if v is not None} for a in anns)
+            lines = [dump(record) + "\n" for record in records]
+        files.append((expected, lines))
+    return files
+
+
+def joined(columns: SpanColumns) -> tuple:
+    """Every column's dtype and bytes, and every name tuple."""
+    arrays = {col: (getattr(columns, col).dtype, getattr(columns, col).tobytes()) for col in COLUMNS}
+    return "ok", arrays, {attr: getattr(columns, attr) for attr in NAMED_COLUMNS.values()}
+
+
+def scan_annotation_files(files, documents):
+    """Reference of ``load_span_files``: each file by ``scan_annotations``.
+    Their malformed records, else their invalid ones, are listed in one
+    error, files in order; else the columns of every file's records, rows
+    in file order, documents coded in manifest order, then every other
+    name in order of first appearance (no value first)."""
+    anns, malformed, problems, position = [], [], [], None
+    for expected_source, path in files:
+        try:
+            anns += scan_annotations(path, documents, expected_source)
+        except ParseError as exc:
+            malformed += str(exc).splitlines()[1:]
+            position = exc.position if position is None else position
+        except ValidationError as exc:
+            problems += str(exc).splitlines()[1:]
+    if malformed:
+        return "ParseError", f"{len(malformed)} malformed annotation record(s):\n" + "\n".join(
+            malformed), position
+    if problems:
+        return "ValidationError", f"{len(problems)} invalid annotation record(s):\n" + "\n".join(
+            problems), None
+    tables = {col: dict.fromkeys([None] if col in ("group", "native_type", "cui") else [])
+              for col in NAMED_COLUMNS}
+    tables["doc_id"] = dict.fromkeys(documents)
+    for ann in anns:
+        for col, table in tables.items():
+            table.setdefault(getattr(ann, col))
+    codes = {col: {name: i for i, name in enumerate(table)} for col, table in tables.items()}
+    arrays = {col: np.array([codes[col][getattr(a, col)] for a in anns], dtype=np.int32)
+              for col in NAMED_COLUMNS}
+    arrays.update({col: np.array([getattr(a, col) for a in anns], dtype=np.int64)
+                   for col in ("begin", "end")})
+    arrays["score"] = np.array([a.score for a in anns], dtype=np.float64)  # None -> NaN
+    tuples = {NAMED_COLUMNS[col]: tuple(table) for col, table in tables.items()}
+    return joined(SpanColumns(**arrays, **tuples))
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotation_file_sets(), st.sampled_from([1, 2, 3, 4096]))
+def test_files_are_joined_as_their_line_scans_concatenated(tmp_path_factory, files, chunk_lines):
+    directory = tmp_path_factory.mktemp("files")
+    paths = []
+    for i, (expected_source, lines) in enumerate(files):
+        path = directory / f"{i}.jsonl"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        paths.append((expected_source, path))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+        try:
+            got = joined(load_span_files(paths, DOCS))
+        except EnsembleError as exc:
+            got = type(exc).__name__, str(exc), getattr(exc, "position", None)
+    assert got == scan_annotation_files(paths, DOCS)
 
 
 def test_chunk_of_misaligned_lines_falls_back(tmp_path):
