@@ -8,7 +8,6 @@ unweighted macro averages over the union of gold and predicted labels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import AbstractSet, Mapping, Optional, Sequence
 
@@ -22,14 +21,23 @@ Z_95 = 1.96
 Interval = tuple[float, float]
 
 
+def intervals(q: np.ndarray, n: np.ndarray, z: float = Z_95) -> list[Optional[Interval]]:
+    """q +/- z*sqrt(q(1-q)/n), clipped to [0, 1], for each float proportion
+    in ``q`` over its count of trials in ``n`` (as float64, which is what
+    ``float / int`` divides by); None where n is 0."""
+    half = z * np.sqrt(q * (1.0 - q) / np.maximum(n, 1).astype(np.float64))
+    low, high = q - half, q + half  # clipped as max(0.0, low) and min(1.0, high) clip them
+    low, high = np.where(low > 0.0, low, 0.0).tolist(), np.where(high < 1.0, high, 1.0).tolist()
+    return [ci if k else None for k, ci in zip(n.tolist(), zip(low, high))]
+
+
 def bernoulli_ci(p: float, n: int, z: float = Z_95) -> Interval:
     """Bernoulli confidence interval p +/- z*sqrt(p(1-p)/n), clipped to [0, 1]."""
     if not 0.0 <= p <= 1.0:
         raise ValidationError(f"proportion {p} outside [0, 1]")
     if n < 1:
         raise ValidationError("confidence interval undefined for n < 1")
-    half = z * math.sqrt(p * (1.0 - p) / n)
-    return (max(0.0, p - half), min(1.0, p + half))
+    return intervals(np.array([p], dtype=np.float64), np.array([n], dtype=np.float64), z)[0]
 
 
 def ci_overlap_significant(a: Interval, b: Interval) -> bool:
@@ -63,28 +71,41 @@ class MetricsResult:
 
     @classmethod
     def from_counts(cls, tp: int, fp: int, fn: int, z: float = Z_95) -> "MetricsResult":
-        if min(tp, fp, fn) < 0:
-            raise ValidationError("negative confusion counts")
-        n_pred = tp + fp
-        n_gold = tp + fn
-        precision = tp / n_pred if n_pred else 0.0
-        recall = tp / n_gold if n_gold else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        n_f1 = 2 * tp + fp + fn
-        return cls(
-            tp=tp,
-            fp=fp,
-            fn=fn,
-            precision=precision,
-            recall=recall,
-            f1=f1,
-            n_gold=n_gold,
-            n_pred=n_pred,
-            ci_precision=bernoulli_ci(precision, n_pred, z) if n_pred else None,
-            ci_recall=bernoulli_ci(recall, n_gold, z) if n_gold else None,
-            ci_f1=bernoulli_ci(2 * tp / n_f1, n_f1, z) if n_f1 else None,
-            degenerate=n_pred == 0 or n_gold == 0 or precision + recall == 0,
-        )
+        return metrics_rows([tp], [fp], [fn], z)[0]
+
+
+def prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Precision, recall and F1 of int64 count arrays, 0.0 where a
+    denominator is 0: F1 is 2*precision*recall / (precision + recall)."""
+    n_pred, n_gold = tp + fp, tp + fn
+    precision = np.divide(tp, n_pred, out=np.zeros(len(tp)), where=n_pred != 0)
+    recall = np.divide(tp, n_gold, out=np.zeros(len(tp)), where=n_gold != 0)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(tp)), where=total != 0)
+    return precision, recall, f1
+
+
+def metrics_rows(tp, fp, fn, z: float = Z_95) -> list[MetricsResult]:
+    """One :class:`MetricsResult` per (tp, fp, fn) triple of the three count
+    sequences.  Each float is the one exact division of integers gives while
+    2tp + fp + fn is below 2^53, where every count converts to a float
+    exactly; every field holds a Python int, float or bool."""
+    try:
+        counts = np.array([tp, fp, fn], dtype=np.int64)
+    except OverflowError:
+        counts = None
+    if counts is None or counts.max(initial=0) >= 2**61:  # so that 2tp + fp + fn fits int64
+        raise ValidationError("confusion counts must be below 2^61")
+    if counts.min(initial=0) < 0:
+        raise ValidationError("negative confusion counts")
+    tp, fp, fn = counts
+    n_pred, n_gold, n_f1 = tp + fp, tp + fn, 2 * tp + fp + fn
+    precision, recall, f1 = prf(tp, fp, fn)
+    q_f1 = np.divide(2 * tp, n_f1, out=np.zeros(len(tp)), where=n_f1 != 0)
+    degenerate = (n_pred == 0) | (n_gold == 0) | (precision + recall == 0)
+    columns = (c.tolist() for c in (tp, fp, fn, precision, recall, f1, n_gold, n_pred))
+    cis = intervals(precision, n_pred, z), intervals(recall, n_gold, z), intervals(q_f1, n_f1, z)
+    return [MetricsResult(*row) for row in zip(*columns, *cis, degenerate.tolist())]
 
 
 def _check_same_docs(gold: Mapping[str, object], pred: Mapping[str, object]) -> None:
@@ -147,27 +168,16 @@ class CuiMetricsResult:
         return tuple(sorted(self.per_label))
 
     @classmethod
-    def from_label_counts(cls, counts: Mapping[str, tuple[int, int, int]]) -> "CuiMetricsResult":
-        per_label = {
-            label: MetricsResult.from_counts(*counts[label]) for label in sorted(counts)
-        }
-        if not per_label:
-            return cls({}, 0.0, 0.0, 0.0, degenerate=True)
-        k = len(per_label)
-        return cls(
-            per_label=per_label,
-            macro_precision=sum(m.precision for m in per_label.values()) / k,
-            macro_recall=sum(m.recall for m in per_label.values()) / k,
-            macro_f1=sum(m.f1 for m in per_label.values()) / k,
-            degenerate=any(m.degenerate for m in per_label.values()),
-        )
-
-    @classmethod
     def from_count_array(cls, names: Sequence[str], counts: np.ndarray) -> "CuiMetricsResult":
         """From a (3, n) array of tp, fp and fn per label code, code i naming
         ``names[i]``; labels with no count at all are not in the universe."""
-        present = np.flatnonzero(counts.any(axis=0)).tolist()
-        return cls.from_label_counts({names[i]: tuple(counts[:, i].tolist()) for i in present})
+        present = sorted(np.flatnonzero(counts.any(axis=0)).tolist(), key=names.__getitem__)
+        per_label = dict(zip([names[i] for i in present], metrics_rows(*counts[:, present])))
+        if not per_label:
+            return cls({}, 0.0, 0.0, 0.0, degenerate=True)
+        rows, k = per_label.values(), len(per_label)
+        return cls(per_label, sum(m.precision for m in rows) / k, sum(m.recall for m in rows) / k,
+                   sum(m.f1 for m in rows) / k, degenerate=any(m.degenerate for m in rows))
 
 
 def doc_level_cui_prf(
@@ -176,20 +186,14 @@ def doc_level_cui_prf(
     """Document-level concept matching as a multilabel task: per CUI, a true
     positive is a document where the CUI appears in both gold and prediction."""
     _check_same_docs(gold, pred)
-    counts: dict[str, list[int]] = {}
+    names = sorted(set().union(*gold.values(), *pred.values()))
+    code = {cui: i for i, cui in enumerate(names)}
+    counts = np.zeros((3, len(names)), dtype=np.int64)
     for doc_id in sorted(gold):
         g, p = set(gold[doc_id]), set(pred[doc_id])
-        for cui in g | p:
-            slot = counts.setdefault(cui, [0, 0, 0])
-            if cui in g and cui in p:
-                slot[0] += 1
-            elif cui in p:
-                slot[1] += 1
-            else:
-                slot[2] += 1
-    return CuiMetricsResult.from_label_counts(
-        {cui: (tp, fp, fn) for cui, (tp, fp, fn) in counts.items()}
-    )
+        for row, cuis in enumerate((g & p, p - g, g - p)):  # tp, fp, fn
+            counts[row, [code[cui] for cui in cuis]] += 1
+    return CuiMetricsResult.from_count_array(names, counts)
 
 
 def _labels(runs: Runs, length: int) -> np.ndarray:

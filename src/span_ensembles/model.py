@@ -334,8 +334,9 @@ class AnnotationStore:
     Spans are held as :class:`SpanColumns` sorted by (source, doc, begin,
     end, group, cui), with row offsets per (source, doc); the order is one
     :func:`packed_lexsort` and one gather.  Construction takes ``Annotation``
-    records or columns (copied) and validates document references, span
-    bounds and groups; :meth:`adopt` takes columns over without a copy.
+    records or columns (copied) and validates the rows' ``Annotation``
+    invariants, document references, span bounds and groups; :meth:`adopt`
+    takes columns over without a copy.
     Per-slice span disjointness is the post-disambiguation invariant and is
     checked separately via :meth:`verify_disjoint_spans`.
     """
@@ -395,9 +396,17 @@ class AnnotationStore:
         exceeds = spans.end > lengths[spans.doc_id]
         foreign = [i for i, g in enumerate(spans.groups) if g is not None and g not in universe]
         bad_group = np.isin(spans.group, foreign if universe else [])
-        bad = (unknown | exceeds | bad_group) & keep
+        cui_ok = np.array([c is None or bool(CUI_PATTERN.match(c)) for c in spans.cuis], dtype=bool)
+        record = ~cui_ok[spans.cui]  # the Annotation invariants, one temporary at a time
+        record |= spans.begin < 0
+        record |= spans.end <= spans.begin
+        record |= spans.score < 0.0
+        record |= spans.score > 1.0  # NaN (no score) compares false
+        bad = (record | unknown | exceeds | bad_group) & keep
         if bad.any():
             row = int(np.argmax(bad))
+            if record[row]:
+                spans.take([row]).annotations()  # raises the Annotation invariant's message
             doc_id = spans.doc_ids[spans.doc_id[row]]
             if unknown[row]:
                 raise ValidationError(f"annotation references unknown doc {doc_id!r}")

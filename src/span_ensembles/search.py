@@ -12,14 +12,13 @@ task loops over documents or spans in Python.  Character scores come from
 count tables built by one boundary sweep per block; majority vote reads the
 same coverage patterns, and concept layers resolve a block at a time.
 
-The search scores and ranks as arrays.  tp and fp of every ensemble come
-from one product of its truth table with the count table, taken
-:data:`SCORE_CELLS` cells at a time; precision, recall and F1 are float
-arrays computed as ``MetricsResult.from_counts`` computes them, so they are
-the same floats.  Ties break on each expression string's sort rank, cached
-with the space.  A ``MetricsResult`` is built only for the rows a result
-reports, once per row; ``SearchResult.evaluated`` builds any other row when
-it is read.
+Every character score is taken the same way: tp and fp of a truth table
+come from its product with the count table, taken :data:`SCORE_CELLS`
+cells at a time, and the metrics from ``metrics.prf`` and
+``metrics.metrics_rows``.  The search ranks on the float arrays.  Ties
+break on each expression string's sort rank, cached with the space.  A
+``MetricsResult`` is built only for the rows a result reports, in one
+call; ``SearchResult.evaluated`` builds any other row when it is read.
 """
 
 from __future__ import annotations
@@ -49,7 +48,8 @@ from .expr import (
     tree_sources,
 )
 from .masks import CharMask, Runs, _resolve_candidates, coverage_patterns, locate, tie_coins
-from .metrics import CuiMetricsResult, MetricsResult, confusion_counts, label_counts
+from .metrics import (CuiMetricsResult, MetricsResult, confusion_counts, label_counts,
+                      metrics_rows, prf)
 from .model import ALL_GROUPS, AnnotationStore, check_group
 
 EXHAUSTIVE = "exhaustive"
@@ -63,6 +63,9 @@ BLOCK_CHARS = 2**16
 
 # Most truth-table cells scored in one matrix product (8 MB once cast to int64).
 SCORE_CELLS = 2**20
+
+# Most cells of a count table (gold and 25 systems): two int64 arrays of it fill 1 GiB.
+MAX_TABLE_CELLS = 2**26
 
 
 @dataclass(frozen=True)
@@ -171,10 +174,22 @@ def _blocks(store: AnnotationStore) -> Iterator[_Block]:
         first = stop
 
 
+def _check_table_size(systems: int) -> None:
+    """Refuse a count table over ``systems`` systems and gold of more than
+    :data:`MAX_TABLE_CELLS` cells, before anything of its size exists."""
+    cells = 2 ** (systems + 1)
+    if cells > MAX_TABLE_CELLS:
+        raise ConfigError(
+            f"{systems} systems and gold make a count table of {cells:,} cells, "
+            f"more than {MAX_TABLE_CELLS:,}"
+        )
+
+
 def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.ndarray:
     """Characters counted by gold bit g and coverage pattern p, ``H[g][p]``,
     in one pass over the blocks: ``rows`` are (source, group) pairs, gold
     last, and bit j of p is set where ``rows[j]`` covers the character."""
+    _check_table_size(len(rows) - 1)
     for _, group in rows:
         check_group(store, group)
     table = np.zeros(2 ** len(rows), dtype=np.int64)
@@ -214,16 +229,12 @@ def _score(tables: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarr
     return scores
 
 
-def _prf(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Precision, recall and F1 of count arrays, by the operations of
-    ``MetricsResult.from_counts`` in its order, so every float is the one it
-    computes (counts below 2^53 convert to floats exactly)."""
-    n_pred, n_gold = tp + fp, tp + fn
-    precision = np.divide(tp, n_pred, out=np.zeros(len(tp)), where=n_pred != 0)
-    recall = np.divide(tp, n_gold, out=np.zeros(len(tp)), where=n_gold != 0)
-    total = precision + recall
-    f1 = np.divide(2 * precision * recall, total, out=np.zeros(len(tp)), where=total != 0)
-    return precision, recall, f1
+def _table_metrics(truths: Sequence[np.ndarray], counts: np.ndarray) -> list[MetricsResult]:
+    """The metrics of each truth table (a bool array over the patterns) in
+    ``truths``, which may be none, over the count table."""
+    tables = np.array(truths, dtype=bool).reshape(len(truths), counts.shape[1])
+    fp, tp = _score(tables, np.arange(len(truths)), counts).T
+    return metrics_rows(tp, fp, counts[1].sum() - tp)
 
 
 def _pareto_front(precision: np.ndarray, recall: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -331,8 +342,8 @@ def grid_search(
     n_gold = int(counts[1].sum())
     scores = _score(tables, rows, counts)
     evaluated = ScoredRows(expressions, sizes, rows, scores, n_gold)
-    tp = scores[:, 1]
-    precision, recall, f1 = _prf(tp, scores[:, 0], n_gold - tp)
+    fp, tp = scores.T
+    precision, recall, f1 = prf(tp, fp, n_gold - tp)
     rank = space_rank[rows]
 
     def ranked(metric: np.ndarray) -> np.ndarray:
@@ -352,7 +363,10 @@ def grid_search(
         "beating_all_singles": beating[np.lexsort((rank[beating], -f1[beating]))],
     }
     # one ScoredEnsemble per reported row, shared by every view showing it
-    shown = {i: evaluated[i] for i in np.unique(np.concatenate([single, *views.values()])).tolist()}
+    reported = np.unique(np.concatenate([single, *views.values()])).tolist()
+    metrics = metrics_rows(tp[reported], fp[reported], n_gold - tp[reported])
+    shown = {i: ScoredEnsemble(expressions[rows[i]], sizes[rows[i]], m)
+             for i, m in zip(reported, metrics)}
     singles_map = {shown[i].expression: shown[i].metrics for i in single.tolist()}
     return SearchResult(
         group=config.group,
@@ -382,8 +396,7 @@ def evaluate_expression(
     sources = tree_sources(tree)
     _require_sources(store, gold_source, *sources)
     counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
-    fp, tp = counts[:, evaluate(tree, pattern_columns(sources))].sum(axis=1).tolist()
-    return MetricsResult.from_counts(tp, fp, int(counts[1].sum()) - tp)
+    return _table_metrics([evaluate(tree, pattern_columns(sources))], counts)[0]
 
 
 def complementarity_scores(
@@ -400,13 +413,10 @@ def complementarity_scores(
     for a in sources:
         # the table restricted to A's errors: gold 0 with A's bit set, gold 1 without
         on_errors = counts * np.stack([columns[a], ~columns[a]])
-        for b in sources:
-            if b == a:
-                continue
-            fp, tp = on_errors[:, columns[b]].sum(axis=1).tolist()
-            fn = int(on_errors[1].sum()) - tp
-            rate = comp_rate_from_counts(fp + fn, int(on_errors.sum()))
-            scores[a, b] = (rate, MetricsResult.from_counts(tp, fp, fn))
+        others = [b for b in sources if b != a]
+        errors = int(on_errors.sum())
+        for b, m in zip(others, _table_metrics([columns[b] for b in others], on_errors)):
+            scores[a, b] = (comp_rate_from_counts(m.fp + m.fn, errors), m)
     return scores
 
 
@@ -429,8 +439,7 @@ def cross_group_union_merge(
             raise ConfigError(f"source {source!r} has no annotations for group {group!r}")
     rows = [(source, group) for group, source in pairs]
     counts = _count_table(store, [*rows, (gold_source, ALL_GROUPS)])
-    fp, tp = counts[:, 1:].sum(axis=1).tolist()
-    return MetricsResult.from_counts(tp, fp, int(counts[1, 0]))
+    return _table_metrics([np.arange(counts.shape[1]) > 0], counts)[0]
 
 
 def majority_vote_eval(
@@ -447,6 +456,7 @@ def majority_vote_eval(
     coin, keyed on (seed, doc, character index in the doc)."""
     if len(sources) < 2:
         raise ValidationError("majority vote needs at least 2 sources")
+    _check_table_size(len(sources))
     _require_sources(store, gold_source, *sources)
     check_group(store, group)
     k = len(sources)

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
+
 from . import seeds
 from .errors import ValidationError
 from .model import ALL_GROUPS, GOLD_SOURCE, Annotation, AnnotationStore, DocumentRef
@@ -121,13 +123,18 @@ def _gold_spans(spec: SynthSpec, doc_id: str) -> list[Annotation]:
     return spans
 
 
-def _mixed_unit(spec: SynthSpec, shared_key: tuple, own_key: tuple, coin_key: tuple) -> float:
-    """One uniform draw, taken from the shared stream with probability equal
-    to the correlation coefficient, else from the source's own stream."""
+def _mixed_unit(
+    spec: SynthSpec, src: SourceSpec, prefix: tuple, name: str, coin: Optional[str] = None
+) -> float:
+    """One uniform draw ``name`` under the key ``prefix``: with probability
+    equal to the correlation coefficient from the shared stream, keyed
+    ``(*prefix, "shared", name)``, else from the source's own, keyed
+    ``(*prefix, src.name, name)``.  The coin that chooses is keyed
+    ``(*prefix, src.name, coin)``, by default ``coin`` = ``"coin-" + name``."""
     rho = spec.error_correlation
-    if rho > 0.0 and seeds.unit(spec.seed, *coin_key) < rho:
-        return seeds.unit(spec.seed, *shared_key)
-    return seeds.unit(spec.seed, *own_key)
+    if rho > 0.0 and seeds.unit(spec.seed, *prefix, src.name, coin or "coin-" + name) < rho:
+        return seeds.unit(spec.seed, *prefix, "shared", name)
+    return seeds.unit(spec.seed, *prefix, src.name, name)
 
 
 def _derive_source_annotations(
@@ -135,44 +142,21 @@ def _derive_source_annotations(
 ) -> list[Annotation]:
     out: list[Annotation] = []
     for i, span in enumerate(gold):
-        miss_draw = _mixed_unit(
-            spec,
-            shared_key=(doc_id, i, "shared", "miss"),
-            own_key=(doc_id, i, src.name, "miss"),
-            coin_key=(doc_id, i, src.name, "coin-miss"),
-        )
-        if miss_draw < src.miss_rate:
+        prefix = (doc_id, i)
+        if _mixed_unit(spec, src, prefix=prefix, name="miss") < src.miss_rate:
             continue
         begin, end = span.begin, span.end
         if src.jitter:
             width = 2 * src.jitter + 1
-            f_begin = _mixed_unit(
-                spec,
-                shared_key=(doc_id, i, "shared", "jb"),
-                own_key=(doc_id, i, src.name, "jb"),
-                coin_key=(doc_id, i, src.name, "coin-jb"),
-            )
-            f_end = _mixed_unit(
-                spec,
-                shared_key=(doc_id, i, "shared", "je"),
-                own_key=(doc_id, i, src.name, "je"),
-                coin_key=(doc_id, i, src.name, "coin-je"),
-            )
+            f_begin = _mixed_unit(spec, src, prefix=prefix, name="jb")
+            f_end = _mixed_unit(spec, src, prefix=prefix, name="je")
             begin = begin + math.floor(f_begin * width) - src.jitter
             end = end + math.floor(f_end * width) - src.jitter
             begin = min(max(begin, 0), spec.doc_length - 1)
             end = min(max(end, begin + 1), spec.doc_length)
         score = None
         if spec.emit_scores:
-            score = round(
-                _mixed_unit(
-                    spec,
-                    shared_key=(doc_id, i, "shared", "score"),
-                    own_key=(doc_id, i, src.name, "score"),
-                    coin_key=(doc_id, i, src.name, "coin-score"),
-                ),
-                4,
-            )
+            score = round(_mixed_unit(spec, src, prefix=prefix, name="score"), 4)
         out.append(
             Annotation(
                 doc_id=doc_id,
@@ -186,49 +170,23 @@ def _derive_source_annotations(
         )
     n_spurious = int(round(src.spurious_rate * spec.doc_length / 1000.0))
     for m in range(n_spurious):
-        f_len = _mixed_unit(
-            spec,
-            shared_key=(doc_id, "spur", m, "shared", "len"),
-            own_key=(doc_id, "spur", m, src.name, "len"),
-            coin_key=(doc_id, "spur", m, src.name, "coin-len"),
-        )
+        prefix = (doc_id, "spur", m)
+        f_len = _mixed_unit(spec, src, prefix=prefix, name="len")
         length = spec.span_len_min + math.floor(
             f_len * (spec.span_len_max - spec.span_len_min + 1)
         )
-        f_pos = _mixed_unit(
-            spec,
-            shared_key=(doc_id, "spur", m, "shared", "pos"),
-            own_key=(doc_id, "spur", m, src.name, "pos"),
-            coin_key=(doc_id, "spur", m, src.name, "coin-pos"),
-        )
+        f_pos = _mixed_unit(spec, src, prefix=prefix, name="pos")
         begin = math.floor(f_pos * (spec.doc_length - length + 1))
-        f_group = _mixed_unit(
-            spec,
-            shared_key=(doc_id, "spur", m, "shared", "group"),
-            own_key=(doc_id, "spur", m, src.name, "group"),
-            coin_key=(doc_id, "spur", m, src.name, "coin-group"),
-        )
+        f_group = _mixed_unit(spec, src, prefix=prefix, name="group")
         group = spec.groups[math.floor(f_group * len(spec.groups))]
         cui = None
         if spec.cui_vocab:
-            f_cui = _mixed_unit(
-                spec,
-                shared_key=(doc_id, "spur", m, "shared", "cui"),
-                own_key=(doc_id, "spur", m, src.name, "cui"),
-                coin_key=(doc_id, "spur", m, src.name, "coin-cui"),
-            )
+            f_cui = _mixed_unit(spec, src, prefix=prefix, name="cui")
             cui = f"C{1 + math.floor(f_cui * spec.cui_vocab):07d}"
         score = None
         if spec.emit_scores:
-            score = round(
-                _mixed_unit(
-                    spec,
-                    shared_key=(doc_id, "spur", m, "shared", "score"),
-                    own_key=(doc_id, "spur", m, src.name, "score"),
-                    coin_key=(doc_id, "spur", m, src.name, "coin-spscore"),
-                ),
-                4,
-            )
+            draw = _mixed_unit(spec, src, prefix=prefix, name="score", coin="coin-spscore")
+            score = round(draw, 4)
         out.append(
             Annotation(
                 doc_id=doc_id,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import random
 from collections.abc import Mapping
 
@@ -22,7 +23,50 @@ from span_ensembles import (
     disambiguate_overlaps,
     seeds,
 )
+from span_ensembles.metrics import Z_95
 from span_ensembles.model import overlapping
+
+
+def scalar_ci(p: float, n: int, z: float = Z_95) -> tuple[float, float]:
+    """Reference Bernoulli interval, by Python floats and ``math.sqrt``."""
+    half = z * math.sqrt(p * (1.0 - p) / n)
+    return (max(0.0, p - half), min(1.0, p + half))
+
+
+def scalar_metrics(tp: int, fp: int, fn: int, z: float = Z_95) -> MetricsResult:
+    """Reference metrics of one count triple, by Python int and float
+    arithmetic one field at a time."""
+    n_pred = tp + fp
+    n_gold = tp + fn
+    precision = tp / n_pred if n_pred else 0.0
+    recall = tp / n_gold if n_gold else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    n_f1 = 2 * tp + fp + fn
+    return MetricsResult(
+        tp=tp,
+        fp=fp,
+        fn=fn,
+        precision=precision,
+        recall=recall,
+        f1=f1,
+        n_gold=n_gold,
+        n_pred=n_pred,
+        ci_precision=scalar_ci(precision, n_pred, z) if n_pred else None,
+        ci_recall=scalar_ci(recall, n_gold, z) if n_gold else None,
+        ci_f1=scalar_ci(2 * tp / n_f1, n_f1, z) if n_f1 else None,
+        degenerate=n_pred == 0 or n_gold == 0 or precision + recall == 0,
+    )
+
+
+def exact(value):
+    """``value`` with each float replaced by its bits and each other scalar
+    paired with its type, so that ``==`` compares floats bit for bit, signed
+    zeros included, and never equates an int, a float and a bool."""
+    if isinstance(value, tuple):
+        return tuple(map(exact, value))
+    if isinstance(value, float):
+        return value.hex()
+    return type(value).__name__, value
 
 
 def rand_mask(rng: random.Random, doc_id: str, length: int, density: float = 0.4) -> CharMask:
@@ -74,7 +118,7 @@ def comp_prf(gold, pred_a, pred_b) -> MetricsResult:
         tp += int(np.count_nonzero(wrong & g & b))
         fp += int(np.count_nonzero(wrong & ~g & b))
         fn += int(np.count_nonzero(wrong & g & ~b))
-    return MetricsResult.from_counts(tp, fp, fn)
+    return scalar_metrics(tp, fp, fn)
 
 
 def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:
@@ -211,7 +255,7 @@ def per_document_vote(store, sources, gold_source, group, seed) -> MetricsResult
             tp += bool(voted and gold[idx])
             fp += bool(voted and not gold[idx])
             fn += bool(gold[idx] and not voted)
-    return MetricsResult.from_counts(tp, fp, fn)
+    return scalar_metrics(tp, fp, fn)
 
 
 def quadratic_resolve_candidates(entries, doc_id: str, doc_length: int, seed: int):

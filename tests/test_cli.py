@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from span_ensembles import cli
+from span_ensembles import cli, search
 from span_ensembles.cli import main
 
 SEARCH_CSV_COLUMNS = [
@@ -271,6 +271,32 @@ def test_search_beyond_the_size_limit_exits_validation_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "2,132,088 ensembles over 8 sources" in captured.err and "--max-size" in captured.err
+
+
+@pytest.mark.parametrize("task", ["ner-eval", "vote", "complementarity"])
+def test_count_table_beyond_the_limit_exits_validation_code(corpus, capsys, monkeypatch, task):
+    monkeypatch.setattr(search, "MAX_TABLE_CELLS", 2**3)  # gold and two systems
+    code = main([task, "--config", str(corpus / "config.json"), "--group", "each"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "3 systems and gold make a count table of 16 cells, more than 8" in captured.err
+    assert main([task, "--config", str(corpus / "config.json"), "--systems", "A,B"]) == 0
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+def test_complementarity_of_one_system_has_no_pairs(corpus, capsys, fmt):
+    code, out = run_cli(["complementarity", "--config", str(corpus / "config.json"),
+                         "--systems", "A", "--group", "each", "--format", fmt], capsys)
+    assert code == 0
+    if fmt == "csv":
+        assert out == "corpus,group,system_a,system_b,comp_rate,p,r,f1,tp,fp,fn\n"
+    elif fmt == "markdown":
+        assert out.splitlines()[-2:] == [
+            "| Corpus | Group | A | B | comp rate % | p | r | F1 |",
+            "| --- | --- | --- | --- | --- | --- | --- | --- |",
+        ]
+    else:
+        assert json.loads(out) == {"layout": "complementarity", "rows": []}
 
 
 def test_unwritable_out_is_validation_error(corpus, capsys, tmp_path):

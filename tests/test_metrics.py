@@ -1,6 +1,10 @@
+import dataclasses
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from span_ensembles import (
     Annotation,
@@ -15,8 +19,8 @@ from span_ensembles import (
     to_char_mask,
     to_cui_mask,
 )
-from span_ensembles.metrics import MetricsResult
-from conftest import brute_confusion, rand_mask
+from span_ensembles.metrics import MetricsResult, metrics_rows, prf
+from conftest import brute_confusion, exact, rand_mask, scalar_ci, scalar_metrics
 
 
 def cover(doc_id: str, length: int, *spans) -> CharMask:
@@ -111,6 +115,47 @@ def test_ci_half_width_scaling():
     for p in (0.2, 0.37, 0.5, 0.82):
         for n in (100, 400, 1234):
             assert abs(width(bernoulli_ci(p, n)) / width(bernoulli_ci(p, 4 * n)) - 2.0) < 1e-9
+
+
+COUNTS = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 2**40))
+Z = st.sampled_from([1.96, 1.0, 2.5758293035489004, 3])
+
+
+@given(st.lists(st.tuples(COUNTS, COUNTS, COUNTS), max_size=30), Z)
+@example([], 1.96)
+@example([(0, 0, 0), (0, 0, 5), (0, 5, 0), (5, 0, 0), (2**40, 2**40, 2**40)], 1.96)
+def test_metrics_rows_are_the_scalar_oracle_bit_for_bit(counts, z):
+    """Every field of every row, intervals and ``degenerate`` included, is
+    the oracle's to the bit and of its type; ``prf`` gives the same floats,
+    and ``from_counts`` is one row of it."""
+    tp, fp, fn = np.array(counts, dtype=np.int64).reshape(-1, 3).T
+    rows = metrics_rows(tp, fp, fn, z)
+    expected = [scalar_metrics(*c, z) for c in counts]
+    assert [exact(dataclasses.astuple(m)) for m in rows] == [
+        exact(dataclasses.astuple(m)) for m in expected
+    ]
+    for name, array in zip(("precision", "recall", "f1"), prf(tp, fp, fn)):
+        assert array.dtype == np.float64
+        assert exact(tuple(array.tolist())) == exact(tuple(getattr(m, name) for m in expected))
+    assert [MetricsResult.from_counts(*c, z) for c in counts] == rows
+
+
+@given(st.floats(0.0, 1.0), st.integers(1, 2**62), Z)
+@example(0.0, 1, 1.96)
+@example(1.0, 7, 1.96)
+@example(0.5, 2**53 + 1, 1.96)
+def test_bernoulli_ci_is_the_math_sqrt_formula_bit_for_bit(p, n, z):
+    assert exact(bernoulli_ci(p, n, z)) == exact(scalar_ci(p, n, z))
+
+
+def test_counts_outside_the_limit_are_refused():
+    with pytest.raises(ValidationError, match="negative confusion counts"):
+        MetricsResult.from_counts(3, -1, 2)
+    for count in (2**61, 2**63, 2**64):
+        with pytest.raises(ValidationError, match="below 2\\^61"):
+            MetricsResult.from_counts(1, count, 0)
+    big = MetricsResult.from_counts(2**61 - 1, 2**61 - 1, 2**61 - 1)
+    assert big.n_pred == 2**62 - 2 and big.precision == 0.5
 
 
 def test_ci_overlap_rule():

@@ -1,3 +1,6 @@
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from span_ensembles import (
@@ -9,7 +12,7 @@ from span_ensembles import (
     ValidationError,
     corpus_masks,
 )
-from span_ensembles.model import check_group
+from span_ensembles.model import SpanColumns, check_group
 
 
 def make_store():
@@ -61,6 +64,38 @@ def test_store_rejects_out_of_bounds_span():
 def test_store_rejects_duplicate_doc():
     with pytest.raises(ValidationError):
         AnnotationStore([DocumentRef("d1", 10), DocumentRef("d1", 20)], [])
+
+
+@pytest.mark.parametrize("column, value, message", [
+    ("begin", 5, "bad span [5, 2) from source 'A' in doc 'd'"),
+    ("begin", -1, "bad span [-1, 2) from source 'A' in doc 'd'"),
+    ("cui", "X123", "bad concept id 'X123' (expected 'C' + 7 digits)"),
+    ("score", 7.0, "score 7.0 outside [0, 1]"),
+    ("score", -0.5, "score -0.5 outside [0, 1]"),
+    ("score", float("inf"), "score inf outside [0, 1]"),
+])
+def test_store_from_columns_checks_the_annotation_invariants(column, value, message):
+    """The first bad row is refused with the message its Annotation would
+    raise."""
+    documents = [DocumentRef("d", 10)]
+    columns = SpanColumns.from_annotations([
+        Annotation("d", "A", 0, 2, cui="C0000001", score=0.5),
+        Annotation("d", "B", 1, 2, cui="C0000002", score=0.25),
+    ])
+    if column == "cui":
+        columns = replace(columns, cuis=tuple(value if c == "C0000001" else c for c in columns.cuis))
+    else:
+        getattr(columns, column)[0] = value
+    with pytest.raises(ValidationError) as error:
+        AnnotationStore(documents, columns)
+    assert str(error.value) == message
+
+
+def test_store_checks_only_the_kept_rows():
+    columns = SpanColumns.from_annotations([Annotation("d", "A", 0, 2), Annotation("d", "B", 1, 2)])
+    columns.end[0], columns.score[0] = 0, 7.0
+    store = AnnotationStore.adopt([DocumentRef("d", 10)], columns, np.array([False, True]))
+    assert [a.source for a in store.columns.annotations()] == ["B"]
 
 
 def in_group(store, group):

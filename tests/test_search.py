@@ -2,8 +2,6 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from span_ensembles import (
     ALL_GROUPS,
@@ -12,7 +10,6 @@ from span_ensembles import (
     ConfigError,
     DocumentRef,
     Leaf,
-    MetricsResult,
     SearchConfig,
     SourceSpec,
     SynthSpec,
@@ -36,7 +33,7 @@ from span_ensembles import (
 from span_ensembles import expr, search
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED, ScoredRows, _prf
+from span_ensembles.search import SAMPLED, ScoredRows
 
 
 def two_system_store():
@@ -245,18 +242,24 @@ def test_search_space_count_is_exact():
                         expr.check_search_space(k, low, high)
 
 
-COUNTS = st.one_of(st.just(0), st.integers(0, 4), st.integers(0, 2**40))
+def test_count_table_beyond_the_limit_is_refused_before_any_work(monkeypatch):
+    store = synth_store()
+    monkeypatch.setattr(search, "MAX_TABLE_CELLS", 2**3)  # gold and two systems
+    assert evaluate_expression(store, parse("(A|B)"), GOLD_SOURCE).tp > 0
 
+    def fail(*args, **kwargs):
+        raise AssertionError("built a table past the limit")
 
-@given(st.lists(st.tuples(COUNTS, COUNTS, COUNTS), min_size=1, max_size=30))
-def test_array_prf_is_from_counts_bit_for_bit(counts):
-    tp, fp, fn = (np.array(c, dtype=np.int64) for c in zip(*counts))
-    arrays = _prf(tp, fp, fn)
-    singles = [MetricsResult.from_counts(*c) for c in counts]
-    for name, array in zip(("precision", "recall", "f1"), arrays):
-        expected = np.array([getattr(m, name) for m in singles])
-        assert array.dtype == np.float64
-        assert array.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), name
+    monkeypatch.setattr(search, "_blocks", fail)
+    message = "3 systems and gold make a count table of 16 cells, more than 8"
+    with pytest.raises(ConfigError, match=message):
+        evaluate_expression(store, parse("((A|B)|C)"), GOLD_SOURCE)
+    with pytest.raises(ConfigError, match=message):
+        majority_vote_eval(store, ["A", "B", "C"], GOLD_SOURCE)
+    with pytest.raises(ConfigError, match=message):
+        search.complementarity_scores(store, ["A", "B", "C"], GOLD_SOURCE)
+    with pytest.raises(ConfigError, match=message):
+        grid_search(store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), max_size=1))
 
 
 def test_evaluated_view_is_a_read_only_sequence():
