@@ -6,16 +6,15 @@ Semantic group files use the published pipe-delimited 4-column format
 (group-abbrev|group-name|TUI|type-name); overrides are JSONL records mapping
 a (source, native_type) pair to a group.
 
-Every JSONL file is read a chunk of ``CHUNK_LINES`` lines at a time by
-:func:`_jsonl_values`, with no Python object per record beyond the decoded
-JSON of one chunk: each line is decoded by ``orjson.loads``, and each field
-of the file's field table is read in one pass.  A chunk that orjson cannot
-take line by line as objects goes to ``json``, one line at a time, and a
-file in which any record is malformed or invalid is read again that way, so
-that every reported problem is the one ``json`` finds.  Each annotation file is
-read on its own (:func:`load_span_file`), names coded through tables of its
-own, and its records are checked once it is read, as array checks over its
-columns; the files are then joined into one
+JSONL has two readers: one only accepts, the other only explains.
+:func:`_orjson_part` reads an annotation file into columns, ``CHUNK_LINES``
+lines decoded by ``orjson.loads`` at a time, checks its records as arrays and
+refuses the whole file at anything else, so a clean file is decoded once, by
+orjson.  :func:`_json_records` decodes a line at a time with ``json`` and names
+each malformed line as ``file:line``: it reads the manifest, the overrides and
+each refused annotation file, whose records are then checked one by one.
+Each annotation file is read on its own (:func:`load_span_file`), names coded
+through tables of its own; the files are joined into one
 :class:`~span_ensembles.model.SpanColumns` by recoding each name column
 through one table.  Group mapping and disambiguation return row masks, so the
 columns are never copied until the store gathers them, once, into its order.
@@ -24,7 +23,6 @@ columns are never copied until the store gathers them, once, into its order.
 from __future__ import annotations
 
 import json
-import operator
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -40,7 +38,6 @@ from .errors import ConfigError, ParseError, ValidationError
 from .model import (
     COLUMNS,
     CUI_PATTERN,
-    RECORD_PROBLEMS,
     Annotation,
     DocumentRef,
     SemanticGroupMap,
@@ -102,40 +99,6 @@ def _reading(path: PathLike, malformed: list) -> Iterator[TextIO]:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _decode_lines(path: PathLike, first: int, chunk: list[str], malformed: list):
-    """Per-line decode by ``json``: (line numbers, objects) of the lines that
-    are JSON objects, blank lines skipped; every other line is appended to
-    ``malformed``."""
-    kept_linenos, records = [], []
-    for lineno, line in enumerate(chunk, start=first):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problem = f"bad JSON ({exc.msg})"
-        else:
-            if isinstance(record, dict):
-                kept_linenos.append(lineno)
-                records.append(record)
-                continue
-            problem = "expected a JSON object"
-        malformed.append((lineno, f"{path}:{lineno}: {problem}"))
-    return kept_linenos, records
-
-
-def _orjson_records(chunk: list[str]) -> Optional[list[dict]]:
-    """The objects of a chunk's lines, one per line, each decoded by
-    ``orjson.loads``; None if orjson refuses a line or a line is not an
-    object."""
-    try:
-        records = list(map(orjson.loads, chunk))
-    except orjson.JSONDecodeError:
-        return None
-    return records if set(map(type, records)) == {dict} else None
-
-
 def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list[str]) -> None:
     """Raise one ParseError listing every malformed record, else one
     ValidationError; ``malformed`` holds (line number, message) in report order."""
@@ -184,11 +147,13 @@ def _read_column(column: list, types: set):
     return column
 
 
-def _field_problem(record: dict, fields: Mapping[str, set]) -> str:
+def _field_problem(record: dict, fields: Mapping[str, set]) -> Optional[str]:
     """What is wrong with the first of ``fields``, in order, whose value is
-    not one of its types (an absent field reads as null)."""
-    key, types = next((key, types) for key, types in fields.items()
-                      if not _typed(record.get(key), types))
+    not one of its types (an absent field reads as null); None if nothing."""
+    key, types = next(((key, types) for key, types in fields.items()
+                       if not _typed(record.get(key), types)), (None, None))
+    if key is None:
+        return None
     if key not in record:
         return f"missing field {key!r}"
     kind = type(record[key])
@@ -198,90 +163,120 @@ def _field_problem(record: dict, fields: Mapping[str, set]) -> str:
     return f"field {key!r} is {found}, expected {' or '.join(expected)}"
 
 
-def _chunk_values(path: PathLike, linenos: Sequence[int], records: list[dict],
-                  fields: Mapping[str, set], malformed: list):
-    """(line numbers, values by field, columns read by :func:`_read_column`
-    by field) of a chunk's well-formed records.  Only a column that holds a
-    value outside its field's types is checked value by value; a record with
-    such a value is appended to ``malformed`` as (line number, message) and
-    left out."""
-    values = {key: list(map(dict.get, records, repeat(key))) for key in fields}
-    read = {key: _read_column(column, fields[key]) for key, column in values.items()}
-    odd = sorted({i for key, types in fields.items() if read[key] is None
-                  for i, value in enumerate(values[key]) if not _typed(value, types)})
-    if odd:
-        malformed.extend(
-            (linenos[i], f"{path}:{linenos[i]}: {_field_problem(records[i], fields)}") for i in odd
-        )
-        keep = sorted(set(range(len(records))).difference(odd))
-        linenos = [linenos[i] for i in keep]
-        values = {key: [column[i] for i in keep] for key, column in values.items()}
-        read = {key: _read_column(column, fields[key]) for key, column in values.items()}
-    return linenos, values, read
-
-
-def _jsonl_values(path: PathLike, fields: Mapping[str, set], malformed: list, per_line: bool):
-    """Yield (line numbers, values by field, columns read by field) per chunk
-    of up to ``CHUNK_LINES`` lines of a JSONL file's well-formed records,
-    given the file's field table; blank lines are skipped.
-
-    Each line of a chunk is decoded by ``orjson.loads``.  A chunk in which
-    orjson refuses a line (a blank or bad one, or JSON that orjson does not
-    take: NaN, Infinity, a number beyond a float, a lone surrogate), or in
-    which a line is not a JSON object, is decoded line by line by ``json``
-    instead, as is every chunk if ``per_line``.  A line that is not a JSON
-    object, like a record with a field outside its types, is appended to
-    ``malformed`` as (line number, message) and left out.
-
-    orjson reads an integer outside [-2**63, 2**64) as a float, so a problem
-    found in its objects may not be the one ``json`` finds.  Each loader
-    therefore reads a file with ``per_line`` false first and, if that read
-    finds any malformed or invalid record, reads it again with ``per_line``
-    true and reports only that read's problems: every reported problem comes
-    from ``json``, and a clean file is decoded by orjson alone.  Lines end at
-    "\n", "\r\n" or "\r" (universal newlines), as in any text-mode read.
-    A chunk's lines and objects are dropped once its columns are read.  Once
-    the file is read, its entries in ``malformed`` are sorted by line."""
-    first_entry = len(malformed)
+def _json_records(path: PathLike, fields: Mapping[str, set], malformed: list):
+    """Yield (line number, record) for each non-blank line of a JSONL file
+    that ``json`` decodes to an object whose fields hold their types in
+    ``fields``; append every other line to ``malformed`` as (line number,
+    message).  Lines are read ``CHUNK_LINES`` at a time, so that a read that
+    stops at bytes that are not UTF-8 takes the lines :func:`_orjson_part` takes."""
     with _reading(path, malformed) as handle:
-        first = 1
-        while chunk := list(islice(handle, CHUNK_LINES)):
-            records = None if per_line else _orjson_records(chunk)
-            if records is None:
-                linenos, records = _decode_lines(path, first, chunk, malformed)
+        chunks = iter(lambda: list(islice(handle, CHUNK_LINES)), [])
+        for lineno, line in enumerate(chain.from_iterable(chunks), start=1):
+            if not (line := line.strip()):
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                problem = f"bad JSON ({exc.msg})"
             else:
-                linenos = range(first, first + len(chunk))
-            first += len(chunk)
-            got = _chunk_values(path, linenos, records, fields, malformed)
-            del chunk, records
-            yield got
-    malformed[first_entry:] = sorted(malformed[first_entry:])
+                problem = (_field_problem(record, fields) if isinstance(record, dict)
+                           else "expected a JSON object")
+                if problem is None:
+                    yield lineno, record
+                    continue
+            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
     """Read document records (doc_id, length, corpus_id).  Malformed lines,
     else invalid records (a duplicate doc_id, a negative length), are each
     collected into one error, as in :func:`load_annotations`."""
-    for per_line in (False, True):
-        docs, seen, malformed, problems = [], {}, [], []  # seen: doc_id -> line
-        for linenos, values, _ in _jsonl_values(path, _MANIFEST_FIELDS, malformed, per_line):
-            for lineno, doc_id, length, corpus_id in zip(linenos, *values.values()):
-                try:
-                    doc = DocumentRef(doc_id, length, corpus_id or "")
-                except ValidationError as exc:
-                    problems.append(f"{path}:{lineno}: {exc}")
-                    continue
-                first = seen.setdefault(doc_id, lineno)
-                if first == lineno:
-                    docs.append(doc)
-                else:
-                    problems.append(
-                        f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})"
-                    )
-        if not (malformed or problems):
-            break
+    docs, malformed, problems = {}, [], []  # doc_id -> (document, line)
+    for lineno, record in _json_records(path, _MANIFEST_FIELDS, malformed):
+        doc_id, length, corpus_id = map(record.get, _MANIFEST_FIELDS)
+        try:
+            doc = DocumentRef(doc_id, length, corpus_id or "")
+        except ValidationError as exc:
+            problems.append(f"{path}:{lineno}: {exc}")
+            continue
+        _, first = docs.setdefault(doc_id, (doc, lineno))
+        if first != lineno:
+            problems.append(f"{path}:{lineno}: duplicate doc_id {doc_id!r} (first at line {first})")
     _raise_collected("manifest", malformed, problems)
-    return docs
+    return [doc for doc, _ in docs.values()]
+
+
+def _encoded(records: list[dict], names: Mapping[str, dict]) -> Optional[dict[str, np.ndarray]]:
+    """The column arrays of annotation records, each field read once, names
+    coded through ``names``; None if a value is outside its field's types."""
+    values = {key: list(map(dict.get, records, repeat(key))) for key in _ANNOTATION_FIELDS}
+    read = {key: _read_column(values[key], types) for key, types in _ANNOTATION_FIELDS.items()}
+    typed = all(column is not None for column in read.values())
+    return encode_values(values, names, read) if typed else None
+
+
+def _joined(chunks: list[dict], names: Mapping[str, dict]) -> dict[str, np.ndarray]:
+    """The chunks' arrays joined per column; each leaves ``chunks`` as it is joined."""
+    chunks.insert(0, _encoded([], names))  # the dtypes of a file with no record
+    return {col: np.concatenate([chunk.pop(col) for chunk in chunks]) for col in COLUMNS}
+
+
+def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
+                 expected_source: Optional[str], universe: Collection[str]):
+    """An annotation file's part, as :func:`load_span_file` returns it, read
+    by orjson; None if orjson refuses a line (blank lines are tried without),
+    a line is not an object, a value is outside its field's types, a record
+    fails a check or the file cannot be read as UTF-8 text.  orjson refuses
+    NaN, so NaN in the score column means no score."""
+    names, chunks = span_names(documents), []
+    try:
+        with open(path, encoding="utf-8") as handle:
+            while chunk := list(islice(handle, CHUNK_LINES)):
+                try:
+                    records = list(map(orjson.loads, chunk))
+                except orjson.JSONDecodeError:
+                    records = [orjson.loads(line) for line in chunk if line.strip()]
+                if not set(map(type, records)) <= {dict}:
+                    return None
+                chunks.append(_encoded(records, names))
+                if chunks[-1] is None:
+                    return None
+                del chunk, records  # not held while the next chunk is read
+    except (OSError, UnicodeDecodeError, orjson.JSONDecodeError):
+        return None  # the json read names the problem
+    columns = _joined(chunks, names)
+    begin, end, score = columns["begin"], columns["end"], columns["score"]
+    lengths = np.array([doc.length for doc in documents.values()], dtype=np.int64)
+    foreign = [code for group, code in names["group"].items()
+               if group is not None and universe and group not in universe]
+    refused = (  # names are checked once each; every name is some row's
+        len(names["doc_id"]) > len(documents)  # an unknown document
+        or any(cui is not None and not CUI_PATTERN.match(cui) for cui in names["cui"])
+        or expected_source is not None and bool(names["source"].keys() - {expected_source})
+        or ((begin < 0) | (end <= begin) | (end > lengths[columns["doc_id"]])
+            | (score < 0.0) | (score > 1.0)  # NaN, no score, compares false
+            | np.isin(columns["group"], foreign) & (columns["native_type"] == 0)).any()
+    )
+    return None if refused else (columns, names)
+
+
+def _span_problem(record: dict, documents: Mapping[str, DocumentRef],
+                  expected_source: Optional[str], universe: Collection[str]) -> Optional[str]:
+    """What a well-formed annotation record's first failing check names, else None."""
+    try:
+        ann = Annotation(*map(record.get, COLUMNS))
+    except ValidationError as exc:  # its span, its CUI or its score
+        return str(exc)
+    doc = documents.get(ann.doc_id)
+    if doc is None:
+        return f"unknown doc {ann.doc_id!r}"
+    if ann.end > doc.length:
+        return f"span [{ann.begin}, {ann.end}) exceeds doc {ann.doc_id!r} length {doc.length}"
+    if expected_source not in (None, ann.source):
+        return f"source {ann.source!r} != expected {expected_source!r}"
+    if ann.native_type is None and ann.group is not None and universe and ann.group not in universe:
+        return f"group {ann.group!r} not in the group universe"
+    return None
 
 
 def load_span_file(
@@ -289,64 +284,34 @@ def load_span_file(
     documents: Mapping[str, DocumentRef],
     expected_source: Optional[str] = None,
     universe: Collection[str] = (),
-) -> tuple[tuple[dict, dict], list[tuple[int, str]], list[str]]:
+) -> tuple[Optional[tuple[dict, dict]], list[tuple[int, str]], list[str]]:
     """One annotation file: its columns as a part for :meth:`SpanColumns.join`
     (arrays, and name tables of its own, documents coded by their position
     in ``documents``), its malformed records as (line number, message) and
-    its invalid records' messages, both in line order.
+    its invalid records' messages, both in line order; no part if it has any.
 
     A record's first failing check names its problem: its span, its CUI, its
     score, its document, its bounds in that document, its source (an expected
     source of None accepts any), then a group given with no native type
-    outside ``universe`` (an empty one accepts any).  The checks run once,
-    over the file's columns, each name's once per name.  A failing score is
-    named by its JSON value: NaN in the columns also stands for no score.
+    outside ``universe`` (an empty one accepts any).
     """
-    for per_line in (False, True):
-        names, malformed, raw_scores = span_names(documents), [], {}  # raw_scores: line -> score
-        chunks, bad_scores, lines = [encode_values(dict.fromkeys(COLUMNS, []), names)], [], []
-        for linenos, values, read in _jsonl_values(path, _ANNOTATION_FIELDS, malformed, per_line):
-            chunks.append(encode_values(values, names, read))
-            score = chunks[-1]["score"]
-            bad_score = ~((score >= 0.0) & (score <= 1.0))
-            if bad_score.any():
-                has_score = map(operator.is_not, values["score"], repeat(None))
-                bad_score &= np.fromiter(has_score, dtype=bool, count=len(score))
-                failing = np.flatnonzero(bad_score).tolist()
-                raw_scores.update((linenos[i], values["score"][i]) for i in failing)
-            bad_scores.append(bad_score)
-            lines.append(linenos)
-        columns = {col: np.concatenate([chunk.pop(col) for chunk in chunks]) for col in COLUMNS}
-        begin, end, doc, native = (columns[c] for c in ("begin", "end", "doc_id", "native_type"))
-        valid = {  # per name, then per row
-            "cui": [c is None or bool(CUI_PATTERN.match(c)) for c in names["cui"]],
-            "source": [expected_source in (None, s) for s in names["source"]],
-            "group": [g is None or not universe or g in universe for g in names["group"]],
-        }
-        valid = {col: np.array(ok, dtype=bool)[columns[col]] for col, ok in valid.items()}
-        lengths = np.array([documents[d].length if d in documents else 0 for d in names["doc_id"]],
-                           dtype=np.int64)
-        checks = {  # the problem each check names, a template of the row's fields
-            RECORD_PROBLEMS["span"]: (begin < 0) | (end <= begin),
-            RECORD_PROBLEMS["cui"]: ~valid["cui"],
-            RECORD_PROBLEMS["score"]: np.concatenate([np.zeros(0, dtype=bool), *bad_scores]),
-            "unknown doc {doc_id!r}": doc >= len(documents),
-            "span [{begin}, {end}) exceeds doc {doc_id!r} length {length}": end > lengths[doc],
-            "source {source!r} != expected {expected_source!r}": ~valid["source"],
-            "group {group!r} not in the group universe": (native == 0) & ~valid["group"],
-        }
-        failed = np.select(list(checks.values()), list(range(1, len(checks) + 1)), 0)
-        problems, templates = [], [None, *checks]
-        line_of = list(chain.from_iterable(lines)) if failed.any() else []  # by row
-        tables = {col: tuple(table) for col, table in names.items()}
-        for i in np.flatnonzero(failed).tolist():
-            row = {col: columns[col][i].item() for col in COLUMNS}
-            row.update({col: tables[col][row[col]] for col in tables}, length=lengths[doc[i]],
-                       score=raw_scores.get(line_of[i]), expected_source=expected_source)
-            problems.append(f"{path}:{line_of[i]}: " + templates[failed[i]].format(**row))
-        if not (malformed or problems):
-            break
-    return (columns, names), malformed, problems
+    part = _orjson_part(path, documents, expected_source, universe)
+    if part is not None:
+        return part, [], []
+    names, chunks, records, malformed, problems = span_names(documents), [], [], [], []
+    for lineno, record in _json_records(path, _ANNOTATION_FIELDS, malformed):
+        problem = _span_problem(record, documents, expected_source, universe)
+        if problem is not None:
+            problems.append(f"{path}:{lineno}: {problem}")
+        records.append(record)
+        if malformed or problems:  # the file is refused: keep no rows
+            chunks, records = [], []
+        elif len(records) == CHUNK_LINES:
+            chunks.append(_encoded(records, names))
+            records = []
+    if malformed or problems:
+        return None, malformed, problems
+    return (_joined([*chunks, _encoded(records, names)], names), names), [], []
 
 
 def load_span_files(
@@ -422,19 +387,14 @@ def load_semantic_group_map(
 
     pairs: dict[tuple[str, str], tuple[str, int]] = {}  # (source, native type) -> (group, line)
     if overrides_path is not None:
-        for per_line in (False, True):
-            pairs, malformed, problems = {}, [], []
-            chunks = _jsonl_values(overrides_path, _OVERRIDE_FIELDS, malformed, per_line)
-            for linenos, values, _ in chunks:
-                for lineno, source, native, group in zip(linenos, *values.values()):
-                    where = f"{overrides_path}:{lineno}"
-                    conflict = _conflict(pairs, (source, native), group, lineno)
-                    if group not in universe:
-                        problems.append(f"{where}: override targets unknown group {group!r}")
-                    elif conflict:
-                        problems.append(f"{where}: override {conflict}")
-            if not (malformed or problems):
-                break
+        for lineno, record in _json_records(overrides_path, _OVERRIDE_FIELDS, malformed):
+            source, native, group = map(record.get, _OVERRIDE_FIELDS)
+            where = f"{overrides_path}:{lineno}"
+            conflict = _conflict(pairs, (source, native), group, lineno)
+            if group not in universe:
+                problems.append(f"{where}: override targets unknown group {group!r}")
+            elif conflict:
+                problems.append(f"{where}: override {conflict}")
         _raise_collected("override", malformed, problems)
 
     return SemanticGroupMap(

@@ -57,24 +57,16 @@ class Annotation:
 
     def __post_init__(self):
         if self.begin < 0 or self.end <= self.begin:
-            raise ValidationError(RECORD_PROBLEMS["span"].format(**vars(self)))
+            raise ValidationError(f"bad span [{self.begin}, {self.end}) from source "
+                                  f"{self.source!r} in doc {self.doc_id!r}")
         if self.cui is not None and not CUI_PATTERN.match(self.cui):
-            raise ValidationError(RECORD_PROBLEMS["cui"].format(**vars(self)))
+            raise ValidationError(f"bad concept id {self.cui!r} (expected 'C' + 7 digits)")
         if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValidationError(RECORD_PROBLEMS["score"].format(**vars(self)))
+            raise ValidationError(f"score {self.score} outside [0, 1]")
 
     @property
     def length(self) -> int:
         return self.end - self.begin
-
-
-# The record checks' messages, shared by Annotation and the column checks of
-# ingest: templates of a record's fields.
-RECORD_PROBLEMS = {
-    "span": "bad span [{begin}, {end}) from source {source!r} in doc {doc_id!r}",
-    "cui": "bad concept id {cui!r} (expected 'C' + 7 digits)",
-    "score": "score {score} outside [0, 1]",
-}
 
 
 @dataclass(frozen=True)
@@ -423,23 +415,26 @@ class AnnotationStore:
         store_sources = tuple(sorted(set(sources) | present))
         source_index = {s: i for i, s in enumerate(store_sources)}
         source_code = np.array([source_index.get(s, 0) for s in spans.sources], dtype=np.int32)
-        # Rows left out (their document or source may be unknown) sort last.
-        np.take(np.maximum(doc_code, 0), spans.doc_id, out=spans.doc_id)
+        np.take(doc_code, spans.doc_id, out=spans.doc_id)
         np.take(source_code, spans.source, out=spans.source)
-        order = packed_lexsort((
-            _sort_rank(spans.cuis)[spans.cui],
-            _sort_rank(spans.groups)[spans.group],
-            spans.end,
-            spans.begin,
-            spans.doc_id,
-            spans.source,
-            ~keep,
-        ))[: np.count_nonzero(keep)]
-        held = {}
+        # The kept rows move to the front, in row order, and only they are
+        # sorted: a row left out may hold an unknown document (code -1) or a
+        # negative offset.
+        n_kept, held = int(np.count_nonzero(keep)), {}
         for col in COLUMNS:
             column = getattr(spans, col)
-            column[: len(order)] = column[order]
-            held[col] = column[: len(order)]
+            column[:n_kept] = column[keep]
+            held[col] = column[:n_kept]
+        order = packed_lexsort((
+            _sort_rank(spans.cuis)[held["cui"]],
+            _sort_rank(spans.groups)[held["group"]],
+            held["end"],
+            held["begin"],
+            held["doc_id"],
+            held["source"],
+        ))
+        for column in held.values():
+            column[:] = column[order]
         self._spans = spans = replace(spans, **held, doc_ids=doc_ids, sources=store_sources)
         self._documents = docs
         self._group_universe = universe

@@ -254,8 +254,9 @@ def _pareto_front(precision: np.ndarray, recall: np.ndarray, rank: np.ndarray) -
 
 class ScoredRows(Sequence):
     """Every ensemble a search scored, in scoring order, as a read-only
-    sequence: an item is built from its counts when it is read, and the
-    view equals the tuple of its items."""
+    sequence: an item is built from its counts when it is read, the items
+    of a slice or an iteration by one ``metrics_rows`` call, and the view
+    equals the tuple of its items."""
 
     def __init__(self, expressions, sizes, rows: np.ndarray, scores: np.ndarray, n_gold: int):
         self._expressions, self._sizes, self._rows = expressions, sizes, rows
@@ -267,11 +268,15 @@ class ScoredRows(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return tuple(map(self.__getitem__, range(len(self))[index]))
+            tp = self._tp[index]
+            metrics = metrics_rows(tp, self._fp[index], self._n_gold - tp)
+            return tuple(ScoredEnsemble(self._expressions[row], self._sizes[row], item)
+                         for row, item in zip(self._rows[index].tolist(), metrics))
         i = range(len(self))[index]
-        row, tp = int(self._rows[i]), int(self._tp[i])
-        metrics = MetricsResult.from_counts(tp, int(self._fp[i]), self._n_gold - tp)
-        return ScoredEnsemble(self._expressions[row], self._sizes[row], metrics)
+        return self[i : i + 1][0]
+
+    def __iter__(self) -> Iterator[ScoredEnsemble]:
+        return iter(self[:])
 
     def __eq__(self, other):
         if isinstance(other, (ScoredRows, tuple)):

@@ -285,6 +285,66 @@ def test_chunk_of_misaligned_lines_falls_back(tmp_path):
     assert outcome(load_annotations, path, None)[0] == "ParseError"
 
 
+# Valid records of source A with blank lines among them.
+CLEAN_LINES = [
+    '{"doc_id": "d1", "source": "A", "begin": 0, "end": 3, "score": 0.5}',
+    "",
+    '{"doc_id": "d2", "source": "A", "begin": 2, "end": 9, "group": "G1", "cui": "C0000001"}',
+    "  \t",
+    '{"doc_id": "d1", "source": "A", "begin": 5, "end": 8, "native_type": "T047", "score": 1}',
+    '{"doc_id": "d[3]", "source": "A", "begin": 0, "end": 10, "extra": [1, {"a": null}]}',
+]
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 512])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_clean_file_is_read_by_orjson_alone(tmp_path, monkeypatch, chunk_lines, end):
+    path = tmp_path / "a.jsonl"
+    path.write_text(end.join(CLEAN_LINES) + end, encoding="utf-8", newline="")
+    expected = scan_annotation_files([("A", path)], DOCS)
+
+    def no_json_read(*args):
+        raise AssertionError("a clean file reached the json reader")
+
+    monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(ingest, "_json_records", no_json_read)
+    assert joined(load_span_files([("A", path)], DOCS)) == expected
+
+
+@pytest.mark.parametrize("bad", [
+    '{"doc_id": "d1", "source": "A", "begin": 4, "end": 2}',  # invalid: its span
+    '{"doc_id": "d1", "source": "B", "begin": 0, "end": 2}',  # invalid: its source
+    '{"doc_id": "d1", "source": "A", "begin": 0.5, "end": 2}',  # malformed: a type
+    '{"doc_id": "d1", "source": "A", "begin": 0, "end": 2',  # malformed: bad JSON
+    "[1, 2]",  # malformed: not an object
+])
+def test_file_with_a_bad_record_is_read_by_json_once(tmp_path, monkeypatch, bad):
+    path = tmp_path / "a.jsonl"
+    path.write_text("\n".join([*CLEAN_LINES[:3], bad, *CLEAN_LINES[3:]]) + "\n", encoding="utf-8")
+    calls, json_records = [], ingest._json_records
+    monkeypatch.setattr(
+        ingest, "_json_records", lambda *args: calls.append(args[0]) or json_records(*args)
+    )
+    assert outcome(load_annotations, path, "A") == outcome(scan_annotations, path, "A")
+    assert calls == [path]
+
+
+@pytest.mark.parametrize("chunk_lines", [2, 512])
+def test_valid_file_that_orjson_refuses_gives_the_line_scan_columns(
+    tmp_path, monkeypatch, chunk_lines
+):
+    # json reads a lone surrogate in a name, which orjson refuses
+    surrogate = '{"doc_id": "d2", "source": "A", "begin": 1, "end": 4, "native_type": "\\ud800"}'
+    refused, clean = tmp_path / "refused.jsonl", tmp_path / "clean.jsonl"
+    lines = [*CLEAN_LINES, surrogate, CLEAN_LINES[0]]
+    refused.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    clean.write_text("\n".join(CLEAN_LINES) + "\n", encoding="utf-8")
+    monkeypatch.setattr(ingest, "CHUNK_LINES", chunk_lines)
+    assert ingest._orjson_part(refused, DOCS, "A", ()) is None
+    files = [("A", clean), (None, refused), ("A", clean)]
+    assert joined(load_span_files(files, DOCS)) == scan_annotation_files(files, DOCS)
+
+
 # JSON text on which orjson and json part: orjson refuses NaN, ±Infinity,
 # 1e400 and a lone surrogate, and reads an integer outside [-2**63, 2**64)
 # as a float.  The integers are the edges of int64 and uint64.

@@ -96,6 +96,11 @@ def test_store_checks_only_the_kept_rows():
     columns.end[0], columns.score[0] = 0, 7.0
     store = AnnotationStore.adopt([DocumentRef("d", 10)], columns, np.array([False, True]))
     assert [a.source for a in store.columns.annotations()] == ["B"]
+    # a left-out row with a negative offset is not sorted either
+    columns = SpanColumns.from_annotations([Annotation("d", "A", 0, 2), Annotation("d", "B", 1, 2)])
+    columns.begin[0] = -1
+    store = AnnotationStore.adopt([DocumentRef("d", 10)], columns, np.array([False, True]))
+    assert [a.source for a in store.columns.annotations()] == ["B"]
 
 
 def in_group(store, group):

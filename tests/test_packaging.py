@@ -1,6 +1,6 @@
 """Every third-party module that the package imports is declared in
 ``pyproject.toml``, so a missing dependency fails here rather than at a
-user's first run."""
+user's first run; and every name a source file imports is used in it."""
 
 import ast
 import re
@@ -48,3 +48,39 @@ def test_third_party_imports_are_declared_dependencies():
         if not {normalized(d) for d in distributions.get(module, [module])} & declared
     }
     assert not missing, f"imported but not declared in pyproject.toml: {sorted(missing)}"
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name a module reads: loaded in its code, inside a quoted
+    annotation, or listed in its ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            annotations = [node.annotation]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        else:
+            annotations = []
+        for quoted in (c for a in annotations if a is not None for c in ast.walk(a)
+                       if isinstance(c, ast.Constant) and isinstance(c.value, str)):
+            names |= read_names(ast.parse(quoted.value, mode="eval"))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def test_no_unused_imports_under_src():
+    unused = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = read_names(tree)
+        imports = (node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__")
+        unused += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                   for node in imports for alias in node.names
+                   if (name := alias.asname or alias.name.split(".")[0]) not in used]
+    assert not unused, "imported but never used:\n" + "\n".join(unused)

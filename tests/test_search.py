@@ -280,6 +280,16 @@ def test_evaluated_view_is_a_read_only_sequence():
         assert view[i].metrics == evaluate_expression(store, parse(view[i].expression), GOLD_SOURCE)
     assert view[np.int64(2)] == items[2]
     assert view[1:7:2] == items[1:7:2] and view[::-1] == items[::-1]
+    # a slice and an iteration, each built by one metrics_rows call, equal
+    # indexing item by item
+    one_by_one = tuple(view[i] for i in range(len(view)))
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        rows = search.metrics_rows
+        patch.setattr(search, "metrics_rows", lambda *counts: calls.append(1) or rows(*counts))
+        assert tuple(view) == view[:] == one_by_one and view[-3:1:-2] == one_by_one[-3:1:-2]
+    assert len(calls) == 3
+    assert view[5:2] == () and view[100:] == ()
     for i in (len(items), -len(items) - 1):
         with pytest.raises(IndexError):
             view[i]
