@@ -2,10 +2,12 @@
 
 An ensemble is a binary parse tree whose leaves are source identifiers and
 whose internal nodes are ``&`` (intersection) or ``|`` (union).  Trees are
-read-once: each source appears at most once.  ``enumerate_ensembles`` walks
+read-once: each source appears at most once.  :func:`read_once_space` walks
 the space of such combinations either semantically (one representative per
 distinct Boolean function) or syntactically (every left-deep ordered
-expression, for count auditing).
+expression, for count auditing), folding each ensemble's string and value
+from its leaves: a tree for :func:`enumerate_ensembles`, an int truth table
+for the search.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cache
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -32,6 +36,8 @@ MAX_SIGNATURE_LEAVES = 12
 # The most ensembles a search may score: every full search over up to 7
 # sources (129,005 ensembles) fits, one over 8 (2,132,088) does not.
 MAX_SEARCH_ENSEMBLES = 150_000
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -65,10 +71,6 @@ def leaves(tree: ExprTree) -> Iterator[str]:
 
 def tree_sources(tree: ExprTree) -> tuple[str, ...]:
     return tuple(sorted(leaves(tree)))
-
-
-def tree_size(tree: ExprTree) -> int:
-    return sum(1 for _ in leaves(tree))
 
 
 def to_string(tree: ExprTree) -> str:
@@ -179,10 +181,10 @@ def parse(text: str, known_sources: Iterable[str] | None = None) -> ExprTree:
 
 
 def evaluate(
-    tree: ExprTree, bindings: Mapping[str, CharMask | np.ndarray]
-) -> CharMask | np.ndarray:
-    """Post-order evaluation over character masks or aligned boolean arrays:
-    leaf lookup, ``&`` = intersection, ``|`` = union."""
+    tree: ExprTree, bindings: Mapping[str, CharMask | np.ndarray | int]
+) -> CharMask | np.ndarray | int:
+    """Post-order evaluation over character masks, aligned boolean arrays or
+    truth tables held in ints: leaf lookup, ``&`` = intersection, ``|`` = union."""
     if isinstance(tree, Leaf):
         try:
             return bindings[tree.source]
@@ -216,6 +218,13 @@ def pattern_columns(sources: Sequence[str]) -> dict[str, np.ndarray]:
     return {s: (patterns >> j & 1).astype(bool) for j, s in enumerate(sources)}
 
 
+def pattern_tables(sources: Sequence[str]) -> dict[str, int]:
+    """:func:`pattern_columns` as truth tables held in ints: bit p of source
+    j's table is bit j of p."""
+    return {s: int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+            for s, bits in pattern_columns(sources).items()}
+
+
 def truth_table_signature(
     tree: ExprTree, max_leaves: int = MAX_SIGNATURE_LEAVES
 ) -> ExprSignature:
@@ -228,16 +237,7 @@ def truth_table_signature(
     k = len(sources)
     if k > max_leaves:
         raise ConfigError(f"{k} leaves exceeds the signature limit of {max_leaves}")
-    bits = evaluate(tree, pattern_columns(sources[::-1]))
-    return ExprSignature(sources, sum(1 << int(i) for i in np.flatnonzero(bits)))
-
-
-def _fold(children: Sequence[ExprTree], op: str) -> ExprTree:
-    node = And if op == AND else Or
-    tree = children[0]
-    for child in children[1:]:
-        tree = node(tree, child)
-    return tree
+    return ExprSignature(sources, evaluate(tree, pattern_tables(sources[::-1])))
 
 
 def _set_partitions(items: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], ...]]:
@@ -261,41 +261,59 @@ def _set_partitions(items: tuple[str, ...]) -> Iterator[tuple[tuple[str, ...], .
     yield from build(items, [])
 
 
-def _opposite(op: str) -> str:
-    return OR if op == AND else AND
+def read_once_space(
+    sources: Iterable[str], min_size: int, max_size: int, mode: str,
+    leaf: Callable[[str], T], ops: Mapping[str, Callable[[T, T], T]],
+) -> list[tuple[int, str, T]]:
+    """(size, expression string, value) of every ensemble over the subsets
+    of ``sources`` whose size lies in [min_size, max_size], sorted by (size,
+    string).  An ensemble's value is ``leaf(source)`` of its sources folded
+    left to right by ``ops[operator]``, as its string reads.
 
+    SEMANTIC mode walks each subset's splits into two or more blocks under
+    either root operator, each block a leaf or, memoized, a walk of its own
+    under the other operator: one left-deep representative per distinct
+    read-once function.  SYNTACTIC mode takes every permutation of each
+    subset crossed with every operator string, without dedup.
+    """
+    pool = tuple(sorted(set(sources)))
+    if not pool:
+        raise ConfigError("source set is empty")
+    if not 1 <= min_size <= max_size <= len(pool):
+        raise ConfigError(f"bad size range [{min_size}, {max_size}] for {len(pool)} sources")
+    if mode not in (SEMANTIC, SYNTACTIC):
+        raise ConfigError(f"unknown enumeration mode {mode!r}")
+    singles = {s: (s, leaf(s)) for s in pool}
 
-def _alternating_trees(variables: tuple[str, ...], top: str) -> list[ExprTree]:
-    """Read-once trees over exactly ``variables`` whose root operator is
-    ``top``, in alternation normal form: children of an AND layer are leaves
-    or OR layers and vice versa.  Each distinct function appears once."""
-    results: list[ExprTree] = []
-    for blocks in _set_partitions(variables):
-        choices: list[Sequence[ExprTree]] = []
-        for block in blocks:
-            if len(block) == 1:
-                choices.append((Leaf(block[0]),))
-            else:
-                choices.append(_alternating_trees(block, _opposite(top)))
-        for combo in itertools.product(*choices):
-            results.append(_fold(combo, top))
-    return results
+    def fold(items: Sequence[tuple[str, T]], operators: Iterable[str]) -> tuple[str, T]:
+        text, value = items[0]
+        for op, (right, operand) in zip(operators, items[1:]):
+            text, value = f"({text}{op}{right})", ops[op](value, operand)
+        return text, value
 
+    @cache
+    def alternating(block: tuple[str, ...], top: str) -> list[tuple[str, T]]:
+        """The ensembles over exactly ``block`` whose root operator, if it
+        has one, is ``top``; each distinct function appears once."""
+        if len(block) == 1:
+            return [singles[block[0]]]
+        other = OR if top == AND else AND
+        return [fold(combo, itertools.repeat(top)) for blocks in _set_partitions(block)
+                for combo in itertools.product(*(alternating(part, other) for part in blocks))]
 
-def _semantic_trees(variables: tuple[str, ...]) -> list[ExprTree]:
-    if len(variables) == 1:
-        return [Leaf(variables[0])]
-    return _alternating_trees(variables, AND) + _alternating_trees(variables, OR)
-
-
-def _syntactic_trees(variables: tuple[str, ...]) -> Iterator[ExprTree]:
-    for perm in itertools.permutations(variables):
-        for ops in itertools.product((AND, OR), repeat=len(perm) - 1):
-            tree: ExprTree = Leaf(perm[0])
-            for op, source in zip(ops, perm[1:]):
-                node = And if op == AND else Or
-                tree = node(tree, Leaf(source))
-            yield tree
+    space = []
+    for size in range(min_size, max_size + 1):
+        found = []
+        for subset in itertools.combinations(pool, size):
+            if mode == SEMANTIC and size > 1:
+                found += alternating(subset, AND) + alternating(subset, OR)
+            else:  # SYNTACTIC, or a single source: its one permutation
+                found += [fold([singles[s] for s in perm], operators)
+                          for perm in itertools.permutations(subset)
+                          for operators in itertools.product((AND, OR), repeat=size - 1)]
+        found.sort(key=itemgetter(0))
+        space += ((size, text, value) for text, value in found)
+    return space
 
 
 def check_search_space(n_sources: int, min_size: int, max_size: int) -> None:
@@ -318,34 +336,11 @@ def check_search_space(n_sources: int, min_size: int, max_size: int) -> None:
 def enumerate_ensembles(
     sources: Iterable[str], min_size: int, max_size: int, mode: str = SEMANTIC
 ) -> list[ExprTree]:
-    """All Boolean combination ensembles over subsets of ``sources`` whose
-    size lies in [min_size, max_size].
-
-    SEMANTIC mode yields exactly one representative per distinct read-once
-    function per subset; SYNTACTIC mode yields every left-deep ordered
-    expression (each permutation of each subset crossed with every operator
-    string) without semantic dedup.  Output order is deterministic: sorted by
-    (size, expression string).
-    """
-    pool = tuple(sorted(set(sources)))
-    if not pool:
-        raise ConfigError("source set is empty")
-    if not 1 <= min_size <= max_size <= len(pool):
-        raise ConfigError(
-            f"bad size range [{min_size}, {max_size}] for {len(pool)} sources"
-        )
-    if mode not in (SEMANTIC, SYNTACTIC):
-        raise ConfigError(f"unknown enumeration mode {mode!r}")
-
-    trees: list[ExprTree] = []
-    for size in range(min_size, max_size + 1):
-        for subset in itertools.combinations(pool, size):
-            if mode == SEMANTIC:
-                trees.extend(_semantic_trees(subset))
-            else:
-                trees.extend(_syntactic_trees(subset))
-    trees.sort(key=lambda t: (tree_size(t), to_string(t)))
-    return trees
+    """The trees of every ensemble :func:`read_once_space` walks, in its order:
+    one per distinct read-once function per subset in SEMANTIC mode, every
+    left-deep ordered expression in SYNTACTIC mode."""
+    ops = {AND: And, OR: Or}
+    return [tree for _, _, tree in read_once_space(sources, min_size, max_size, mode, Leaf, ops)]
 
 
 def assert_union_only(tree: ExprTree) -> None:

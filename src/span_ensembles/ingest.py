@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, TextIO, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 import orjson
@@ -78,23 +77,21 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a float", bool: "a bo
                _NULL: "null", list: "an array", dict: "an object"}
 
 
-@contextmanager
-def _reading(path: PathLike, malformed: list) -> Iterator[TextIO]:
-    """The text file at ``path``, open for reading; ConfigError if it cannot
-    be read.  At bytes that are not UTF-8 the read stops, and each line that
-    is not UTF-8 text is appended to ``malformed`` as (line number, message):
-    ``bytes.splitlines`` splits lines where a text read does."""
+def _lines(path: PathLike, malformed: list) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each line of the file at ``path`` that is
+    UTF-8 text; each other line is appended to ``malformed`` as (line number,
+    message).  ConfigError if the file cannot be read.  Lines split where a
+    text read splits them, and each is decoded on its own, so bytes that are
+    not UTF-8 stop no read."""
     try:
-        with open(path, encoding="utf-8") as handle:
-            try:
-                yield handle
-            except UnicodeDecodeError:
-                handle.buffer.seek(0)
-                for lineno, line in enumerate(handle.buffer.read().splitlines(), start=1):
-                    try:
-                        line.decode("utf-8")
-                    except UnicodeDecodeError:
-                        malformed.append((lineno, f"{path}:{lineno}: not UTF-8 text"))
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:  # an escaped byte
+                    malformed.append((lineno, f"{path}:{lineno}: not UTF-8 text"))
+                else:
+                    yield lineno, line
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from None
 
@@ -167,24 +164,21 @@ def _json_records(path: PathLike, fields: Mapping[str, set], malformed: list):
     """Yield (line number, record) for each non-blank line of a JSONL file
     that ``json`` decodes to an object whose fields hold their types in
     ``fields``; append every other line to ``malformed`` as (line number,
-    message).  Lines are read ``CHUNK_LINES`` at a time, so that a read that
-    stops at bytes that are not UTF-8 takes the lines :func:`_orjson_part` takes."""
-    with _reading(path, malformed) as handle:
-        chunks = iter(lambda: list(islice(handle, CHUNK_LINES)), [])
-        for lineno, line in enumerate(chain.from_iterable(chunks), start=1):
-            if not (line := line.strip()):
+    message)."""
+    for lineno, line in _lines(path, malformed):
+        if not (line := line.strip()):
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            problem = f"bad JSON ({exc.msg})"
+        else:
+            problem = (_field_problem(record, fields) if isinstance(record, dict)
+                       else "expected a JSON object")
+            if problem is None:
+                yield lineno, record
                 continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                problem = f"bad JSON ({exc.msg})"
-            else:
-                problem = (_field_problem(record, fields) if isinstance(record, dict)
-                           else "expected a JSON object")
-                if problem is None:
-                    yield lineno, record
-                    continue
-            malformed.append((lineno, f"{path}:{lineno}: {problem}"))
+        malformed.append((lineno, f"{path}:{lineno}: {problem}"))
 
 
 def load_corpus_manifest(path: PathLike) -> list[DocumentRef]:
@@ -370,19 +364,18 @@ def load_semantic_group_map(
     tuis: dict[str, tuple[str, int]] = {}  # TUI -> (group, line)
     universe: dict[str, None] = {}
     malformed, problems = [], []
-    with _reading(semgroups_path, malformed) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line, where = line.rstrip("\r\n"), f"{semgroups_path}:{lineno}"
-            fields = line.split("|")
-            if line and len(fields) != 4:
-                problem = f"expected 4 pipe-delimited fields, got {len(fields)}"
-                malformed.append((lineno, f"{where}: {problem}"))
-            elif line:
-                _, group_name, tui, _ = fields
-                universe.setdefault(group_name)
-                conflict = _conflict(tuis, tui, group_name, lineno)
-                if conflict:
-                    problems.append(f"{where}: type {conflict}")
+    for lineno, line in _lines(semgroups_path, malformed):
+        line, where = line.rstrip("\r\n"), f"{semgroups_path}:{lineno}"
+        fields = line.split("|")
+        if line and len(fields) != 4:
+            problem = f"expected 4 pipe-delimited fields, got {len(fields)}"
+            malformed.append((lineno, f"{where}: {problem}"))
+        elif line:
+            _, group_name, tui, _ = fields
+            universe.setdefault(group_name)
+            conflict = _conflict(tuis, tui, group_name, lineno)
+            if conflict:
+                problems.append(f"{where}: type {conflict}")
     _raise_collected("semantic group", malformed, problems)
 
     pairs: dict[tuple[str, str], tuple[str, int]] = {}  # (source, native type) -> (group, line)

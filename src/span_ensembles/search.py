@@ -4,6 +4,8 @@ The search evaluates every distinct read-once combination of the configured
 sources (or a seeded stratified sample of them) against the gold standard,
 then reports top-k lists per metric, the precision/recall Pareto set,
 single-system baselines, and the ensembles that beat every single system.
+Its space is one walk of :func:`~span_ensembles.expr.read_once_space`, which
+folds each ensemble's truth table as an int, one bit per pattern, no tree.
 
 Every task walks the store's documents in blocks of at most
 :data:`BLOCK_CHARS` characters, laid end to end, so its per-character
@@ -35,16 +37,16 @@ from . import seeds
 from .complementarity import comp_rate_from_counts
 from .errors import ConfigError, ValidationError
 from .expr import (
+    AND,
+    OR,
     SEMANTIC,
     ExprTree,
-    Leaf,
     assert_union_only,
     check_search_space,
-    enumerate_ensembles,
     evaluate,
     pattern_columns,
-    to_string,
-    tree_size,
+    pattern_tables,
+    read_once_space,
     tree_sources,
 )
 from .masks import CharMask, Runs, _resolve_candidates, coverage_patterns, locate, tie_coins
@@ -202,20 +204,27 @@ def _count_table(store: AnnotationStore, rows: Sequence[tuple[str, str]]) -> np.
 def _ensemble_space(pool: tuple[str, ...], min_size: int, max_size: int):
     """Expression strings, sizes, truth tables (over the 2^k patterns) and
     string sort ranks of the search space; cached, since only the scoring
-    depends on the group."""
-    trees = enumerate_ensembles(pool, min_size, max_size, SEMANTIC)
+    depends on the group.  The walk holds each table as an int, one bit per
+    pattern, unpacked to one byte per pattern :data:`SCORE_CELLS` cells at
+    a time."""
+    ints = pattern_tables(pool)
+    space = read_once_space(pool, min_size, max_size, SEMANTIC, ints.__getitem__,
+                            {AND: operator.and_, OR: operator.or_})
     if min_size > 1:
-        trees = [Leaf(s) for s in pool] + trees
-    columns = pattern_columns(pool)
-    tables = np.empty((len(trees), 2 ** len(pool)), dtype=bool)
-    for row, tree in zip(tables, trees):
-        row[:] = evaluate(tree, columns)
-    expressions = tuple(map(to_string, trees))
+        space = [(1, s, ints[s]) for s in pool] + space
+    sizes, expressions, values = zip(*space)
+    width = 2 ** len(pool)
+    step, nbytes = max(1, SCORE_CELLS // width), max(1, width // 8)
+    tables = np.empty((len(space), width), dtype=bool)
+    for lo in range(0, len(space), step):
+        packed = b"".join(v.to_bytes(nbytes, "little") for v in values[lo : lo + step])
+        bits = np.frombuffer(packed, dtype=np.uint8).reshape(-1, nbytes)
+        tables[lo : lo + step] = np.unpackbits(bits, axis=1, count=width, bitorder="little")
     rank = np.empty(len(expressions), dtype=np.int64)
     rank[sorted(range(len(expressions)), key=expressions.__getitem__)] = np.arange(len(expressions))
     for array in (tables, rank):
         array.flags.writeable = False
-    return expressions, tuple(map(tree_size, trees)), tables, rank
+    return expressions, sizes, tables, rank
 
 
 def _score(tables: np.ndarray, rows: np.ndarray, counts: np.ndarray) -> np.ndarray:

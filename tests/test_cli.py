@@ -763,6 +763,28 @@ def test_input_that_cannot_be_read_exits_validation_code(tmp_path, capsys, flag)
     assert captured.err == f"error: cannot read {tmp_path}: Is a directory\n"
 
 
+def test_bytes_that_are_not_utf8_stop_no_read(tmp_path, capsys):
+    # every bad line is listed, before the bad bytes, in their 512-line
+    # chunk and after them
+    assert main(["synth", "--out-dir", str(tmp_path), "--docs", "200", "--n-sources", "2",
+                 "--seed", "1"]) == 0
+    path = tmp_path / "A.jsonl"
+    lines = path.read_bytes().splitlines()
+    assert len(lines) > 1001
+    lines[9], lines[1000] = b'{"doc_id": 5}', b'{"doc_id": 7}'
+    lines[699], lines[700] = b'{"doc_id": "d\xff"}', b"[1]"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    capsys.readouterr()
+    assert main(["ner-eval", "--config", str(tmp_path / "config.json")]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "parse error: 4 malformed annotation record(s):",
+        f"{path}:10: field 'doc_id' is an integer, expected a string",
+        f"{path}:700: not UTF-8 text",
+        f"{path}:701: expected a JSON object",
+        f"{path}:1001: field 'doc_id' is an integer, expected a string",
+    ]
+
+
 @pytest.mark.parametrize("file", ["a.jsonl", "manifest.jsonl", "groups.txt", "overrides.jsonl"])
 def test_input_that_is_not_utf8_exits_parse_code(tmp_path, capsys, file):
     args = [*tiny_corpus(tmp_path, ("t", "t", "t")), "--system", f"A={tmp_path / 'a.jsonl'}"]

@@ -1,3 +1,5 @@
+import itertools
+import operator
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from span_ensembles import (
     to_string,
     truth_table_signature,
 )
+from span_ensembles import expr
 from conftest import brute_readonce_tables, rand_mask, rand_tree, set_eval
 
 
@@ -111,6 +114,22 @@ def test_semantic_counts_match_bruteforce_oracle():
         tables = {truth_table_signature(t).table for t in trees}
         assert len(tables) == expected  # no duplicate functions
         assert tables == brute_readonce_tables(variables)
+
+
+def test_walker_tables_match_bruteforce_oracle():
+    # the integer tables the search walks, source j as bit j of a pattern,
+    # against the oracle's, whose first source is the most significant bit
+    ops = {expr.AND: operator.and_, expr.OR: operator.or_}
+    oracle = {k: brute_readonce_tables(tuple("ABCDE"[:k])) for k in range(1, 6)}
+    for subset in (s for k in range(1, 6) for s in itertools.combinations("ABCDE", k)):
+        k = len(subset)
+        leaf = expr.pattern_tables(subset).__getitem__
+        tables = [table for _, _, table in expr.read_once_space(subset, k, k, expr.SEMANTIC, leaf, ops)]
+        reordered = {
+            sum(1 << int(f"{p:0{k}b}"[::-1], 2) for p in range(2**k) if table >> p & 1)
+            for table in tables
+        }
+        assert len(reordered) == len(tables) and reordered == oracle[k]
 
 
 def test_semantic_two_sources():

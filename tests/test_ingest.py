@@ -568,3 +568,16 @@ def test_input_that_is_not_utf8_lists_each_such_line(tmp_path):
     groups.write_bytes(SEMGROUPS[0].encode() + b"\n" + b"DISO|Disorders|T047|Sick\xff\n")
     with pytest.raises(ParseError, match=f"^1 malformed semantic group record\\(s\\):\n{groups}:2: not UTF-8 text$"):
         load_semantic_group_map(groups)
+
+
+def test_groups_file_lines_after_bytes_that_are_not_utf8_are_checked(tmp_path):
+    groups = tmp_path / "groups.txt"
+    groups.write_bytes(b"\n".join([SEMGROUPS[0].encode(), b"DISO|Disorders|T047|Sick\xff",
+                                   SEMGROUPS[2].encode(), b"CHEM|Chemicals|T121"]) + b"\n")
+    with pytest.raises(ParseError) as err:
+        load_semantic_group_map(groups)
+    assert str(err.value).splitlines() == [
+        "2 malformed semantic group record(s):",
+        f"{groups}:2: not UTF-8 text",
+        f"{groups}:4: expected 4 pipe-delimited fields, got 3",
+    ]

@@ -219,7 +219,7 @@ def test_search_space_beyond_the_limit_is_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("the search started")
 
-    monkeypatch.setattr(search, "enumerate_ensembles", no_work)
+    monkeypatch.setattr(search, "read_once_space", no_work)
     monkeypatch.setattr(search, "_count_table", no_work)
     with pytest.raises(ConfigError, match=r"2,132,088 ensembles over 8 sources.*--max-size"):
         grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources))
@@ -230,16 +230,46 @@ def test_search_space_beyond_the_limit_is_refused_before_any_work(monkeypatch):
 
 def test_search_space_count_is_exact():
     expr.check_search_space(7, 1, 7)  # every full search up to 7 sources runs
+    ranges = [(k, low, high) for k in range(1, 7)
+              for low in range(1, k + 1) for high in range(low, k + 1)]
+    for k, low, high in [*ranges, (7, 1, 7)]:
+        ops = dict.fromkeys((expr.AND, expr.OR), lambda left, right: None)
+        count = len(expr.read_once_space("ABCDEFG"[:k], low, high, expr.SEMANTIC, len, ops))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count)
+            expr.check_search_space(k, low, high)
+            patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count - 1)
+            with pytest.raises(ConfigError, match=f"holds {count:,} ensembles"):
+                expr.check_search_space(k, low, high)
+
+
+def test_search_space_tables_are_their_expressions_evaluated():
     for k in range(1, 6):
+        pool = tuple("ABCDE"[:k])
+        columns = expr.pattern_columns(pool)
         for low in range(1, k + 1):
             for high in range(low, k + 1):
-                count = len(expr.enumerate_ensembles("ABCDE"[:k], low, high))
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count)
-                    expr.check_search_space(k, low, high)
-                    patch.setattr(expr, "MAX_SEARCH_ENSEMBLES", count - 1)
-                    with pytest.raises(ConfigError, match=f"holds {count:,} ensembles"):
-                        expr.check_search_space(k, low, high)
+                expressions, sizes, tables, _ = search._ensemble_space(pool, low, high)
+                assert tables.dtype == bool and tables.shape == (len(expressions), 2**k)
+                for expression, size, table in zip(expressions, sizes, tables):
+                    tree = parse(expression)
+                    assert len(expr.tree_sources(tree)) == size
+                    assert np.array_equal(table, evaluate(tree, columns))
+
+
+def test_search_builds_its_space_without_trees(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("the search built or evaluated a tree")
+
+    store = AnnotationStore(
+        [DocumentRef("d1", 40)],
+        [Annotation("d1", s, 3 * i, 3 * i + 10) for i, s in enumerate((GOLD_SOURCE, *"ABCDE"))],
+    )
+    search._ensemble_space.cache_clear()
+    monkeypatch.setattr(search, "evaluate", fail)
+    monkeypatch.setattr(expr, "enumerate_ensembles", fail)
+    result = grid_search(store, GOLD_SOURCE, SearchConfig(sources=tuple("ABCDE")))
+    assert len(result.evaluated) == 837
 
 
 def test_count_table_beyond_the_limit_is_refused_before_any_work(monkeypatch):
