@@ -26,6 +26,7 @@ from .errors import (
 )
 from .expr import IDENTIFIER, parse, to_string
 from .ingest import (
+    _SURROGATE,
     DisambiguationPolicy,
     disambiguate_spans,
     load_corpus_manifest,
@@ -86,15 +87,21 @@ def _load_config_file(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: bad JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ParseError(f"{path}: bad JSON (nested too deeply)") from None
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     for key in _CONFIG_TEXT_KEYS:
         if key in data and type(data[key]) is not str:
             raise ParseError(f"{path}: config key {key!r} must be a string")
+        if key in data and _SURROGATE.search(data[key]):
+            raise ParseError(f"{path}: config key {key!r} holds a lone surrogate, expected text")
     systems = data.get("systems", {})
     if type(systems) is not dict or any(type(rel) is not str for rel in systems.values()):
         raise ParseError(f"{path}: config key 'systems' must be an object of strings")

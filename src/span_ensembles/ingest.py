@@ -23,6 +23,7 @@ columns are never copied until the store gathers them, once, into its order.
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
@@ -55,6 +56,10 @@ CHUNK_LINES = 512
 
 _INT64 = (-(2**63), 2**63 - 1)
 
+# A string holding a lone surrogate is no text: UTF-8 cannot encode it.  Reads
+# escape a byte that is not UTF-8 as one, and JSON's "\ud800" decodes to one.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
 # The JSON types each field of an input record may hold, in the order that
 # picks which bad field names a malformed record; no value is converted.  A
 # field that may be null may also be absent.
@@ -86,9 +91,7 @@ def _lines(path: PathLike, malformed: list) -> Iterator[tuple[int, str]]:
     try:
         with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:  # an escaped byte
+                if _SURROGATE.search(line):  # an escaped byte
                     malformed.append((lineno, f"{path}:{lineno}: not UTF-8 text"))
                 else:
                     yield lineno, line
@@ -113,8 +116,11 @@ def _raise_collected(kind: str, malformed: list[tuple[int, str]], problems: list
 
 def _typed(value, types: set) -> bool:
     """Whether a JSON value has one of ``types``; an integer must fit in 64
-    bits, and a bool is never one."""
-    return type(value) in types and (type(value) is not int or _INT64[0] <= value <= _INT64[1])
+    bits, a string must be text, and a bool is never an integer."""
+    kind = type(value)
+    if kind is int:
+        return int in types and _INT64[0] <= value <= _INT64[1]
+    return kind in types and not (kind is str and _SURROGATE.search(value))
 
 
 def _read_column(column: list, types: set):
@@ -154,6 +160,8 @@ def _field_problem(record: dict, fields: Mapping[str, set]) -> Optional[str]:
     if key not in record:
         return f"missing field {key!r}"
     kind = type(record[key])
+    if kind is str and str in types:
+        return f"field {key!r} holds a lone surrogate, expected text"
     found = _JSON_TYPES[kind] + (" beyond 64 bits" if kind is int and int in types else "")
     number = "a number" if float in types else "an integer"
     expected = (name for t, name in ((str, "a string"), (int, number), (_NULL, "null")) if t in types)
@@ -172,6 +180,8 @@ def _json_records(path: PathLike, fields: Mapping[str, set], malformed: list):
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             problem = f"bad JSON ({exc.msg})"
+        except RecursionError:
+            problem = "bad JSON (nested too deeply)"
         else:
             problem = (_field_problem(record, fields) if isinstance(record, dict)
                        else "expected a JSON object")

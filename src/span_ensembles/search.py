@@ -20,14 +20,14 @@ cells at a time, and the metrics from ``metrics.prf`` and
 ``metrics.metrics_rows``.  The search ranks on the float arrays.  Ties
 break on each expression string's sort rank, cached with the space.  A
 ``MetricsResult`` is built only for the rows a result reports, in one
-call; ``SearchResult.evaluated`` builds any other row when it is read.
+call, so a :class:`SearchResult` holds exactly what its reports show.
 """
 
 from __future__ import annotations
 
 import operator
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterator, Mapping, Optional
 
@@ -106,12 +106,13 @@ class ScoredEnsemble:
 
 @dataclass(frozen=True)
 class SearchResult:
-    """Ranked views over the evaluated ensemble space.
+    """Ranked views over the evaluated ensemble space: what a report shows.
 
     Every expression string re-parses and re-evaluates to its reported
     counts; the Pareto set keeps ensembles no other ensemble beats strictly
-    on both precision and recall.  ``evaluated`` is every scored ensemble,
-    as a :class:`ScoredRows` view that builds each one when it is read.
+    on both precision and recall.  Only the rows some view or ``singles``
+    shows are built; a ``top_k`` of the space's size ranks every scored row
+    in ``by_f1``.
     """
 
     group: str
@@ -121,7 +122,6 @@ class SearchResult:
     pareto: tuple[ScoredEnsemble, ...]
     singles: Mapping[str, MetricsResult]
     beating_all_singles: tuple[ScoredEnsemble, ...]
-    evaluated: Sequence[ScoredEnsemble] = field(repr=False)
 
 
 def _require_sources(store: AnnotationStore, *sources: str) -> None:
@@ -261,41 +261,6 @@ def _pareto_front(precision: np.ndarray, recall: np.ndarray, rank: np.ndarray) -
     return order[r >= higher]
 
 
-class ScoredRows(Sequence):
-    """Every ensemble a search scored, in scoring order, as a read-only
-    sequence: an item is built from its counts when it is read, the items
-    of a slice or an iteration by one ``metrics_rows`` call, and the view
-    equals the tuple of its items."""
-
-    def __init__(self, expressions, sizes, rows: np.ndarray, scores: np.ndarray, n_gold: int):
-        self._expressions, self._sizes, self._rows = expressions, sizes, rows
-        self._fp, self._tp = scores.T
-        self._n_gold = n_gold
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            tp = self._tp[index]
-            metrics = metrics_rows(tp, self._fp[index], self._n_gold - tp)
-            return tuple(ScoredEnsemble(self._expressions[row], self._sizes[row], item)
-                         for row, item in zip(self._rows[index].tolist(), metrics))
-        i = range(len(self))[index]
-        return self[i : i + 1][0]
-
-    def __iter__(self) -> Iterator[ScoredEnsemble]:
-        return iter(self[:])
-
-    def __eq__(self, other):
-        if isinstance(other, (ScoredRows, tuple)):
-            return len(self) == len(other) and all(map(operator.eq, self, other))
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"<{len(self)} scored ensembles>"
-
-
 def _stratified_sample(
     rows: list[int], size_of: Sequence[int], budget: int, seed: int
 ) -> list[int]:
@@ -309,21 +274,14 @@ def _stratified_sample(
         strata.setdefault(size_of[row], []).append(row)
     sizes = sorted(strata)
     quotas = {k: budget * len(strata[k]) // total for k in sizes}
-    remainders = sorted(
-        sizes,
-        key=lambda k: (-(budget * len(strata[k]) % total), k),
-    )
+    # each quota is below its stratum (budget < total), and fewer seats are
+    # left than there are strata: the largest remainders take one each
     leftover = budget - sum(quotas.values())
-    for k in remainders:
-        if leftover <= 0:
-            break
-        if quotas[k] < len(strata[k]):
-            quotas[k] += 1
-            leftover -= 1
+    for k in sorted(sizes, key=lambda k: (-(budget * len(strata[k]) % total), k))[:leftover]:
+        quotas[k] += 1
     sampled: list[int] = []
     for k in sizes:
-        pool = strata[k]
-        quota = min(quotas[k], len(pool))
+        pool, quota = strata[k], quotas[k]
         if quota == len(pool):
             sampled.extend(pool)
         else:
@@ -354,9 +312,7 @@ def grid_search(
     rows = np.array(rows, dtype=np.int64)
 
     n_gold = int(counts[1].sum())
-    scores = _score(tables, rows, counts)
-    evaluated = ScoredRows(expressions, sizes, rows, scores, n_gold)
-    fp, tp = scores.T
+    fp, tp = _score(tables, rows, counts).T
     precision, recall, f1 = prf(tp, fp, n_gold - tp)
     rank = space_rank[rows]
 
@@ -385,7 +341,6 @@ def grid_search(
     return SearchResult(
         group=config.group,
         singles=dict(sorted(singles_map.items())),
-        evaluated=evaluated,
         **{name: tuple(shown[i] for i in order.tolist()) for name, order in views.items()},
     )
 

@@ -7,6 +7,7 @@ import json
 import math
 import random
 from collections.abc import Mapping
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,8 +22,10 @@ from span_ensembles import (
     ParseError,
     ValidationError,
     disambiguate_overlaps,
+    grid_search,
     seeds,
 )
+from span_ensembles.expr import MAX_SEARCH_ENSEMBLES
 from span_ensembles.metrics import Z_95
 from span_ensembles.model import overlapping
 
@@ -153,6 +156,15 @@ def brute_readonce_tables(variables: tuple[str, ...]) -> set[int]:
         return bits
 
     return {table(t) for t in trees(variables)}
+
+
+def every_scored(store, gold_source, config) -> tuple:
+    """Every ensemble the search ``config`` scores, ranked by F1: the
+    search's own ``by_f1`` with a top-k of every ensemble a search may score
+    plus the singles it keeps.  The top-k enters no sampling, so a sampled
+    search gives the same sample."""
+    every = replace(config, top_k=MAX_SEARCH_ENSEMBLES + len(config.sources))
+    return grid_search(store, gold_source, every).by_f1
 
 
 def sorted_search_views(scored, top_k: int, f1_only: bool) -> dict:
@@ -312,6 +324,8 @@ def scan_jsonl(path, malformed):
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 problem = f"bad JSON ({exc.msg})"
+            except RecursionError:
+                problem = "bad JSON (nested too deeply)"
             else:
                 if isinstance(record, dict):
                     yield lineno, record
@@ -360,10 +374,16 @@ MANIFEST_EXPECTED = {"doc_id": "a string", "length": "an integer", "corpus_id": 
 def _field(record, key, types=FIELD_TYPES, expected=EXPECTED):
     """A record's value of ``key``: KeyError if a required field is absent,
     TypeError, with the record's message, if the value has none of the
-    field's types or is an integer beyond 64 bits (a bool is no integer)."""
+    field's types, is an integer beyond 64 bits (a bool is no integer) or is
+    a string UTF-8 cannot encode."""
     if key not in record and type(None) not in types[key]:
         raise KeyError(key)
     value = record.get(key)
+    if type(value) is str and str in types[key]:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise TypeError(f"field {key!r} holds a lone surrogate, expected text") from None
     if type(value) not in types[key]:
         raise TypeError(f"field {key!r} is {JSON_NAMES[type(value)]}, expected {expected[key]}")
     if type(value) is int and not -(2**63) <= value < 2**63:

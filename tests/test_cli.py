@@ -803,3 +803,96 @@ def test_input_that_is_not_utf8_exits_parse_code(tmp_path, capsys, file):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines()[1:] == [f"{path}:2: not UTF-8 text", f"{path}:3: not UTF-8 text"]
+
+
+# A JSON line nested deeper than json's recursion limit.
+DEEP = '{"doc_id": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("output", [["--format", "csv"], ["--format", "markdown"],
+                                    ["--format", "json"], ["--out", "rep.csv"]],
+                         ids=["csv", "markdown", "json", "out"])
+def test_lone_surrogate_in_an_annotation_exits_parse_code(tmp_path, capsys, output):
+    # json decodes the escape "\ud800" to a string UTF-8 cannot encode; a
+    # report would fail to write it
+    assert main(["synth", "--out-dir", str(tmp_path), "--docs", "5", "--n-sources", "2",
+                 "--seed", "1"]) == 0
+    path = tmp_path / "A.jsonl"
+    lines = path.read_text().splitlines()
+    for i, key, value in ((0, "group", "Ana\ud800"), (2, "source", "A\udfff")):
+        lines[i] = json.dumps({**json.loads(lines[i]), key: value})
+    path.write_text("\n".join(lines) + "\n")
+    output = [arg if arg != "rep.csv" else str(tmp_path / arg) for arg in output]
+    capsys.readouterr()
+    code = main(["ner-eval", "--config", str(tmp_path / "config.json"), "--group", "each",
+                 *output])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and not (tmp_path / "rep.csv").exists()
+    assert captured.err.splitlines() == [
+        "parse error: 2 malformed annotation record(s):",
+        f"{path}:1: field 'group' holds a lone surrogate, expected text",
+        f"{path}:3: field 'source' holds a lone surrogate, expected text",
+    ]
+
+
+@pytest.mark.parametrize(
+    "file,kind,line",
+    [
+        ("manifest.jsonl", "manifest", {"doc_id": "d1", "length": 50, "corpus_id": "x\ud800"}),
+        ("a.jsonl", "annotation", {"doc_id": "d1", "source": "A", "begin": 0, "end": 5,
+                                   "cui": "C\udc80"}),
+        ("overrides.jsonl", "override", {"source": "A", "native_type": "T\ud800",
+                                         "group": "Anatomy"}),
+    ],
+    ids=["manifest", "annotation", "override"],
+)
+def test_lone_surrogate_and_deep_nesting_in_json_input_are_listed(tmp_path, capsys, file, kind,
+                                                                   line):
+    args = [*tiny_corpus(tmp_path, ("t", "t", "t")), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    (tmp_path / "overrides.jsonl").write_text(
+        '{"source":"A","native_type":"X","group":"Anatomy"}\n' * 3
+    )
+    path = tmp_path / file
+    replace_line(path, 2, json.dumps(line))
+    replace_line(path, 3, DEEP)
+    code = main(["ner-eval", *args, "--semgroups", str(tmp_path / "groups.txt"),
+                 "--overrides", str(tmp_path / "overrides.jsonl")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    field = {"manifest": "corpus_id", "annotation": "cui", "override": "native_type"}[kind]
+    assert captured.err.splitlines() == [
+        f"parse error: 2 malformed {kind} record(s):",
+        f"{path}:2: field {field!r} holds a lone surrogate, expected text",
+        f"{path}:3: bad JSON (nested too deeply)",
+    ]
+
+
+@pytest.mark.parametrize("key", ["manifest", "gold", "semgroups", "overrides", "group",
+                                 "corpus_id", "gold_source"])
+def test_lone_surrogate_in_a_config_text_key_exits_parse_code(tmp_path, capsys, key):
+    tiny_corpus(tmp_path)
+    config = {"manifest": "manifest.jsonl", "gold": "gold.jsonl", "systems": {"A": "a.jsonl"}}
+    config[key] = "x\ud800"
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    code = main(["ner-eval", "--config", str(tmp_path / "config.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (f"parse error: {tmp_path / 'config.json'}: config key {key!r} holds "
+                            "a lone surrogate, expected text\n")
+
+
+@pytest.mark.parametrize("text,problem", [(DEEP.encode(), "bad JSON (nested too deeply)"),
+                                          (b'{"group": "\xff"}', "not UTF-8 text")],
+                         ids=["deep", "not-utf8"])
+def test_config_json_cannot_read_exits_parse_code(tmp_path, capsys, text, problem):
+    tiny_corpus(tmp_path)
+    (tmp_path / "config.json").write_bytes(text)
+    code = main(["ner-eval", "--config", str(tmp_path / "config.json")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"parse error: {tmp_path / 'config.json'}: {problem}\n"

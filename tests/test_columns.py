@@ -75,6 +75,7 @@ def records(draw, malformed=True):
     faults = [
         "missing", "float", "bool", "string", "numeric-id", "big", "string-score", "bool-score",
         "numeric-group", "list-cui", "null-begin", "big-score", "two", "big-negative", "1e400",
+        "surrogate",
     ] if malformed else []
     fault = draw(st.sampled_from(["none"] * 13 + faults))
     if fault == "missing":
@@ -105,10 +106,16 @@ def records(draw, malformed=True):
         record[draw(st.sampled_from(["begin", "end", "score"]))] = -(2**63) - 1
     elif fault == "1e400":  # written as 1e400 by dump()
         record[draw(st.sampled_from(["begin", "end", "score"]))] = float("inf")
+    elif fault == "surrogate":  # written as the escape \ud800, which json decodes
+        record[draw(st.sampled_from(["doc_id", "source", "group", "native_type", "cui"]))] = "A\ud800"
     elif fault == "two":  # the first bad field in column order names the problem
         record["doc_id"] = 7
         del record["source"]
     return record
+
+
+# A line nested deeper than json's recursion limit; orjson reads it.
+DEEP = '{"doc_id": ' + "[" * 5000 + "]" * 5000 + "}"
 
 
 def dump(record) -> str:
@@ -136,7 +143,7 @@ def jsonl_files(draw):
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
         elif kind == "bad":
-            lines.append(draw(st.sampled_from(["{oops", "{}}", '{"doc_id": "d1",}', "nul"])))
+            lines.append(draw(st.sampled_from(["{oops", "{}}", '{"doc_id": "d1",}', "nul", DEEP])))
         elif kind == "array":
             lines.append(draw(st.sampled_from(["[1, 2]", "5", '"text"', "null"])))
         elif kind == "two":
@@ -333,8 +340,9 @@ def test_file_with_a_bad_record_is_read_by_json_once(tmp_path, monkeypatch, bad)
 def test_valid_file_that_orjson_refuses_gives_the_line_scan_columns(
     tmp_path, monkeypatch, chunk_lines
 ):
-    # json reads a lone surrogate in a name, which orjson refuses
-    surrogate = '{"doc_id": "d2", "source": "A", "begin": 1, "end": 4, "native_type": "\\ud800"}'
+    # json reads a lone surrogate, which orjson refuses; in an unknown field
+    # it is ignored (in a known one it is malformed)
+    surrogate = '{"doc_id": "d2", "source": "A", "begin": 1, "end": 4, "extra": "\\ud800"}'
     refused, clean = tmp_path / "refused.jsonl", tmp_path / "clean.jsonl"
     lines = [*CLEAN_LINES, surrogate, CLEAN_LINES[0]]
     refused.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -370,7 +378,8 @@ def edge_files(draw, fields, values):
             if odd is not None:
                 record[fields[odd]] = draw(st.sampled_from(values[odd][1:]))
             if draw(st.booleans()):
-                record["extra"] = draw(st.sampled_from(["1" + "0" * 40, str(2**64), "1e400"]))
+                record["extra"] = draw(st.sampled_from(["1" + "0" * 40, str(2**64), "1e400",
+                                                        LONE_SURROGATE]))
             lines.append("{" + ", ".join(f'"{key}": {text}' for key, text in record.items()) + "}")
         elif kind == "blank":
             lines.append(draw(st.sampled_from(["", "  "])))

@@ -50,6 +50,7 @@ from span_ensembles.search import SAMPLED, ScoredEnsemble, _count_table, _pareto
 from conftest import (
     brute_confusion,
     comp_prf,
+    every_scored,
     per_document_count_table,
     per_document_vote,
     set_eval,
@@ -144,12 +145,13 @@ def test_scores_match_set_oracle(data):
             seed=1,
         )
         result = grid_search(store, GOLD_SOURCE, config)
-        for item in result.evaluated:
+        scored = every_scored(store, GOLD_SOURCE, config)
+        for item in scored:
             tree = parse(item.expression)
             m = item.metrics
             assert (m.tp, m.fp, m.fn) == oracle(store, tree, group), (group, item.expression)
-        assert result.pareto == quadratic_pareto(result.evaluated)
-        for item in data.draw(st.lists(st.sampled_from(result.evaluated), max_size=3)):
+        assert result.pareto == quadratic_pareto(scored)
+        for item in data.draw(st.lists(st.sampled_from(scored), max_size=3)):
             again = evaluate_expression(store, parse(item.expression), GOLD_SOURCE, group)
             assert again == item.metrics
 
@@ -187,11 +189,12 @@ def test_ranked_views_match_sorted_definitions(data):
     # score the truth tables a few cells at a time, so blocks end anywhere
     with mock.patch.object(search, "SCORE_CELLS", data.draw(st.integers(1, 64))):
         result = grid_search(store, GOLD_SOURCE, config)
-    scored = tuple(result.evaluated)
+        scored = every_scored(store, GOLD_SOURCE, config)
     expected = sorted_search_views(scored, config.top_k, config.beat_singles_f1_only)
     for view, items in expected.items():
         assert getattr(result, view) == items, view
     assert result == grid_search(store, GOLD_SOURCE, config)
+    assert scored == every_scored(store, GOLD_SOURCE, config)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,0 +1,254 @@
+"""Every number of the ``search`` and ``ner-eval`` reports, end to end from
+the raw files.
+
+Each example writes a small random corpus (a manifest with an empty
+document, gold and two to three systems whose spans overlap and touch, two
+group labels, no groups file), runs ``cli.main`` with ``--group each`` and
+reads the JSON report.  Every count is recomputed from the raw JSONL, for
+every group and for ``ALL``: the files are read by the reference readers
+(``conftest.scan_manifest``, ``conftest.scan_annotations``), overlaps are
+resolved by ``conftest.whole_run_disambiguation``, and each expression is
+evaluated over sets of covered (document, character) positions by
+``conftest.set_eval``.  The search views are checked by their definitions
+(``conftest.sorted_search_views``), and the CSV and markdown reports must
+carry the JSON numbers at their precision: in full in CSV, to two decimals
+in markdown.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from span_ensembles import DisambiguationPolicy, cli, enumerate_ensembles, search, to_string
+from span_ensembles.search import ScoredEnsemble
+from span_ensembles.expr import tree_sources
+from span_ensembles.model import ALL_GROUPS, GOLD_SOURCE, SpanColumns
+from conftest import (
+    metrics_json_default,
+    scalar_metrics,
+    scan_annotations,
+    scan_manifest,
+    set_eval,
+    sorted_search_views,
+    whole_run_disambiguation,
+)
+
+GROUPS = ("G1", "G2")
+CORPUS = "c1"
+VIEWS = ("by_f1", "by_precision", "by_recall", "pareto", "beating_all_singles")
+
+
+@st.composite
+def raw_corpora(draw):
+    """(documents, records per source): 1-3 documents of 1-25 characters and
+    one empty one, and per source a list of JSON records.  Spans are up to 8
+    characters long, in group G1 or G2, sometimes scored; a span is
+    sometimes followed by one that touches it."""
+    systems = draw(st.permutations(("A", "B", "zeta")))[: draw(st.integers(2, 3))]
+    lengths = draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
+    lengths.insert(draw(st.integers(0, len(lengths))), 0)
+    documents = [(f"d{i}", n) for i, n in enumerate(lengths)]
+    records = {source: [] for source in (GOLD_SOURCE, *systems)}
+    for doc_id, length in documents:
+        if not length:
+            continue
+        for source, spans in records.items():
+            for _ in range(draw(st.integers(0, 3))):
+                begin = draw(st.integers(0, length - 1))
+                end = draw(st.integers(begin + 1, min(length, begin + 8)))
+                bounds = [(begin, end)]
+                if end < length and draw(st.booleans()):
+                    bounds.append((end, draw(st.integers(end + 1, length))))
+                for b, e in bounds:
+                    record = {"doc_id": doc_id, "source": source, "begin": b, "end": e,
+                              "group": draw(st.sampled_from(GROUPS))}
+                    score = draw(st.sampled_from([None, 0.5, 0.9]))
+                    if score is not None:
+                        record["score"] = score
+                    spans.append(record)
+    return documents, records
+
+
+def write_corpus(directory: Path, documents, records) -> Path:
+    """The manifest, one JSONL file per source and a run config; the config's path."""
+    (directory / "manifest.jsonl").write_text("".join(
+        json.dumps({"doc_id": doc_id, "length": n, "corpus_id": CORPUS}) + "\n"
+        for doc_id, n in documents
+    ))
+    for source, spans in records.items():
+        (directory / f"{source}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in spans))
+    config = {"manifest": "manifest.jsonl", "gold": f"{GOLD_SOURCE}.jsonl",
+              "systems": {s: f"{s}.jsonl" for s in records if s != GOLD_SOURCE}}
+    (directory / "config.json").write_text(json.dumps(config))
+    return directory / "config.json"
+
+
+def covered_sets(directory: Path, systems):
+    """The groups a ``--group each`` run reports, and per group the covered
+    (document, character) positions of each source after disambiguation,
+    read from the raw files."""
+    documents = scan_manifest(directory / "manifest.jsonl")
+    anns = []
+    for source in (GOLD_SOURCE, *sorted(systems)):
+        anns += scan_annotations(directory / f"{source}.jsonl", documents, source)
+    spans = SpanColumns.from_annotations(anns)
+    keep = whole_run_disambiguation(spans, DisambiguationPolicy(seed=0), exempt=(GOLD_SOURCE,))
+    kept = [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
+    groups = sorted({a.group for a in anns if a.group is not None})
+    sets = {}
+    for group in (*groups, ALL_GROUPS):
+        sets[group] = {
+            source: frozenset((a.doc_id, i) for a in kept
+                              if a.source == source and group in (ALL_GROUPS, a.group)
+                              for i in range(a.begin, a.end))
+            for source in (GOLD_SOURCE, *systems)
+        }
+    return sets
+
+
+def oracle_metrics(gold: frozenset, predicted: frozenset):
+    return scalar_metrics(len(gold & predicted), len(predicted - gold), len(gold - predicted))
+
+
+def scored_space(sets, systems) -> list:
+    """Every ensemble of a default search over ``systems``, with its
+    metrics from the position sets."""
+    gold = sets[GOLD_SOURCE]
+    scored = []
+    for tree in enumerate_ensembles(sorted(systems), 1, len(systems)):
+        metrics = oracle_metrics(gold, set_eval(tree, sets))
+        scored.append(ScoredEnsemble(to_string(tree), len(tree_sources(tree)), metrics))
+    return scored
+
+
+def json_item(scored: ScoredEnsemble) -> dict:
+    """A scored ensemble as a report's JSON object holds it."""
+    return {"combination": scored.expression, "size": scored.size, "metrics": scored.metrics}
+
+
+def as_json(payload):
+    """A payload as its JSON text parses back, every MetricsResult as its fields."""
+    return json.loads(json.dumps(payload, default=metrics_json_default))
+
+
+def run_report(argv, out: Path) -> str:
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def csv_rows(text: str) -> list[dict]:
+    return list(csv.DictReader(io.StringIO(text)))
+
+
+def markdown_tables(text: str) -> list[list[list[str]]]:
+    """The body rows of each pipe table, cells unescaped."""
+    tables, current = [], None
+    for line in text.splitlines():
+        if not line.startswith("|"):
+            current = None
+            continue
+        cells = [c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if current is None:
+            current = []
+            tables.append(current)
+        elif not all(c == "---" for c in cells):
+            current.append(cells)
+    return tables
+
+
+def metric_cells_match(row: dict, m: dict) -> bool:
+    """A CSV row carries a JSON metrics object in full."""
+    floats = {}
+    for key, name in (("p", "precision"), ("r", "recall"), ("f1", "f1")):
+        lo, hi = m[f"ci_{name}"] or (None, None)
+        floats.update({key: m[name], f"{key}_lo": lo, f"{key}_hi": hi})
+    return (all((float(row[k]) if row[k] else None) == v for k, v in floats.items())
+            and all(int(row[k]) == m[k] for k in ("tp", "fp", "fn", "n_gold", "n_pred"))
+            and row["degenerate"] == str(m["degenerate"]).lower())
+
+
+def md_metrics(m: dict) -> list[str]:
+    return [f"{m[name]:.2f}" for name in ("precision", "recall", "f1")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw_corpora(), st.integers(1, 60))
+def test_search_and_ner_eval_reports_match_the_raw_files(corpus, block_chars):
+    # blocks of a few characters end anywhere, a long document alone
+    documents, records = corpus
+    systems = [s for s in records if s != GOLD_SOURCE]
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = write_corpus(directory, documents, records)
+        sets = covered_sets(directory, systems)
+        base = ["--config", str(config), "--group", "each"]
+        with mock.patch.object(search, "BLOCK_CHARS", block_chars):
+            panels = {fmt: run_report(["search", *base, "--format", fmt], directory / f"s.{fmt}")
+                      for fmt in ("json", "csv", "markdown")}
+            ner = {fmt: run_report(["ner-eval", *base, "--format", fmt], directory / f"n.{fmt}")
+                   for fmt in ("json", "csv", "markdown")}
+
+    groups = sorted(sets)  # the report's order: by group, ALL among them
+    blocks = []
+    for group in groups:
+        views = sorted_search_views(scored_space(sets[group], systems), 10, False)
+        blocks.append({"corpus": CORPUS, "group": group, "singles": views["singles"],
+                       **{name: [json_item(s) for s in views[name]] for name in VIEWS}})
+    report = json.loads(panels["json"])
+    assert report == as_json({"layout": "ensemble_panels", "blocks": blocks})
+
+    gold_rows = [{"corpus": CORPUS, "group": group, "system": system,
+                  "metrics": oracle_metrics(sets[group][GOLD_SOURCE], sets[group][system])}
+                 for group in groups for system in sorted(systems)]
+    ner_report = json.loads(ner["json"])
+    assert ner_report == as_json({"layout": "single_systems", "rows": gold_rows})
+
+    # CSV: each block's reported rows, once each, by expression, in full precision
+    expected_rows = []
+    for block in report["blocks"]:
+        seen = {}
+        for name in VIEWS:
+            for item in block[name]:
+                seen.setdefault(item["combination"], item["metrics"])
+        for expression, metrics in block["singles"].items():
+            seen.setdefault(expression, metrics)
+        expected_rows += [(block["group"], e, seen[e]) for e in sorted(seen)]
+    rows = csv_rows(panels["csv"])
+    assert [(r["corpus"], r["group"], r["combination"]) for r in rows] == (
+        [(CORPUS, g, e) for g, e, _ in expected_rows]
+    )
+    assert all(metric_cells_match(r, m) for r, (_, _, m) in zip(rows, expected_rows))
+    rows = csv_rows(ner["csv"])
+    assert [(r["group"], r["combination"]) for r in rows] == (
+        [(r["group"], r["system"]) for r in ner_report["rows"]]
+    )
+    assert all(metric_cells_match(r, j["metrics"]) for r, j in zip(rows, ner_report["rows"]))
+
+    # markdown: the same numbers to two decimals
+    tables = markdown_tables(panels["markdown"])
+    top = []
+    for block in report["blocks"]:
+        row = [CORPUS, block["group"]]
+        for name in ("by_f1", "by_precision", "by_recall"):
+            best = block[name][0]
+            row += [best["combination"], *md_metrics(best["metrics"])]
+        top.append(row)
+    beating = [[CORPUS, b["group"], item["combination"], *md_metrics(item["metrics"])]
+               for b in report["blocks"] for item in b["beating_all_singles"]]
+    singles = [[CORPUS, b["group"], name, *md_metrics(m)]
+               for b in report["blocks"] for name, m in b["singles"].items()]
+    assert tables == [top, *([beating] if beating else []), singles]
+    assert ("(none)" in panels["markdown"]) == (not beating)
+    assert markdown_tables(ner["markdown"]) == [
+        [[CORPUS, r["group"], r["system"], str(r["metrics"]["n_gold"]), *md_metrics(r["metrics"])]
+         for r in ner_report["rows"]]
+    ]

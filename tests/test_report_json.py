@@ -76,7 +76,6 @@ def search_results():
         SearchResult,
         group=TEXT, by_f1=scored(), by_precision=scored(), by_recall=scored(), pareto=scored(),
         singles=st.dictionaries(TEXT, metrics(), max_size=3), beating_all_singles=scored(),
-        evaluated=st.just(()),
     )
 
 

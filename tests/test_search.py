@@ -1,5 +1,3 @@
-from collections.abc import Sequence
-
 import numpy as np
 import pytest
 
@@ -33,7 +31,8 @@ from span_ensembles import (
 from span_ensembles import expr, search
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED, ScoredRows
+from span_ensembles.search import SAMPLED
+from conftest import every_scored
 
 
 def two_system_store():
@@ -115,15 +114,14 @@ def test_candidate_space_size_five_sources():
     )
     store = generate(spec)
     config = SearchConfig(sources=tuple("ABCDE"), min_size=1, max_size=5, top_k=3)
-    result = grid_search(store, GOLD_SOURCE, config)
     # sizes 1..5 over 5 sources: 5 + 20 + 80 + 260 + 472
-    assert len(result.evaluated) == 837
+    assert len(every_scored(store, GOLD_SOURCE, config)) == 837
     config2 = SearchConfig(sources=tuple("ABCDE"), min_size=2, max_size=5, top_k=3)
-    result2 = grid_search(store, GOLD_SOURCE, config2)
+    scored2 = every_scored(store, GOLD_SOURCE, config2)
     # the size 2..5 combination space holds 20 + 80 + 260 + 472 = 832
     # distinct functions; the 5 singletons stay in the pool as baselines
-    assert len([s for s in result2.evaluated if s.size >= 2]) == 832
-    assert len(result2.evaluated) == 837
+    assert len([s for s in scored2 if s.size >= 2]) == 832
+    assert len(scored2) == 837
 
 
 def test_top_f1_at_least_best_single():
@@ -166,13 +164,15 @@ def test_reported_expressions_reproduce_counts():
 
 def test_sampled_with_big_budget_equals_exhaustive():
     store = synth_store()
-    exhaustive = grid_search(store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), seed=2))
-    sampled = grid_search(
-        store,
-        GOLD_SOURCE,
-        SearchConfig(sources=("A", "B", "C"), mode=SAMPLED, sample_budget=10_000, seed=2),
-    )
+    exhaustive_config = SearchConfig(sources=("A", "B", "C"), seed=2)
+    sampled_config = SearchConfig(sources=("A", "B", "C"), mode=SAMPLED, sample_budget=10_000,
+                                  seed=2)
+    exhaustive = grid_search(store, GOLD_SOURCE, exhaustive_config)
+    sampled = grid_search(store, GOLD_SOURCE, sampled_config)
     assert sampled == exhaustive
+    assert every_scored(store, GOLD_SOURCE, sampled_config) == (
+        every_scored(store, GOLD_SOURCE, exhaustive_config)
+    )
 
 
 def test_sampled_respects_budget_and_determinism():
@@ -181,9 +181,11 @@ def test_sampled_respects_budget_and_determinism():
     first = grid_search(store, GOLD_SOURCE, config)
     second = grid_search(store, GOLD_SOURCE, config)
     assert first == second
-    non_single = [s for s in first.evaluated if s.size > 1]
+    scored = every_scored(store, GOLD_SOURCE, config)
+    assert scored == every_scored(store, GOLD_SOURCE, config)
+    non_single = [s for s in scored if s.size > 1]
     assert len(non_single) == 7
-    assert len([s for s in first.evaluated if s.size == 1]) == 3
+    assert len([s for s in scored if s.size == 1]) == 3
 
 
 def test_input_order_does_not_change_results():
@@ -195,15 +197,14 @@ def test_input_order_does_not_change_results():
         sources=store.sources[::-1],
     )
     for group in (ALL_GROUPS, "Anatomy"):
-        base = grid_search(
-            store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), group=group, seed=3)
-        )
-        flipped = grid_search(
-            reversed_store,
-            GOLD_SOURCE,
-            SearchConfig(sources=("C", "B", "A"), group=group, seed=3),
-        )
+        base_config = SearchConfig(sources=("A", "B", "C"), group=group, seed=3)
+        flipped_config = SearchConfig(sources=("C", "B", "A"), group=group, seed=3)
+        base = grid_search(store, GOLD_SOURCE, base_config)
+        flipped = grid_search(reversed_store, GOLD_SOURCE, flipped_config)
         assert base == flipped
+        assert every_scored(store, GOLD_SOURCE, base_config) == (
+            every_scored(reversed_store, GOLD_SOURCE, flipped_config)
+        )
         assert emit_table([PanelBlock("c", group, base)], ENSEMBLE_PANELS, CSV_FORMAT) == (
             emit_table([PanelBlock("c", group, flipped)], ENSEMBLE_PANELS, CSV_FORMAT)
         )
@@ -268,8 +269,7 @@ def test_search_builds_its_space_without_trees(monkeypatch):
     search._ensemble_space.cache_clear()
     monkeypatch.setattr(search, "evaluate", fail)
     monkeypatch.setattr(expr, "enumerate_ensembles", fail)
-    result = grid_search(store, GOLD_SOURCE, SearchConfig(sources=tuple("ABCDE")))
-    assert len(result.evaluated) == 837
+    assert len(every_scored(store, GOLD_SOURCE, SearchConfig(sources=tuple("ABCDE")))) == 837
 
 
 def test_count_table_beyond_the_limit_is_refused_before_any_work(monkeypatch):
@@ -292,41 +292,29 @@ def test_count_table_beyond_the_limit_is_refused_before_any_work(monkeypatch):
         grid_search(store, GOLD_SOURCE, SearchConfig(sources=("A", "B", "C"), max_size=1))
 
 
-def test_evaluated_view_is_a_read_only_sequence():
+def test_every_scored_row_reevaluates_to_its_metrics():
     store = synth_store()
     config = SearchConfig(sources=("A", "B", "C"), min_size=2, top_k=3)
-    result = grid_search(store, GOLD_SOURCE, config)
-    view = result.evaluated
-    assert isinstance(view, ScoredRows) and isinstance(view, Sequence)
-    # scoring order: the singles kept as baselines, then the space by (size, expression)
-    trees = [Leaf(s) for s in "ABC"] + expr.enumerate_ensembles("ABC", 2, 3)
-    assert [item.expression for item in view] == [expr.to_string(t) for t in trees]
-    items = tuple(view)
-    assert len(view) == len(items) == 3 + 2 * 3 + 8
-    assert view == items and items == view and not view != items
-    assert view != items[:-1] and view != items[::-1] and view != list(items)
-    for i in (0, 4, len(items) - 1, -1, -len(items)):
-        assert view[i] == items[i]
-        assert view[i].metrics == evaluate_expression(store, parse(view[i].expression), GOLD_SOURCE)
-    assert view[np.int64(2)] == items[2]
-    assert view[1:7:2] == items[1:7:2] and view[::-1] == items[::-1]
-    # a slice and an iteration, each built by one metrics_rows call, equal
-    # indexing item by item
-    one_by_one = tuple(view[i] for i in range(len(view)))
-    calls = []
-    with pytest.MonkeyPatch.context() as patch:
-        rows = search.metrics_rows
-        patch.setattr(search, "metrics_rows", lambda *counts: calls.append(1) or rows(*counts))
-        assert tuple(view) == view[:] == one_by_one and view[-3:1:-2] == one_by_one[-3:1:-2]
-    assert len(calls) == 3
-    assert view[5:2] == () and view[100:] == ()
-    for i in (len(items), -len(items) - 1):
-        with pytest.raises(IndexError):
-            view[i]
-    assert view.index(items[5]) == 5 and items[5] in view
-    with pytest.raises(TypeError):
-        view[0] = items[1]
-    assert grid_search(store, GOLD_SOURCE, config).evaluated == view
+    scored = every_scored(store, GOLD_SOURCE, config)
+    assert len(scored) == 3 + 2 * 3 + 8
+    for item in scored:
+        assert item.metrics == evaluate_expression(store, parse(item.expression), GOLD_SOURCE)
+
+
+def test_every_scored_holds_the_whole_space_and_the_kept_singles():
+    store = AnnotationStore(
+        [DocumentRef("d1", 40)],
+        [Annotation("d1", s, 3 * i, 3 * i + 10) for i, s in enumerate((GOLD_SOURCE, *"ABCDE"))],
+    )
+    for k in range(1, 6):
+        pool = tuple("ABCDE"[:k])
+        for low in range(1, k + 1):
+            for high in range(low, k + 1):
+                config = SearchConfig(sources=pool, min_size=low, max_size=high)
+                scored = [item.expression for item in every_scored(store, GOLD_SOURCE, config)]
+                space = {expr.to_string(t) for t in expr.enumerate_ensembles(pool, low, high)}
+                assert len(scored) == len(set(scored)) == len(space | set(pool)), (k, low, high)
+                assert set(scored) == space | set(pool), (k, low, high)
 
 
 def test_grid_search_unknown_source():
