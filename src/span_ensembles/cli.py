@@ -27,7 +27,6 @@ from .errors import (
 from .expr import IDENTIFIER, parse, to_string
 from .ingest import (
     _SURROGATE,
-    DisambiguationPolicy,
     disambiguate_spans,
     load_corpus_manifest,
     load_semantic_group_map,
@@ -216,8 +215,7 @@ def _build_store(cfg: RunConfig) -> AnnotationStore:
 
     # Overlapping concepts from one system resolve by the longest-span /
     # highest-score / seeded cascade; gold spans merge later in mask building.
-    policy = DisambiguationPolicy(seed=cfg.seed)
-    keep = disambiguate_spans(spans, policy, exempt=(cfg.gold_source,), keep=keep)
+    keep = disambiguate_spans(spans, cfg.seed, exempt=(cfg.gold_source,), keep=keep)
     return AnnotationStore.adopt(
         documents,
         spans,

@@ -26,7 +26,7 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -36,6 +36,8 @@ import orjson
 from . import seeds
 from .errors import ConfigError, ParseError, ValidationError
 from .model import (
+    ALL_GROUPS,
+    ALL_IS_NO_LABEL,
     COLUMNS,
     CUI_PATTERN,
     Annotation,
@@ -257,6 +259,7 @@ def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
         len(names["doc_id"]) > len(documents)  # an unknown document
         or any(cui is not None and not CUI_PATTERN.match(cui) for cui in names["cui"])
         or expected_source is not None and bool(names["source"].keys() - {expected_source})
+        or ALL_GROUPS in names["group"]
         or ((begin < 0) | (end <= begin) | (end > lengths[columns["doc_id"]])
             | (score < 0.0) | (score > 1.0)  # NaN, no score, compares false
             | np.isin(columns["group"], foreign) & (columns["native_type"] == 0)).any()
@@ -278,6 +281,8 @@ def _span_problem(record: dict, documents: Mapping[str, DocumentRef],
         return f"span [{ann.begin}, {ann.end}) exceeds doc {ann.doc_id!r} length {doc.length}"
     if expected_source not in (None, ann.source):
         return f"source {ann.source!r} != expected {expected_source!r}"
+    if ann.group == ALL_GROUPS:
+        return f"group {ALL_IS_NO_LABEL}"
     if ann.native_type is None and ann.group is not None and universe and ann.group not in universe:
         return f"group {ann.group!r} not in the group universe"
     return None
@@ -296,8 +301,8 @@ def load_span_file(
 
     A record's first failing check names its problem: its span, its CUI, its
     score, its document, its bounds in that document, its source (an expected
-    source of None accepts any), then a group given with no native type
-    outside ``universe`` (an empty one accepts any).
+    source of None accepts any), a group of ``ALL_GROUPS``, then a group given
+    with no native type outside ``universe`` (an empty one accepts any).
     """
     part = _orjson_part(path, documents, expected_source, universe)
     if part is not None:
@@ -384,7 +389,9 @@ def load_semantic_group_map(
             _, group_name, tui, _ = fields
             universe.setdefault(group_name)
             conflict = _conflict(tuis, tui, group_name, lineno)
-            if conflict:
+            if group_name == ALL_GROUPS:
+                problems.append(f"{where}: group {ALL_IS_NO_LABEL}")
+            elif conflict:
                 problems.append(f"{where}: type {conflict}")
     _raise_collected("semantic group", malformed, problems)
 
@@ -466,15 +473,6 @@ def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
     return MappingOutcome(columns=mapped, kept=kept, dropped_types=dropped_types)
 
 
-@dataclass(frozen=True)
-class DisambiguationPolicy:
-    """Tie-break cascade for overlapping spans from one source: longest span,
-    then highest score (no score ranks lowest), then a seeded pick.  Only the
-    seed varies; the rule order is fixed."""
-
-    seed: int = 0
-
-
 def _overlap_clusters(spans: Sequence[Annotation]) -> list[list[int]]:
     """Connected components of the overlap graph, left to right; ``spans``
     must be sorted by begin."""
@@ -496,21 +494,20 @@ def _select_winner(candidates: list[Annotation], rng) -> Annotation:
 
     best = max(map(rank, candidates))
     pool = [c for c in candidates if rank(c) == best]
-    if len(pool) > 1:
-        pool.sort(key=lambda c: (c.begin, c.end, c.cui or "", c.native_type or ""))
-        return pool[rng.randrange(len(pool))]
-    return pool[0]
+    # the pool is in (begin, end, cui, native type) order, as the spans are; a
+    # draw from a pool of one would still advance the RNG
+    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
 
 
-def disambiguate_overlaps(
-    annotations: Iterable[Annotation], policy: DisambiguationPolicy
-) -> list[Annotation]:
+def disambiguate_overlaps(annotations: Iterable[Annotation], seed: int) -> list[Annotation]:
     """Resolve overlapping spans within one (source, doc) slice, per group.
 
     Clusters of mutually overlapping spans are processed left to right; each
-    round the cluster winner survives and its direct overlappers are removed,
-    repeating until no overlaps remain.  Selection never synthesizes spans,
-    so the result is a subset of the input and the operation is idempotent.
+    round the cluster winner (longest span, then highest score with no score
+    lowest, then a pick seeded by ``seed`` and the slice) survives and its
+    direct overlappers are removed, repeating until no overlaps remain.
+    Selection never synthesizes spans, so the result is a subset of the
+    input and the operation is idempotent.
     """
     anns = list(annotations)
     if not anns:
@@ -519,7 +516,7 @@ def disambiguate_overlaps(
     if len(slices) > 1:
         raise ValidationError(f"annotations span multiple (source, doc) slices: {sorted(slices)}")
     source, doc_id = next(iter(slices))
-    rng = seeds.derive_rng(policy.seed, "disambiguate", source, doc_id)
+    rng = seeds.derive_rng(seed, "disambiguate", source, doc_id)
 
     by_group: dict[Optional[str], list[Annotation]] = {}
     for ann in anns:
@@ -547,7 +544,7 @@ def disambiguate_overlaps(
 
 def disambiguate_spans(
     spans: SpanColumns,
-    policy: DisambiguationPolicy,
+    seed: int,
     exempt: Iterable[str] = (),
     keep: Optional[np.ndarray] = None,
 ) -> np.ndarray:
@@ -568,20 +565,15 @@ def disambiguate_spans(
     exempt_codes = [i for i, source in enumerate(spans.sources) if source in exempt]
     members = overlapping(spans, keep & ~np.isin(spans.source, exempt_codes), openers=True)
     rows = np.flatnonzero(members)
-    if not len(rows):
-        return keep
     slice_key = spans.source[rows].astype(np.int64) * len(spans.doc_ids) + spans.doc_id[rows]
-    by_slice = np.argsort(slice_key, kind="stable")
-    rows, slice_key = rows[by_slice], slice_key[by_slice]
-    bounds = [0, *(np.flatnonzero(np.diff(slice_key)) + 1).tolist(), len(rows)]
-    first, anns = 0, []  # the records of rows[first:first + len(anns)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        if hi > first + len(anns):
-            first, anns = lo, spans.take(rows[lo : max(hi, lo + CHUNK_LINES)]).annotations()
-        in_slice = anns[lo - first : hi - first]
-        kept = {id(a) for a in disambiguate_overlaps(in_slice, policy)}
-        removed = [row for row, a in zip(rows[lo:hi].tolist(), in_slice) if id(a) not in kept]
-        keep[removed] = False
+    rows = rows[np.argsort(slice_key, kind="stable")]
+    records = (ann for at in range(0, len(rows), CHUNK_LINES)
+               for ann in spans.take(rows[at : at + CHUNK_LINES]).annotations())
+    slices = groupby(zip(rows.tolist(), records), key=lambda pair: (pair[1].source, pair[1].doc_id))
+    for _, in_slice in slices:
+        in_slice = list(in_slice)
+        kept = {id(a) for a in disambiguate_overlaps([a for _, a in in_slice], seed)}
+        keep[[row for row, a in in_slice if id(a) not in kept]] = False
     return keep
 
 

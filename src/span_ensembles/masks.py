@@ -149,20 +149,21 @@ def locate(starts: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndar
     return doc, offsets - starts[doc]
 
 
-def tie_coins(
-    seed: int, starts: np.ndarray, doc_ids: Sequence[str], offsets: np.ndarray
-) -> np.ndarray:
-    """The seeded majority-vote coin of each tie character at ``offsets`` in
-    a block of documents laid end to end (document i starts at
-    ``starts[i]``): one boolean per character, keyed on (seed, doc,
-    character index in the doc)."""
-    keys = zip(*(column.tolist() for column in locate(starts, offsets)))
-    return np.array([seeds.pick_index(2, seed, doc_ids[d], idx) for d, idx in keys], dtype=bool)
+def keyed_picks(n: int | np.ndarray, seed: int, starts: np.ndarray, doc_ids: Sequence[str],
+                offsets: np.ndarray) -> np.ndarray:
+    """The seeded pick in [0, n) of each character at ``offsets`` in a block
+    of documents laid end to end (document i starts at ``starts[i]``), keyed
+    on (seed, doc, character index in the doc); ``n`` is one count or one
+    per character."""
+    doc, index = locate(starts, offsets)
+    keys = zip(np.broadcast_to(n, len(offsets)).tolist(), doc.tolist(), index.tolist())
+    return np.array([seeds.pick_index(k, seed, doc_ids[d], idx) for k, d, idx in keys],
+                    dtype=np.int64)
 
 
 def majority_vote(masks: Sequence[CharMask], seed: int) -> CharMask:
-    """Per-character majority over k masks; exact ties (k even) break by
-    :func:`tie_coins`."""
+    """Per-character majority over k masks; an exact tie (k even) is covered
+    where its :func:`keyed_picks` of 2 is 1."""
     if len(masks) < 2:
         raise ValidationError("majority vote needs at least 2 masks")
     first = masks[0]
@@ -174,7 +175,7 @@ def majority_vote(masks: Sequence[CharMask], seed: int) -> CharMask:
         counts += mask.bits
     bits = counts * 2 > k
     tied = np.flatnonzero(counts * 2 == k)
-    bits[tied] = tie_coins(seed, np.array([0, first.length]), (first.doc_id,), tied)
+    bits[tied] = keyed_picks(2, seed, np.array([0, first.length]), (first.doc_id,), tied) == 1
     return CharMask(first.doc_id, bits)
 
 
@@ -322,16 +323,13 @@ def _resolve_candidates(
     begin = seg_begin[piece_seg] + rank
     split = tied[piece_seg] > 1
     end = np.where(split, begin + 1, seg_end[piece_seg])
-    doc, index = locate(starts, begin)
     winner = best[piece_seg]
     at = np.flatnonzero(split)
-    keys = zip(tied[piece_seg[at]].tolist(), doc[at].tolist(), index[at].tolist())
-    picks = [seeds.pick_index(n, seed, doc_ids[d], idx) for n, d, idx in keys]
-    winner[at] += np.array(picks, dtype=np.int64)
+    winner[at] += keyed_picks(tied[piece_seg[at]], seed, starts, doc_ids, begin[at])
     label, origin = label[winner], origin[winner]
     joined = np.zeros(len(begin), dtype=bool)
     joined[1:] = (begin[1:] == end[:-1]) & (label[1:] == label[:-1])
-    joined &= index > 0  # never across a document start
+    joined &= locate(starts, begin)[1] > 0  # never across a document start
     runs = np.flatnonzero(~joined)
     return Runs(
         begin[runs],

@@ -49,7 +49,7 @@ from .expr import (
     read_once_space,
     tree_sources,
 )
-from .masks import CharMask, Runs, _resolve_candidates, coverage_patterns, locate, tie_coins
+from .masks import CharMask, Runs, _resolve_candidates, coverage_patterns, keyed_picks, locate
 from .metrics import (CuiMetricsResult, MetricsResult, confusion_counts, label_counts,
                       metrics_rows, prf)
 from .model import ALL_GROUPS, AnnotationStore, check_group
@@ -433,11 +433,12 @@ def majority_vote_eval(
     votes = np.array([bin(p).count("1") for p in range(2**k)])  # by system pattern
     tie = np.tile(votes * 2 == k, 2)  # by pattern, gold bit included
 
+    # a function of its own, so a block's patterns are freed before the next block is swept
     def block_counts(block: _Block) -> tuple[np.ndarray, tuple[int, int, int]]:
         """The block's count table, and tp/fp/fn of its tie characters."""
         patterns = block.patterns(rows)
         tied = np.flatnonzero(tie[patterns])
-        coins = tie_coins(seed, block.starts, block.doc_ids, tied)
+        coins = keyed_picks(2, seed, block.starts, block.doc_ids, tied) == 1
         table = np.bincount(patterns, minlength=2 ** (k + 1))
         return table, confusion_counts(patterns[tied] >> k == 1, coins)
 

@@ -896,3 +896,57 @@ def test_config_json_cannot_read_exits_parse_code(tmp_path, capsys, text, proble
     assert code == 3
     assert captured.out == ""
     assert captured.err == f"parse error: {tmp_path / 'config.json'}: {problem}\n"
+
+
+ALL_IS_NO_LABEL = "group 'ALL' denotes the unfiltered union and cannot be a group label"
+
+
+def test_span_group_all_is_listed_with_the_other_invalid_records(tmp_path, capsys):
+    assert main(["synth", "--out-dir", str(tmp_path), "--docs", "5", "--n-sources", "2",
+                 "--seed", "1"]) == 0
+    capsys.readouterr()
+    for name, lineno, change in (("A", 3, {"group": "ALL"}), ("B", 2, {"doc_id": "ghost"})):
+        path = tmp_path / f"{name}.jsonl"
+        record = json.loads(path.read_text().splitlines()[lineno - 1])
+        replace_line(path, lineno, json.dumps({**record, **change}))
+    code = main(["ner-eval", "--config", str(tmp_path / "config.json"), "--group", "each"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 2 invalid annotation record(s):",
+        f"{tmp_path / 'A.jsonl'}:3: {ALL_IS_NO_LABEL}",
+        f"{tmp_path / 'B.jsonl'}:2: unknown doc 'ghost'",
+    ]
+
+
+def test_span_group_all_is_refused_though_its_native_type_is_mapped(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    (tmp_path / "groups.txt").write_text("ANAT|Anatomy|T017|Anatomical Structure\n")
+    replace_line(tmp_path / "a.jsonl", 1,
+                 '{"doc_id":"d0","source":"A","begin":0,"end":5,"group":"ALL","native_type":"T017"}')
+    code = main(["ner-eval", *args, "--semgroups", str(tmp_path / "groups.txt")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 1 invalid annotation record(s):",
+        f"{tmp_path / 'a.jsonl'}:1: {ALL_IS_NO_LABEL}",
+    ]
+
+
+def test_groups_file_group_all_is_listed_with_the_other_invalid_lines(tmp_path, capsys):
+    args = [*tiny_corpus(tmp_path), "--system", f"A={tmp_path / 'a.jsonl'}"]
+    groups = tmp_path / "sg.txt"
+    groups.write_text("ANAT|Anatomy|T017|Anatomical Structure\n"
+                      "ALLG|ALL|T999|Everything\n"
+                      "DISO|Disorders|T017|Anatomical Structure\n")
+    code = main(["ner-eval", *args, "--semgroups", str(groups)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: 2 invalid semantic group record(s):",
+        f"{groups}:2: {ALL_IS_NO_LABEL}",
+        f"{groups}:3: type 'T017' maps to 'Disorders', but to 'Anatomy' at line 1",
+    ]

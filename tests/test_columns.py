@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 from span_ensembles import (
     Annotation,
     AnnotationStore,
-    DisambiguationPolicy,
     DocumentRef,
     EnsembleError,
     ParseError,
@@ -548,7 +547,7 @@ def test_column_mapping_and_disambiguation_match_records(anns, seed):
     assert mapped.annotations() == expected
     assert outcome.dropped_types == dropped and outcome.dropped == sum(dropped.values())
 
-    policy = DisambiguationPolicy(seed=seed)
+    policy = seed
     kept = mapped.take(disambiguate_spans(mapped, policy, exempt=("gold",)))
     kept = kept.annotations()
     slices: dict = {}
@@ -650,7 +649,7 @@ def tied_spans(draw):
 def test_cluster_only_disambiguation_keeps_what_whole_runs_keep(spans_and_keep, seed, batch):
     anns, keep = spans_and_keep
     spans = SpanColumns.from_annotations(anns)
-    policy = DisambiguationPolicy(seed=seed)
+    policy = seed
     with pytest.MonkeyPatch.context() as patch:  # records are made a batch of rows at a time
         patch.setattr(ingest, "CHUNK_LINES", batch)
         got = disambiguate_spans(spans, policy, exempt=("gold",))
@@ -685,7 +684,7 @@ def test_cluster_only_disambiguation_passes_cluster_members_only(monkeypatch):
     )
     outcomes = set()
     for seed in (3, 5, *range(12)):
-        policy = DisambiguationPolicy(seed=seed)
+        policy = seed
         kept = disambiguate_spans(spans, policy)
         assert kept.tolist() == whole_run_disambiguation(spans, policy).tolist()
         # [9, 13) lost round one; one of the round-two tie survives

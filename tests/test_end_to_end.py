@@ -1,15 +1,16 @@
-"""Every number of the ``search`` and ``ner-eval`` reports, end to end from
-the raw files.
+"""Every number of the ``search``, ``ner-eval``, ``vote``, ``complementarity``
+and ``ensemble-eval`` reports, end to end from the raw files.
 
 Each example writes a small random corpus (a manifest with an empty
-document, gold and two to three systems whose spans overlap and touch, two
+document, gold and two to four systems whose spans overlap and touch, two
 group labels, no groups file), runs ``cli.main`` with ``--group each`` and
 reads the JSON report.  Every count is recomputed from the raw JSONL, for
 every group and for ``ALL``: the files are read by the reference readers
 (``conftest.scan_manifest``, ``conftest.scan_annotations``), overlaps are
 resolved by ``conftest.whole_run_disambiguation``, and each expression is
 evaluated over sets of covered (document, character) positions by
-``conftest.set_eval``.  The search views are checked by their definitions
+``conftest.set_eval``; a majority vote's ties by ``seeds.pick_index``.  The
+search views are checked by their definitions
 (``conftest.sorted_search_views``), and the CSV and markdown reports must
 carry the JSON numbers at their precision: in full in CSV, to two decimals
 in markdown.
@@ -28,7 +29,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from span_ensembles import DisambiguationPolicy, cli, enumerate_ensembles, search, to_string
+from span_ensembles import cli, enumerate_ensembles, parse, search, seeds, to_string
 from span_ensembles.search import ScoredEnsemble
 from span_ensembles.expr import tree_sources
 from span_ensembles.model import ALL_GROUPS, GOLD_SOURCE, SpanColumns
@@ -48,12 +49,13 @@ VIEWS = ("by_f1", "by_precision", "by_recall", "pareto", "beating_all_singles")
 
 
 @st.composite
-def raw_corpora(draw):
+def raw_corpora(draw, names=("A", "B", "zeta")):
     """(documents, records per source): 1-3 documents of 1-25 characters and
-    one empty one, and per source a list of JSON records.  Spans are up to 8
-    characters long, in group G1 or G2, sometimes scored; a span is
-    sometimes followed by one that touches it."""
-    systems = draw(st.permutations(("A", "B", "zeta")))[: draw(st.integers(2, 3))]
+    one empty one, and per source a list of JSON records.  The systems are
+    two or more of ``names``.  Spans are up to 8 characters long, in group G1
+    or G2, sometimes scored; a span is sometimes followed by one that
+    touches it."""
+    systems = draw(st.permutations(names))[: draw(st.integers(2, len(names)))]
     lengths = draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
     lengths.insert(draw(st.integers(0, len(lengths))), 0)
     documents = [(f"d{i}", n) for i, n in enumerate(lengths)]
@@ -92,16 +94,16 @@ def write_corpus(directory: Path, documents, records) -> Path:
     return directory / "config.json"
 
 
-def covered_sets(directory: Path, systems):
+def covered_sets(directory: Path, systems, seed: int = 0):
     """The groups a ``--group each`` run reports, and per group the covered
-    (document, character) positions of each source after disambiguation,
-    read from the raw files."""
+    (document, character) positions of each source after disambiguation
+    with ``seed``, read from the raw files."""
     documents = scan_manifest(directory / "manifest.jsonl")
     anns = []
     for source in (GOLD_SOURCE, *sorted(systems)):
         anns += scan_annotations(directory / f"{source}.jsonl", documents, source)
     spans = SpanColumns.from_annotations(anns)
-    keep = whole_run_disambiguation(spans, DisambiguationPolicy(seed=0), exempt=(GOLD_SOURCE,))
+    keep = whole_run_disambiguation(spans, seed, exempt=(GOLD_SOURCE,))
     kept = [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
     groups = sorted({a.group for a in anns if a.group is not None})
     sets = {}
@@ -252,3 +254,73 @@ def test_search_and_ner_eval_reports_match_the_raw_files(corpus, block_chars):
         [[CORPUS, r["group"], r["system"], str(r["metrics"]["n_gold"]), *md_metrics(r["metrics"])]
          for r in ner_report["rows"]]
     ]
+
+
+def vote_set(sets, systems, seed: int) -> frozenset:
+    """The positions a per-character majority of ``systems`` covers, an
+    exact tie covered where ``seeds.pick_index(2, seed, doc, index)`` is 1."""
+    votes = {}
+    for system in systems:
+        for position in sets[system]:
+            votes[position] = votes.get(position, 0) + 1
+    k = len(systems)
+    return frozenset(p for p, n in votes.items()
+                     if 2 * n > k or 2 * n == k and seeds.pick_index(2, seed, *p) == 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(raw_corpora(("A", "B", "zeta", "Q")), st.integers(1, 2**16), st.data())
+def test_vote_complementarity_and_ensemble_eval_reports_match_the_raw_files(corpus, seed, data):
+    documents, records = corpus
+    systems = [s for s in records if s != GOLD_SOURCE]
+    subset = data.draw(st.permutations(systems))[: data.draw(st.integers(2, len(systems)))]
+    trees = list(enumerate_ensembles(sorted(subset), 1, len(subset)))
+    mixed = to_string(data.draw(st.sampled_from(trees)))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = write_corpus(directory, documents, records)
+        sets = covered_sets(directory, systems, seed)
+        reports = []  # (selection, expressions, the reports of its runs)
+        for selection, chosen in ((sorted(systems), []), (subset, ["--systems", ",".join(subset)])):
+            base = ["--config", str(config), "--group", "each", "--seed", str(seed),
+                    "--format", "json", *chosen]
+            expressions = ["&".join(selection), "|".join(selection), mixed]
+            runs = [("vote",), ("complementarity",),
+                    *(("ensemble-eval", "--expr", e) for e in expressions)]
+            reports.append((selection, expressions, [
+                json.loads(run_report([*run, *base], directory / "report.json")) for run in runs
+            ]))
+
+    groups = sorted(sets)  # the report's order: by group, ALL among them
+    run_order = [*(g for g in groups if g != ALL_GROUPS), ALL_GROUPS]
+    for selection, expressions, (vote, comp, *evals) in reports:
+        assert vote == as_json({"layout": "vote", "rows": [
+            {"corpus": CORPUS, "group": group, "systems": list(selection),
+             "metrics": oracle_metrics(sets[group][GOLD_SOURCE],
+                                       vote_set(sets[group], selection, seed))}
+            for group in groups
+        ]})
+        rows = []
+        for group in run_order:
+            gold = sets[group][GOLD_SOURCE]
+            errors = {s: sets[group][s] ^ gold for s in selection}  # the raw error sets
+            for a in selection:
+                for b in (b for b in selection if b != a):
+                    shared = len(errors[a] & errors[b])
+                    rate = 100.0 * (1.0 - shared / len(errors[a])) if errors[a] else 0.0
+                    restricted = oracle_metrics(gold & errors[a], sets[group][b] & errors[a])
+                    rows.append({"corpus": CORPUS, "group": group, "system_a": a,
+                                 "system_b": b, "comp_rate": rate, "restricted": restricted})
+        assert comp == as_json({"layout": "complementarity", "rows": rows})
+        for text, report in zip(expressions, evals):
+            tree = parse(text)
+            assert report == as_json({"layout": "single_systems", "rows": [
+                {"corpus": CORPUS, "group": group, "system": to_string(tree),
+                 "metrics": oracle_metrics(sets[group][GOLD_SOURCE], set_eval(tree, sets[group]))}
+                for group in groups
+            ]})
+        # the vote lies between the all-& and the all-| ensembles
+        for voted, anded, ored in zip(vote["rows"], evals[0]["rows"], evals[1]["rows"]):
+            v, a, o = voted["metrics"], anded["metrics"], ored["metrics"]
+            assert a["tp"] <= v["tp"] <= o["tp"] and a["fp"] <= v["fp"] <= o["fp"]
+            assert a["fn"] >= v["fn"] >= o["fn"]

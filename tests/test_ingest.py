@@ -4,7 +4,6 @@ import pytest
 
 from span_ensembles import (
     Annotation,
-    DisambiguationPolicy,
     DocumentRef,
     ParseError,
     ValidationError,
@@ -254,7 +253,7 @@ def test_disambiguate_longest_wins():
         Annotation("d1", "A", 0, 10, group="g"),
         Annotation("d1", "A", 3, 8, group="g"),
     ]
-    kept = disambiguate_overlaps(anns, DisambiguationPolicy(seed=1))
+    kept = disambiguate_overlaps(anns, 1)
     assert [(a.begin, a.end) for a in kept] == [(0, 10)]
 
 
@@ -263,7 +262,7 @@ def test_disambiguate_score_breaks_length_tie():
         Annotation("d1", "A", 0, 5, group="g", score=0.9),
         Annotation("d1", "A", 2, 7, group="g", score=0.7),
     ]
-    kept = disambiguate_overlaps(anns, DisambiguationPolicy(seed=1))
+    kept = disambiguate_overlaps(anns, 1)
     assert [(a.begin, a.end) for a in kept] == [(0, 5)]
 
 
@@ -272,7 +271,7 @@ def test_disambiguate_missing_score_ranks_lowest():
         Annotation("d1", "A", 0, 5, group="g"),
         Annotation("d1", "A", 2, 7, group="g", score=0.1),
     ]
-    kept = disambiguate_overlaps(anns, DisambiguationPolicy(seed=1))
+    kept = disambiguate_overlaps(anns, 1)
     assert [(a.begin, a.end) for a in kept] == [(2, 7)]
 
 
@@ -281,8 +280,8 @@ def test_disambiguate_seeded_tie_is_reproducible():
         Annotation("d1", "A", 0, 5, group="g"),
         Annotation("d1", "A", 2, 7, group="g"),
     ]
-    first = disambiguate_overlaps(anns, DisambiguationPolicy(seed=42))
-    second = disambiguate_overlaps(anns, DisambiguationPolicy(seed=42))
+    first = disambiguate_overlaps(anns, 42)
+    second = disambiguate_overlaps(anns, 42)
     assert first == second
     assert len(first) == 1
 
@@ -294,7 +293,7 @@ def test_disambiguate_survivor_outside_winner_reach():
         Annotation("d1", "A", 4, 12, group="g"),
         Annotation("d1", "A", 13, 17, group="g"),
     ]
-    kept = disambiguate_overlaps(anns, DisambiguationPolicy(seed=1))
+    kept = disambiguate_overlaps(anns, 1)
     assert [(a.begin, a.end) for a in kept] == [(4, 12), (13, 17)]
 
 
@@ -314,7 +313,7 @@ def test_disambiguate_properties():
             )
             for begin in (rng.randrange(0, 40) for _ in range(rng.randrange(0, 10)))
         ]
-        policy = DisambiguationPolicy(seed=5)
+        policy = 5
         kept = disambiguate_overlaps(anns, policy)
         # selection, never synthesis
         assert all(any(k == a for a in anns) for k in kept)
@@ -330,7 +329,7 @@ def test_disambiguate_properties():
 def test_disambiguate_rejects_mixed_slices():
     anns = [Annotation("d1", "A", 0, 5), Annotation("d2", "A", 0, 5)]
     with pytest.raises(ValidationError):
-        disambiguate_overlaps(anns, DisambiguationPolicy())
+        disambiguate_overlaps(anns, 0)
 
 
 def test_jsonl_roundtrip(tmp_path):

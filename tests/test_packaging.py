@@ -1,6 +1,7 @@
 """Every third-party module that the package imports is declared in
 ``pyproject.toml``, so a missing dependency fails here rather than at a
-user's first run; and every name a source file imports is used in it."""
+user's first run; every name a source file imports is used in it; and the
+per-character seeded picks are drawn in one function."""
 
 import ast
 import re
@@ -84,3 +85,26 @@ def test_no_unused_imports_under_src():
                    for node in imports for alias in node.names
                    if (name := alias.asname or alias.name.split(".")[0]) not in used]
     assert not unused, "imported but never used:\n" + "\n".join(unused)
+
+
+def pick_index_calls(tree: ast.AST, function: str = ""):
+    """(line, innermost enclosing function) of each call of ``pick_index``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call) and "pick_index" in (
+            getattr(node.func, "attr", None), getattr(node.func, "id", None)
+        ):
+            yield node.lineno, function
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from pick_index_calls(node, inner)
+
+
+def test_per_character_picks_are_drawn_in_one_function():
+    # synth's draws are per span; every per-character pick is a keyed_picks one
+    allowed = {"seeds.py": None, "synth.py": None, "masks.py": "keyed_picks"}
+    stray = [
+        f"{path.relative_to(ROOT)}:{line} in {function or 'the module'}"
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, function in pick_index_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name not in allowed or allowed[path.name] not in (None, function)
+    ]
+    assert not stray, "seeds.pick_index called outside masks.keyed_picks:\n" + "\n".join(stray)

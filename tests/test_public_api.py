@@ -17,7 +17,6 @@ PUBLIC = (
     "CuiMetricsResult",
     "CuiRun",
     "DOC_LEVEL",
-    "DisambiguationPolicy",
     "DocumentRef",
     "EXHAUSTIVE",
     "EnsembleError",

@@ -1,7 +1,6 @@
 import pytest
 
 from span_ensembles import (
-    DisambiguationPolicy,
     SourceSpec,
     SynthSpec,
     ValidationError,
@@ -71,7 +70,7 @@ def test_generated_store_survives_disambiguation():
         n_docs=10,
     )
     store = generate(spec)
-    policy = DisambiguationPolicy(seed=spec.seed)
+    policy = spec.seed
     for name in ("A", "B"):
         for doc_id in store.doc_ids:
             anns = store.annotations_for(name, doc_id)
