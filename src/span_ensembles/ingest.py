@@ -37,7 +37,6 @@ from . import seeds
 from .errors import ConfigError, ParseError, ValidationError
 from .model import (
     ALL_GROUPS,
-    ALL_IS_NO_LABEL,
     COLUMNS,
     CUI_PATTERN,
     Annotation,
@@ -57,6 +56,8 @@ PathLike = Union[str, Path]
 CHUNK_LINES = 512
 
 _INT64 = (-(2**63), 2**63 - 1)
+
+_ALL_IS_NO_LABEL = f"group {ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
 
 # A string holding a lone surrogate is no text: UTF-8 cannot encode it.  Reads
 # escape a byte that is not UTF-8 as one, and JSON's "\ud800" decodes to one.
@@ -282,7 +283,7 @@ def _span_problem(record: dict, documents: Mapping[str, DocumentRef],
     if expected_source not in (None, ann.source):
         return f"source {ann.source!r} != expected {expected_source!r}"
     if ann.group == ALL_GROUPS:
-        return f"group {ALL_IS_NO_LABEL}"
+        return _ALL_IS_NO_LABEL
     if ann.native_type is None and ann.group is not None and universe and ann.group not in universe:
         return f"group {ann.group!r} not in the group universe"
     return None
@@ -390,7 +391,7 @@ def load_semantic_group_map(
             universe.setdefault(group_name)
             conflict = _conflict(tuis, tui, group_name, lineno)
             if group_name == ALL_GROUPS:
-                problems.append(f"{where}: group {ALL_IS_NO_LABEL}")
+                problems.append(f"{where}: {_ALL_IS_NO_LABEL}")
             elif conflict:
                 problems.append(f"{where}: type {conflict}")
     _raise_collected("semantic group", malformed, problems)

@@ -17,7 +17,6 @@ from .errors import ConfigError, ValidationError
 
 # Sentinel for "no group filtering". "All groups" is a view, never a stored label.
 ALL_GROUPS = "ALL"
-ALL_IS_NO_LABEL = f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
 
 GOLD_SOURCE = "gold"
 
@@ -86,7 +85,9 @@ class SemanticGroupMap:
     def __post_init__(self):
         universe = set(self.group_universe)
         if ALL_GROUPS in universe:
-            raise ValidationError(ALL_IS_NO_LABEL)
+            raise ValidationError(
+                f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
+            )
         for tui, group in self.tui_to_group.items():
             if group not in universe:
                 raise ValidationError(f"type {tui!r} maps to unknown group {group!r}")
@@ -375,7 +376,9 @@ class AnnotationStore:
 
         universe = tuple(dict.fromkeys(group_universe))
         if ALL_GROUPS in universe:
-            raise ValidationError(ALL_IS_NO_LABEL)
+            raise ValidationError(
+                f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
+            )
 
         doc_ids = tuple(sorted(docs))
         doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
