@@ -375,37 +375,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="task", required=True)
 
-    def add_io_args(p):
-        p.add_argument("--config", help="JSON run config with manifest/gold/systems paths")
-        p.add_argument("--manifest", help="corpus manifest JSONL (overrides config)")
-        p.add_argument("--gold", help="gold annotations JSONL (overrides config)")
-        p.add_argument(
-            "--system",
-            action="append",
-            metavar="NAME=PATH",
-            help="system annotations JSONL; repeatable (overrides config)",
-        )
-        p.add_argument("--systems", help="comma list selecting a subset of systems")
-        p.add_argument("--semgroups", help="pipe-delimited semantic groups file")
-        p.add_argument("--overrides", help="JSONL (source, native_type) -> group overrides")
-        p.add_argument("--corpus-id", dest="corpus_id", help="corpus label for report rows")
-        p.add_argument("--group", help="semantic group filter: label, 'all', or 'each'")
-        p.add_argument("--seed", type=int, default=0, help="master seed for tie-breaks")
-        p.add_argument(
-            "--format",
-            choices=[report_mod.CSV_FORMAT, report_mod.MARKDOWN_FORMAT, report_mod.JSON_FORMAT],
-            default=report_mod.CSV_FORMAT,
-        )
-        p.add_argument("--out", help="write the report here instead of stdout")
+    io = argparse.ArgumentParser(add_help=False)  # the report tasks' shared options
+    io.add_argument("--config", help="JSON run config with manifest/gold/systems paths")
+    io.add_argument("--manifest", help="corpus manifest JSONL (overrides config)")
+    io.add_argument("--gold", help="gold annotations JSONL (overrides config)")
+    io.add_argument(
+        "--system",
+        action="append",
+        metavar="NAME=PATH",
+        help="system annotations JSONL; repeatable (overrides config)",
+    )
+    io.add_argument("--systems", help="comma list selecting a subset of systems")
+    io.add_argument("--semgroups", help="pipe-delimited semantic groups file")
+    io.add_argument("--overrides", help="JSONL (source, native_type) -> group overrides")
+    io.add_argument("--corpus-id", dest="corpus_id", help="corpus label for report rows")
+    io.add_argument("--group", help="semantic group filter: label, 'all', or 'each'")
+    io.add_argument("--seed", type=int, default=0, help="master seed for tie-breaks")
+    io.add_argument(
+        "--format",
+        choices=[report_mod.CSV_FORMAT, report_mod.MARKDOWN_FORMAT, report_mod.JSON_FORMAT],
+        default=report_mod.CSV_FORMAT,
+    )
+    io.add_argument("--out", help="write the report here instead of stdout")
 
-    add_io_args(sub.add_parser("ner-eval", help="score each system against gold"))
+    sub.add_parser("ner-eval", parents=[io], help="score each system against gold")
 
-    p_expr = sub.add_parser("ensemble-eval", help="score one Boolean combination")
-    add_io_args(p_expr)
+    p_expr = sub.add_parser("ensemble-eval", parents=[io], help="score one Boolean combination")
     p_expr.add_argument("--expr", required=True, help="expression, e.g. '((A&B)|C)'")
 
-    p_search = sub.add_parser("search", help="grid search over the ensemble space")
-    add_io_args(p_search)
+    p_search = sub.add_parser("search", parents=[io], help="grid search over the ensemble space")
     p_search.add_argument("--top-k", dest="top_k", type=int, default=10)
     p_search.add_argument("--min-size", dest="min_size", type=int, default=1)
     p_search.add_argument("--max-size", dest="max_size", type=int, default=None)
@@ -419,14 +417,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="relax 'beats all singles' to F1 only",
     )
 
-    add_io_args(sub.add_parser("vote", help="majority vote over the selected systems"))
+    sub.add_parser("vote", parents=[io], help="majority vote over the selected systems")
 
-    p_cui = sub.add_parser("cui-eval", help="concept-matching score of a union ensemble")
-    add_io_args(p_cui)
+    p_cui = sub.add_parser(
+        "cui-eval", parents=[io], help="concept-matching score of a union ensemble"
+    )
     p_cui.add_argument("--expr", required=True, help="union-only expression, e.g. '((B|D)|E)'")
     p_cui.add_argument("--level", choices=["doc", "mention"], default=DOC_LEVEL)
 
-    add_io_args(sub.add_parser("complementarity", help="pairwise complementarity measures"))
+    sub.add_parser("complementarity", parents=[io], help="pairwise complementarity measures")
 
     p_synth = sub.add_parser("synth", help="generate a synthetic corpus")
     p_synth.add_argument("--out-dir", dest="out_dir", required=True)

@@ -38,13 +38,14 @@ from .errors import ConfigError, ParseError, ValidationError
 from .model import (
     ALL_GROUPS,
     COLUMNS,
-    CUI_PATTERN,
+    NAMED_COLUMNS,
     Annotation,
     DocumentRef,
     SemanticGroupMap,
     SpanColumns,
     encode_values,
     overlapping,
+    row_faults,
     span_names,
 )
 
@@ -233,8 +234,9 @@ def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
     """An annotation file's part, as :func:`load_span_file` returns it, read
     by orjson; None if orjson refuses a line (blank lines are tried without),
     a line is not an object, a value is outside its field's types, a record
-    fails a check or the file cannot be read as UTF-8 text.  orjson refuses
-    NaN, so NaN in the score column means no score."""
+    fails a check (:func:`_span_problem`'s, as ``row_faults`` and the name
+    tables judge them) or the file cannot be read as UTF-8 text.  orjson
+    refuses NaN, so NaN in the score column means no score."""
     names, chunks = span_names(documents), []
     try:
         with open(path, encoding="utf-8") as handle:
@@ -252,20 +254,17 @@ def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
     except (OSError, UnicodeDecodeError, orjson.JSONDecodeError):
         return None  # the json read names the problem
     columns = _joined(chunks, names)
-    begin, end, score = columns["begin"], columns["end"], columns["score"]
-    lengths = np.array([doc.length for doc in documents.values()], dtype=np.int64)
-    foreign = [code for group, code in names["group"].items()
-               if group is not None and universe and group not in universe]
-    refused = (  # names are checked once each; every name is some row's
-        len(names["doc_id"]) > len(documents)  # an unknown document
-        or any(cui is not None and not CUI_PATTERN.match(cui) for cui in names["cui"])
-        or expected_source is not None and bool(names["source"].keys() - {expected_source})
-        or ALL_GROUPS in names["group"]
-        or ((begin < 0) | (end <= begin) | (end > lengths[columns["doc_id"]])
-            | (score < 0.0) | (score > 1.0)  # NaN, no score, compares false
-            | np.isin(columns["group"], foreign) & (columns["native_type"] == 0)).any()
-    )
-    return None if refused else (columns, names)
+    if (expected_source is not None and names["source"].keys() - {expected_source}
+            or ALL_GROUPS in names["group"]):  # every name is some row's
+        return None
+    spans = SpanColumns(**columns, **{attr: tuple(names[col])
+                                      for col, attr in NAMED_COLUMNS.items()})
+    lengths = [doc.length for doc in documents.values()]
+    lengths += [-1] * (len(names["doc_id"]) - len(documents))  # the unknown documents
+    # group mapping replaces a typed row's group, so only untyped rows' groups are checked
+    faults = row_faults(spans, np.array(lengths, dtype=np.int64), universe,
+                        grouped=columns["native_type"] == 0)
+    return None if faults.any() else (columns, names)
 
 
 def _span_problem(record: dict, documents: Mapping[str, DocumentRef],

@@ -1,9 +1,9 @@
 """Character-mask set algebra: the representation Boolean ensembles operate on.
 
 Every document is a binary inside/outside vector (one cell per character) or,
-for concept matching, a vector of concept labels.  Union, intersection, and
-majority vote work on these vectors.  The scoring tasks build them for a
-block of documents laid end to end: :func:`coverage_patterns` gives each
+for concept matching, a vector of concept labels.  Union and intersection
+work on these vectors.  The scoring tasks build them for a block of
+documents laid end to end: :func:`coverage_patterns` gives each
 character's coverage pattern by several span sets in one boundary sweep, and
 :func:`_resolve_candidates` resolves labelled intervals to runs with array
 operations.  All randomized tie-breaks are keyed per character, on the
@@ -37,10 +37,6 @@ class CharMask:
     @property
     def length(self) -> int:
         return int(self.bits.shape[0])
-
-    @property
-    def covered(self) -> int:
-        return int(np.count_nonzero(self.bits))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CharMask):
@@ -109,29 +105,6 @@ def coverage_patterns(spans: Sequence[tuple[np.ndarray, np.ndarray]], length: in
     return np.cumsum(delta[:length], out=delta[:length]).astype(np.int64)
 
 
-def _offsets(annotations: Iterable[Annotation], doc_id: str, doc_length: int):
-    """(begins, ends) arrays of checked annotations (see :func:`_doc_spans`),
-    sorted by begin."""
-    spans = [(ann.begin, ann.end) for ann in _doc_spans(annotations, doc_id, doc_length)]
-    pairs = np.array(sorted(spans), dtype=np.int64).reshape(-1, 2)
-    return pairs[:, 0], pairs[:, 1]
-
-
-def to_char_mask(
-    annotations: Iterable[Annotation], doc_id: str, doc_length: int
-) -> CharMask:
-    """Coverage mask of a span collection; overlapping input spans simply merge."""
-    spans = [_offsets(annotations, doc_id, doc_length)]
-    return CharMask(doc_id, coverage_patterns(spans, doc_length) > 0)
-
-
-def mask_to_spans(mask: CharMask) -> tuple[tuple[int, int], ...]:
-    """Maximal runs of 1s as sorted half-open intervals."""
-    padded = np.concatenate(([False], mask.bits, [False]))
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return tuple((int(edges[i]), int(edges[i + 1])) for i in range(0, len(edges), 2))
-
-
 def union(a: CharMask, b: CharMask) -> CharMask:
     _check_compatible(a, b)
     return CharMask(a.doc_id, a.bits | b.bits)
@@ -159,24 +132,6 @@ def keyed_picks(n: int | np.ndarray, seed: int, starts: np.ndarray, doc_ids: Seq
     keys = zip(np.broadcast_to(n, len(offsets)).tolist(), doc.tolist(), index.tolist())
     return np.array([seeds.pick_index(k, seed, doc_ids[d], idx) for k, d, idx in keys],
                     dtype=np.int64)
-
-
-def majority_vote(masks: Sequence[CharMask], seed: int) -> CharMask:
-    """Per-character majority over k masks; an exact tie (k even) is covered
-    where its :func:`keyed_picks` of 2 is 1."""
-    if len(masks) < 2:
-        raise ValidationError("majority vote needs at least 2 masks")
-    first = masks[0]
-    for other in masks[1:]:
-        _check_compatible(first, other)
-    k = len(masks)
-    counts = np.zeros(first.length, dtype=np.int64)
-    for mask in masks:
-        counts += mask.bits
-    bits = counts * 2 > k
-    tied = np.flatnonzero(counts * 2 == k)
-    bits[tied] = keyed_picks(2, seed, np.array([0, first.length]), (first.doc_id,), tied) == 1
-    return CharMask(first.doc_id, bits)
 
 
 @dataclass(frozen=True)
@@ -229,12 +184,6 @@ class CuiMask:
             for i in range(run.begin, run.end):
                 out[i] = run.cui
         return out
-
-    def label_at(self, index: int) -> Optional[str]:
-        for run in self.runs:
-            if run.begin <= index < run.end:
-                return run.cui
-        return None
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CuiMask):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -229,6 +229,29 @@ class SpanColumns:
         return tuple(sorted(self.groups[c] for c in np.unique(self.group).tolist() if c))
 
 
+def row_faults(spans: SpanColumns, lengths: np.ndarray, universe: Collection[str],
+               grouped: Optional[np.ndarray] = None) -> np.ndarray:
+    """The rows that break a record rule, as a boolean mask: an
+    :class:`Annotation` invariant (a bad CUI, ``begin < 0``, ``end <= begin``,
+    a score outside [0, 1]; NaN, no score, passes), a span past its
+    document's end (``lengths`` is indexed by document code), which takes in
+    an unknown document (length -1), or, on the rows ``grouped`` marks (all
+    if None), a group outside a non-empty ``universe``.  Names are judged
+    once each; the temporaries are made one at a time."""
+    bad_cui = np.array([c is not None and not CUI_PATTERN.match(c) for c in spans.cuis], dtype=bool)
+    faults = bad_cui[spans.cui]
+    faults |= spans.begin < 0
+    faults |= spans.end <= spans.begin
+    faults |= spans.score < 0.0
+    faults |= spans.score > 1.0  # NaN compares false
+    faults |= spans.end > lengths[spans.doc_id]
+    if universe:
+        foreign = np.array([g is not None and g not in universe for g in spans.groups], bool)
+        foreign = foreign[spans.group]
+        faults |= foreign if grouped is None else foreign & grouped
+    return faults
+
+
 def _sort_rank(names: Sequence[Optional[str]]) -> np.ndarray:
     """Rank of each name in string order, None ranking as the empty string."""
     keys = [name or "" for name in names]
@@ -383,26 +406,16 @@ class AnnotationStore:
         doc_ids = tuple(sorted(docs))
         doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
         doc_code = np.array([doc_index.get(d, -1) for d in spans.doc_ids], dtype=np.int32)
-        lengths = np.array([docs[d].length if d in docs else 0 for d in spans.doc_ids], dtype=np.int64)
-        unknown = (doc_code < 0)[spans.doc_id]
-        exceeds = spans.end > lengths[spans.doc_id]
-        foreign = [i for i, g in enumerate(spans.groups) if g is not None and g not in universe]
-        bad_group = np.isin(spans.group, foreign if universe else [])
-        cui_ok = np.array([c is None or bool(CUI_PATTERN.match(c)) for c in spans.cuis], dtype=bool)
-        record = ~cui_ok[spans.cui]  # the Annotation invariants, one temporary at a time
-        record |= spans.begin < 0
-        record |= spans.end <= spans.begin
-        record |= spans.score < 0.0
-        record |= spans.score > 1.0  # NaN (no score) compares false
-        bad = (record | unknown | exceeds | bad_group) & keep
+        lengths = np.array([docs[d].length if d in docs else -1 for d in spans.doc_ids], dtype=np.int64)
+        bad = row_faults(spans, lengths, universe)
+        bad &= keep
         if bad.any():
             row = int(np.argmax(bad))
-            if record[row]:
-                spans.take([row]).annotations()  # raises the Annotation invariant's message
+            spans.take([row]).annotations()  # raises an Annotation invariant's message
             doc_id = spans.doc_ids[spans.doc_id[row]]
-            if unknown[row]:
+            if doc_id not in docs:
                 raise ValidationError(f"annotation references unknown doc {doc_id!r}")
-            if exceeds[row]:
+            if spans.end[row] > docs[doc_id].length:
                 raise ValidationError(
                     f"span [{spans.begin[row]}, {spans.end[row]}) exceeds doc {doc_id!r} "
                     f"length {docs[doc_id].length}"
@@ -513,11 +526,6 @@ class AnnotationStore:
 
     def groups_present(self) -> tuple[str, ...]:
         return self._spans.groups_present()
-
-    def count_by_group(self) -> dict[str, int]:
-        counts = np.bincount(self._spans.group, minlength=len(self._spans.groups)).tolist()
-        named = sorted((g, n) for g, n in zip(self._spans.groups, counts) if g is not None and n)
-        return dict(named)
 
     def verify_disjoint_spans(self) -> None:
         """Check the post-disambiguation invariant: no overlapping spans within

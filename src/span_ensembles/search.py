@@ -375,6 +375,8 @@ def complementarity_scores(
     distinct sources, from one count table over (sources..., gold).  B is
     scored on A's errors, the characters whose A bit differs from gold; B's
     fp and fn there are the errors A and B share."""
+    if len(sources) < 2:
+        raise ValidationError("complementarity needs at least 2 systems")
     _require_sources(store, gold_source, *sources)
     counts = _count_table(store, [(s, group) for s in (*sources, gold_source)])
     columns = pattern_columns(sources)

@@ -283,20 +283,16 @@ def test_count_table_beyond_the_limit_exits_validation_code(corpus, capsys, monk
     assert main([task, "--config", str(corpus / "config.json"), "--systems", "A,B"]) == 0
 
 
-@pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
-def test_complementarity_of_one_system_has_no_pairs(corpus, capsys, fmt):
-    code, out = run_cli(["complementarity", "--config", str(corpus / "config.json"),
-                         "--systems", "A", "--group", "each", "--format", fmt], capsys)
-    assert code == 0
-    if fmt == "csv":
-        assert out == "corpus,group,system_a,system_b,comp_rate,p,r,f1,tp,fp,fn\n"
-    elif fmt == "markdown":
-        assert out.splitlines()[-2:] == [
-            "| Corpus | Group | A | B | comp rate % | p | r | F1 |",
-            "| --- | --- | --- | --- | --- | --- | --- | --- |",
-        ]
-    else:
-        assert json.loads(out) == {"layout": "complementarity", "rows": []}
+@pytest.mark.parametrize("task", ["complementarity", "vote"])
+@pytest.mark.parametrize("group", ["each", "all"])
+def test_fewer_than_two_systems_exit_validation_code(corpus, capsys, task, group):
+    code = main([task, "--config", str(corpus / "config.json"), "--systems", "A",
+                 "--group", group])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    what = "complementarity needs at least 2 systems" if task == "complementarity" else (
+        "majority vote needs at least 2 sources")
+    assert captured.err == f"error: {what}\n"
 
 
 def test_unwritable_out_is_validation_error(corpus, capsys, tmp_path):

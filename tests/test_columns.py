@@ -4,7 +4,10 @@
 arrays; ``conftest.scan_annotations`` is the per-line scan it replaced, one
 ``Annotation`` per record.  On random files with every kind of bad line
 spread across chunk edges, both must give the same records or the same
-error.  A store built from columns must hold the same slices as one built
+error, and the orjson reader must accept a file exactly when the
+per-record checks find nothing wrong with any of its records (its vector
+rules are ``model.row_faults``).  A store built from columns must hold the
+same slices as one built
 from ``Annotation`` records, and the group mapping and disambiguation of
 columns must keep exactly what the per-record functions keep.  The packed
 sort must give ``np.lexsort``'s order, and disambiguation of cluster
@@ -360,6 +363,77 @@ EDGE_NUMBERS = [
     *map(str, (-(2**63) - 1, -(2**63), 2**63 - 1, 2**64 - 1, 2**64)),
 ]
 LONE_SURROGATE = '"\\ud800"'
+
+
+@st.composite
+def rule_cases(draw):
+    """Well-formed annotation records with a manifest, a group universe
+    (empty or not) and an expected source: what both readers' rules judge.
+    Each record is valid but for at most one fault, so that a rule checked
+    too laxly or too strictly decides whether a file is accepted."""
+    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+    documents = {doc_id: DocumentRef(doc_id, n) for doc_id, n in zip(("d1", "d2", "d[3]"), lengths)}
+    universe = draw(st.sampled_from([(), ("G1",), ("G1", "G2")]))
+    expected_source = draw(st.sampled_from([None, "A"]))
+    faults = ["ghost", "negative", "empty", "past-end", "cui", "score", "ALL", "foreign", "source"]
+    recs = []
+    for _ in range(draw(st.integers(0, 4))):
+        doc = draw(st.sampled_from(list(documents.values())))
+        begin = draw(st.integers(0, doc.length - 1))
+        record = {"doc_id": doc.doc_id, "source": "A", "begin": begin,
+                  "end": draw(st.integers(begin + 1, doc.length))}  # may end at the end
+        for key, values in (
+            ("group", [*universe, None] if universe else ["G1", "G{3}", None]),
+            ("native_type", ["T047", None]),
+            ("cui", ["C0000001", None]),
+            ("score", [0, 1, 0.0, 1.0, 0.5, None]),
+        ):
+            if draw(st.booleans()):
+                record[key] = draw(st.sampled_from(values))
+        fault = draw(st.sampled_from(["none"] * 8 + faults))
+        if fault == "ghost":
+            record["doc_id"] = "ghost"
+        elif fault == "negative":
+            record["begin"] = -1
+        elif fault == "empty":
+            record["end"] = record["begin"] - draw(st.integers(0, 1))
+        elif fault == "past-end":
+            record["end"] = doc.length + draw(st.integers(1, 2))
+        elif fault == "cui":
+            record["cui"] = "C12"
+        elif fault == "score":
+            record["score"] = draw(st.sampled_from([-0.1, 1.5, 2, -1]))
+        elif fault == "ALL":
+            record["group"] = "ALL"
+        elif fault == "foreign":  # a fault only on a record without a native type
+            record["group"] = "G{3}"
+        elif fault == "source":  # a fault only when source A is expected
+            record["source"] = "B"
+        recs.append(record)
+    return documents, universe, expected_source, recs
+
+
+ONE_DOC = {"d1": DocumentRef("d1", 5)}
+
+
+@settings(max_examples=400, deadline=None)
+@given(rule_cases())
+@example((ONE_DOC, ("G1",), None, [{"doc_id": "d1", "source": "A", "begin": 0, "end": 5,
+                                    "group": "G2", "native_type": "T047"}]))
+@example((ONE_DOC, ("G1",), None, [{"doc_id": "d1", "source": "A", "begin": 0, "end": 5,
+                                    "group": "G2"}]))
+@example((ONE_DOC, (), None, [{"doc_id": "d1", "source": "A", "begin": 1, "end": 6}]))
+@example((ONE_DOC, (), None, [{"doc_id": "d1", "source": "A", "begin": 1, "end": 2,
+                               "score": 1.5}]))
+def test_orjson_reader_accepts_what_the_record_rules_accept(tmp_path_factory, case):
+    # the vector rules (model.row_faults) against the per-record ones
+    documents, universe, expected_source, recs = case
+    path = tmp_path_factory.mktemp("rules") / "a.jsonl"
+    path.write_text("".join(json.dumps(record) + "\n" for record in recs), encoding="utf-8")
+    part = ingest._orjson_part(path, documents, expected_source, frozenset(universe))
+    problems = [ingest._span_problem(record, documents, expected_source, universe)
+                for record in recs]
+    assert (part is not None) == (problems == [None] * len(recs)), problems
 
 
 @st.composite

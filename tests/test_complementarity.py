@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from span_ensembles import (
     comp_rate,
     complementarity_scores,
     error_set,
-    mask_to_spans,
 )
 from span_ensembles.model import GOLD_SOURCE
 
@@ -25,9 +25,9 @@ def restricted_prf(gold, pred_a, pred_b):
     spans are the runs of 1s in the given bit strings."""
     texts = {GOLD_SOURCE: gold, "A": pred_a, "B": pred_b}
     anns = [
-        Annotation("d1", source, begin, end)
+        Annotation("d1", source, run.start(), run.end())
         for source, text in texts.items()
-        for begin, end in mask_to_spans(mask(text))
+        for run in re.finditer("1+", text)
     ]
     store = AnnotationStore([DocumentRef("d1", len(gold))], anns, sources=tuple(texts))
     return complementarity_scores(store, ("A", "B"), GOLD_SOURCE)[("A", "B")][1]

@@ -9,9 +9,8 @@ zero-length documents, documents without spans, overlapping spans, several
 groups and k <= 4 systems: from the raw annotations with plain Python sets
 (``conftest.set_eval``) and per-character counting (``brute_confusion``),
 from the per-document mask path (``corpus_masks``, ``error_set``,
-``comp_rate``, ``conftest.comp_prf``, ``majority_vote``, ``char_prf``), or
-from the per-document table and vote kept in ``conftest``, under block
-budgets from 1 character up.
+``comp_rate``, ``conftest.comp_prf``), or from the per-document table and
+vote kept in ``conftest``, under block budgets from 1 character up.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from span_ensembles import (
     Leaf,
     MetricsResult,
     SearchConfig,
-    char_prf,
     comp_rate,
     complementarity_scores,
     corpus_masks,
@@ -40,7 +38,6 @@ from span_ensembles import (
     error_set,
     evaluate_expression,
     grid_search,
-    majority_vote,
     majority_vote_eval,
     parse,
 )
@@ -217,12 +214,7 @@ def test_complementarity_matches_mask_path(corpus):
 def test_majority_vote_matches_mask_path(corpus, seed):
     store, systems = corpus
     for group in (*GROUPS, ALL_GROUPS):
-        per_source = {s: corpus_masks(store, s, group) for s in systems}
-        voted = {
-            doc_id: majority_vote([per_source[s][doc_id] for s in systems], seed)
-            for doc_id in store.doc_ids
-        }
-        expected = char_prf(corpus_masks(store, GOLD_SOURCE, group), voted)
+        expected = per_document_vote(store, systems, GOLD_SOURCE, group, seed)
         assert majority_vote_eval(store, systems, GOLD_SOURCE, group, seed) == expected
 
 

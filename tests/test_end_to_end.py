@@ -14,15 +14,24 @@ search views are checked by their definitions
 (``conftest.sorted_search_views``), and the CSV and markdown reports must
 carry the JSON numbers at their precision: in full in CSV, to two decimals
 in markdown.
+
+With a groups file and per-source overrides, the ``ner-eval``,
+``ensemble-eval`` and ``cui-eval --level doc`` reports and the drop note are
+recomputed the same way, after mapping each span's group from the two
+files as the oracle reads them: a source's override of its native type
+first, then the groups file's group of the type.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import re
 import tempfile
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -324,3 +333,171 @@ def test_vote_complementarity_and_ensemble_eval_reports_match_the_raw_files(corp
             v, a, o = voted["metrics"], anded["metrics"], ored["metrics"]
             assert a["tp"] <= v["tp"] <= o["tp"] and a["fp"] <= v["fp"] <= o["fp"]
             assert a["fn"] >= v["fn"] >= o["fn"]
+
+
+# A groups file and per-source overrides for the typed corpora below.  Two
+# overrides beat the groups file's group of their type; no gold span lands
+# in G3, and zeta's spans land in G1 only.
+GROUP_LINES = ("GA|G1|T001|first type", "GA|G1|T002|second type", "GB|G2|T003|third type",
+               "GC|G3|T004|fourth type")
+OVERRIDES = (
+    {"source": "A", "native_type": "T001", "group": "G2"},
+    {"source": "B", "native_type": "b-x", "group": "G3"},
+    {"source": "zeta", "native_type": "T003", "group": "G1"},
+)
+# The native types each source's spans carry (T999 and, for B, T002 map
+# nowhere), and the own groups of its spans without one (None: no group).
+NATIVE_TYPES = {
+    GOLD_SOURCE: ("T001", "T002", "T003", "T999"),
+    "A": ("T001", "T002", "T004", "T999"),
+    "B": ("T001", "T002", "T003", "b-x"),
+    "zeta": ("T002", "T003", "T999"),
+}
+OWN_GROUPS = {GOLD_SOURCE: ("G1", "G2", None), "A": ("G1", "G3", None), "B": ("G2", None),
+              "zeta": ("G1", None)}
+CUIS = ("C0000001", "C0000002", "C0000003")
+
+
+@st.composite
+def typed_corpora(draw):
+    """(documents, records per source) of gold, A, B and zeta: 1-3
+    documents of 1-25 characters and spans of up to 8, most of them typed.
+    A typed span may carry a group of its own, which mapping replaces, even
+    one outside the groups file; an untyped one keeps its own group, if it
+    has one.  Spans sometimes carry a concept id."""
+    lengths = draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
+    documents = [(f"d{i}", n) for i, n in enumerate(lengths)]
+    records = {source: [] for source in NATIVE_TYPES}
+    for doc_id, length in documents:
+        for source, spans in records.items():
+            for _ in range(draw(st.integers(0, 4))):
+                begin = draw(st.integers(0, length - 1))
+                record = {"doc_id": doc_id, "source": source, "begin": begin,
+                          "end": draw(st.integers(begin + 1, min(length, begin + 8)))}
+                native = draw(st.sampled_from([*NATIVE_TYPES[source]] * 2 + [None]))
+                own = OWN_GROUPS[source] if native is None else (None, None, "G2", "G9")
+                fields = {"native_type": native, "group": draw(st.sampled_from(own)),
+                          "cui": draw(st.sampled_from((*CUIS, None))),
+                          "score": draw(st.sampled_from([None, 0.5, 0.9]))}
+                record.update((key, value) for key, value in fields.items() if value is not None)
+                spans.append(record)
+    return documents, records
+
+
+def mapped_corpus(directory: Path, systems, seed: int):
+    """The groups file's groups in file order, the tally of dropped spans by
+    (source, native type), and the spans kept after mapping and
+    disambiguation with ``seed``, read from the raw files.  A typed span
+    takes its source's override of its type, else the groups file's group of
+    the type, else is dropped; an untyped span keeps its own group, or is
+    dropped without one."""
+    by_type, universe = {}, []
+    for line in (directory / "groups.txt").read_text(encoding="utf-8").splitlines():
+        _, group, type_id, _ = line.split("|")
+        by_type[type_id] = group
+        universe += [] if group in universe else [group]
+    overrides = {}
+    for line in (directory / "overrides.jsonl").read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        overrides[record["source"], record["native_type"]] = record["group"]
+    documents = scan_manifest(directory / "manifest.jsonl")
+    mapped, dropped = [], Counter()
+    for source in (GOLD_SOURCE, *sorted(systems)):
+        for a in scan_annotations(directory / f"{source}.jsonl", documents, source):
+            group = a.group if a.native_type is None else overrides.get(
+                (source, a.native_type), by_type.get(a.native_type))
+            if group is None:
+                dropped[source, a.native_type] += 1
+            else:
+                mapped.append(replace(a, group=group))
+    spans = SpanColumns.from_annotations(mapped)
+    keep = whole_run_disambiguation(spans, seed, exempt=(GOLD_SOURCE,))
+    return universe, dropped, [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
+
+
+def doc_concept_metrics(gold: set, predicted: set) -> dict:
+    """A cui-eval report's metrics object for (document, CUI) pairs: per
+    CUI of either set, documents are the units; macro averages over CUIs."""
+    per_label = {}
+    for cui in sorted({c for _, c in gold | predicted}):
+        g = {d for d, c in gold if c == cui}
+        p = {d for d, c in predicted if c == cui}
+        per_label[cui] = scalar_metrics(len(g & p), len(p - g), len(g - p))
+    rows, k = per_label.values(), len(per_label)
+    return {
+        "macro_precision": sum(m.precision for m in rows) / k if k else 0.0,
+        "macro_recall": sum(m.recall for m in rows) / k if k else 0.0,
+        "macro_f1": sum(m.f1 for m in rows) / k if k else 0.0,
+        "degenerate": any(m.degenerate for m in rows) if k else True,
+        "per_label": per_label,
+    }
+
+
+def dropped_counts(note: str) -> tuple[int, Counter]:
+    """The total and the per-(source, native type) counts a drop note names."""
+    match = re.fullmatch(r"note: dropped (\d+) annotation\(s\) with unmapped semantic types "
+                         r"\((.*)\)\n", note)
+    assert match, note
+    pairs = re.findall(r"([^ ,/]+)/([^:]+): (\d+)", match[2])
+    return int(match[1]), Counter({(s, None if n == "(none)" else n): int(c) for s, n, c in pairs})
+
+
+@settings(max_examples=40, deadline=None)
+@given(typed_corpora(), st.integers(0, 2**16), st.data())
+def test_group_mapped_reports_match_the_raw_files(corpus, seed, data):
+    documents, records = corpus
+    systems = [s for s in records if s != GOLD_SOURCE]
+    tree = data.draw(st.sampled_from(list(enumerate_ensembles(sorted(systems), 2, 3))))
+    operands = data.draw(st.permutations(systems))[: data.draw(st.integers(2, 3))]
+    union = parse("|".join(operands))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = write_corpus(directory, documents, records)
+        (directory / "groups.txt").write_text("".join(line + "\n" for line in GROUP_LINES))
+        (directory / "overrides.jsonl").write_text("".join(json.dumps(r) + "\n" for r in OVERRIDES))
+        universe, dropped, kept = mapped_corpus(directory, systems, seed)
+        base = ["--config", str(config), "--semgroups", str(directory / "groups.txt"),
+                "--overrides", str(directory / "overrides.jsonl"), "--group", "each",
+                "--seed", str(seed), "--format", "json"]
+        reports, notes = [], []
+        for run in (("ner-eval",), ("ensemble-eval", "--expr", to_string(tree)),
+                    ("cui-eval", "--level", "doc", "--expr", to_string(union))):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                reports.append(json.loads(run_report([*run, *base], directory / "report.json")))
+            notes.append(err.getvalue())
+
+    # the drop note names every dropped span by (source, native type), on each run
+    for note in notes:
+        assert (dropped_counts(note) if dropped else note) == (
+            (sum(dropped.values()), dropped) if dropped else "")
+
+    groups = sorted([*universe, ALL_GROUPS])  # the report's order
+    sets, concepts = {}, {}
+    for group in groups:
+        in_group = [a for a in kept if group in (ALL_GROUPS, a.group)]
+        sets[group] = {s: frozenset((a.doc_id, i) for a in in_group if a.source == s
+                                    for i in range(a.begin, a.end)) for s in records}
+        concepts[group] = {s: {(a.doc_id, a.cui) for a in in_group if a.source == s and a.cui}
+                           for s in records}
+    ner, ensemble, cui = reports
+    assert ner == as_json({"layout": "single_systems", "rows": [
+        {"corpus": CORPUS, "group": group, "system": system,
+         "metrics": oracle_metrics(sets[group][GOLD_SOURCE], sets[group][system])}
+        for group in groups for system in sorted(systems)
+    ]})
+    assert ensemble == as_json({"layout": "single_systems", "rows": [
+        {"corpus": CORPUS, "group": group, "system": to_string(tree),
+         "metrics": oracle_metrics(sets[group][GOLD_SOURCE], set_eval(tree, sets[group]))}
+        for group in groups
+    ]})
+    rows = []
+    for group in groups:
+        gold = concepts[group][GOLD_SOURCE]
+        predicted = set().union(*(concepts[group][s] for s in operands))
+        rows.append({"corpus": CORPUS, "group": group, "level": "doc", "kind": "ensemble",
+                     "combination": to_string(union),
+                     "metrics": doc_concept_metrics(gold, predicted)})
+        rows += [{"corpus": CORPUS, "group": group, "level": "doc", "kind": "single",
+                  "combination": s, "metrics": doc_concept_metrics(gold, concepts[group][s])}
+                 for s in sorted(operands)]
+    assert cui == as_json({"layout": "cui", "rows": rows})

@@ -10,10 +10,7 @@ from span_ensembles import (
     CuiRun,
     ValidationError,
     intersect,
-    majority_vote,
-    mask_to_spans,
     merge_cui_layers,
-    to_char_mask,
     to_cui_mask,
     union,
 )
@@ -26,40 +23,6 @@ def bits(text: str, doc_id: str = "d1") -> CharMask:
 
 def text(mask: CharMask) -> str:
     return "".join("1" if b else "0" for b in mask.bits)
-
-
-def test_to_char_mask_merges_overlaps():
-    anns = [Annotation("d1", "A", 0, 3), Annotation("d1", "A", 2, 5)]
-    assert text(to_char_mask(anns, "d1", 8)) == "11111000"
-
-
-def test_to_char_mask_empty():
-    assert text(to_char_mask([], "d1", 5)) == "00000"
-
-
-def test_to_char_mask_full_coverage():
-    assert text(to_char_mask([Annotation("d1", "A", 0, 8)], "d1", 8)) == "11111111"
-
-
-def test_to_char_mask_bounds():
-    with pytest.raises(ValidationError):
-        to_char_mask([Annotation("d1", "A", 0, 9)], "d1", 8)
-
-
-def test_mask_to_spans():
-    assert mask_to_spans(bits("11011")) == ((0, 2), (3, 5))
-    assert mask_to_spans(bits("00000")) == ()
-
-
-def test_mask_span_roundtrip():
-    rng = random.Random(101)
-    for _ in range(50):
-        mask = rand_mask(rng, "d1", rng.randrange(1, 60))
-        spans = mask_to_spans(mask)
-        anns = [Annotation("d1", "A", b, e) for b, e in spans]
-        assert to_char_mask(anns, "d1", mask.length) == mask
-        # canonical form is stable
-        assert mask_to_spans(to_char_mask(anns, "d1", mask.length)) == spans
 
 
 def test_union_intersect_examples():
@@ -92,60 +55,12 @@ def test_algebra_laws():
         assert np.all(intersect(a, b).bits <= a.bits)
 
 
-def test_majority_vote_odd():
-    masks = [bits("111"), bits("110"), bits("100")]
-    # column counts 3,2,1 over k=3: majority threshold > 1.5
-    assert text(majority_vote(masks, seed=0)) == "110"
-
-
-def test_majority_vote_five_systems():
-    # char 0 covered by 3 of 5 -> majority; char 1 covered by 2 of 5 -> not
-    masks = [bits("11"), bits("11"), bits("10"), bits("00"), bits("00")]
-    assert text(majority_vote(masks, seed=0)) == "10"
-
-
-def test_majority_vote_needs_two():
-    with pytest.raises(ValidationError):
-        majority_vote([bits("1")], seed=0)
-
-
-def test_majority_vote_identical_masks():
-    mask = bits("10101")
-    assert majority_vote([mask, mask, mask], seed=9) == mask
-
-
-def test_majority_vote_tie_is_seeded_and_reproducible():
-    masks = [bits("1111"), bits("1111"), bits("0000"), bits("0000")]
-    first = majority_vote(masks, seed=5)
-    second = majority_vote(masks, seed=5)
-    assert first == second
-    other = majority_vote(masks, seed=6)
-    assert other == majority_vote(masks, seed=6)
-    # with many tied characters, different seeds should disagree somewhere
-    wide = [bits("1" * 64), bits("1" * 64), bits("0" * 64), bits("0" * 64)]
-    assert majority_vote(wide, seed=1) != majority_vote(wide, seed=2)
-
-
-def test_majority_vote_bounded_by_union_and_intersection():
-    rng = random.Random(31)
-    for _ in range(100):
-        masks = [rand_mask(rng, "d1", 40) for _ in range(rng.choice([2, 3, 4, 5]))]
-        voted = majority_vote(masks, seed=3)
-        inter = masks[0]
-        uni = masks[0]
-        for m in masks[1:]:
-            inter = intersect(inter, m)
-            uni = union(uni, m)
-        assert np.all(inter.bits <= voted.bits)
-        assert np.all(voted.bits <= uni.bits)
-
-
 def test_cui_mask_invariants():
     with pytest.raises(ValidationError):
         CuiMask("d1", 10, (CuiRun(0, 5, "C0000001", 5), CuiRun(4, 8, "C0000002", 4)))
     mask = CuiMask("d1", 10, (CuiRun(0, 5, "C0000001", 5), CuiRun(7, 9, "C0000002", 2)))
-    assert mask.label_at(3) == "C0000001"
-    assert mask.label_at(6) is None
+    assert mask.labels()[3] == "C0000001"
+    assert mask.labels()[6] is None
 
 
 def test_to_cui_mask_skips_unlabeled():

@@ -16,7 +16,6 @@ from span_ensembles import (
     doc_level_cui_prf,
     error_set,
     mention_level_cui_prf,
-    to_char_mask,
     to_cui_mask,
 )
 from span_ensembles.metrics import MetricsResult, metrics_rows, prf
@@ -24,7 +23,10 @@ from conftest import brute_confusion, exact, rand_mask, scalar_ci, scalar_metric
 
 
 def cover(doc_id: str, length: int, *spans) -> CharMask:
-    return to_char_mask([Annotation(doc_id, "x", b, e) for b, e in spans], doc_id, length)
+    bits = np.zeros(length, dtype=bool)
+    for begin, end in spans:
+        bits[begin:end] = True
+    return CharMask(doc_id, bits)
 
 
 def test_char_prf_half_overlap():

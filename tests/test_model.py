@@ -153,13 +153,6 @@ def test_filter_idempotent():
     assert in_group(refiltered, "Anatomy") == once
 
 
-def test_group_counts_partition_annotations():
-    store = make_store()
-    counts = store.count_by_group()
-    grouped = sum(1 for a in store.annotations if a.group is not None)
-    assert sum(counts.values()) == grouped
-
-
 def test_verify_disjoint_spans():
     docs = [DocumentRef("d1", 100)]
     good = AnnotationStore(docs, [Annotation("d1", "A", 0, 5, group="g"), Annotation("d1", "A", 5, 9, group="g")])

@@ -1,7 +1,8 @@
 """Every third-party module that the package imports is declared in
 ``pyproject.toml``, so a missing dependency fails here rather than at a
-user's first run; every name a source file imports is used in it; and the
-per-character seeded picks are drawn in one function."""
+user's first run; every name a source file imports is used in it; the
+per-character seeded picks are drawn in one function; and the record rules
+have one vector copy beside the per-record checks."""
 
 import ast
 import re
@@ -108,3 +109,28 @@ def test_per_character_picks_are_drawn_in_one_function():
         if path.name not in allowed or allowed[path.name] not in (None, function)
     ]
     assert not stray, "seeds.pick_index called outside masks.keyed_picks:\n" + "\n".join(stray)
+
+
+def cui_pattern_reads(tree: ast.AST, scope: str = ""):
+    """(line, enclosing 'Class.function') of each read of ``CUI_PATTERN``."""
+    for node in ast.iter_child_nodes(tree):
+        if (isinstance(node, ast.Name) and node.id == "CUI_PATTERN"
+                and isinstance(node.ctx, ast.Load)) or getattr(node, "attr", None) == "CUI_PATTERN":
+            yield node.lineno, scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from cui_pattern_reads(node, f"{scope}.{node.name}".lstrip("."))
+        else:
+            yield from cui_pattern_reads(node, scope)
+
+
+def test_record_rules_have_one_vector_home():
+    # the per-record rules (Annotation) and one vector copy of them (row_faults)
+    homes = {"Annotation.__post_init__", "row_faults"}
+    reads = [
+        (f"{path.relative_to(ROOT)}:{line}", scope)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, scope in cui_pattern_reads(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    stray = [f"{where} in {scope or 'the module'}" for where, scope in reads if scope not in homes]
+    assert not stray, "CUI_PATTERN read outside its two homes:\n" + "\n".join(stray)
+    assert {scope for _, scope in reads} == homes

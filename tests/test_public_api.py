@@ -61,13 +61,10 @@ PUBLIC = (
     "load_annotations",
     "load_corpus_manifest",
     "load_semantic_group_map",
-    "majority_vote",
     "majority_vote_eval",
-    "mask_to_spans",
     "mention_level_cui_prf",
     "merge_cui_layers",
     "parse",
-    "to_char_mask",
     "to_cui_mask",
     "to_string",
     "tree_sources",
