@@ -164,7 +164,8 @@ class SpanColumns:
     ``source``, ``group``, ``native_type`` and ``cui`` hold codes into the
     name tuples ``doc_ids``, ``sources``, ``groups``, ``native_types`` and
     ``cuis``; in the last three, name 0 is None.  ``score`` is NaN where
-    there is none.  Every row satisfies the :class:`Annotation` invariants.
+    there is none.  Every row of the columns a reader returns or a store
+    holds satisfies the :class:`Annotation` invariants (see :func:`row_faults`).
     """
 
     doc_id: np.ndarray
