@@ -283,6 +283,16 @@ def test_count_table_beyond_the_limit_exits_validation_code(corpus, capsys, monk
     assert main([task, "--config", str(corpus / "config.json"), "--systems", "A,B"]) == 0
 
 
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "json"])
+def test_complementarity_of_one_system_has_no_pairs(corpus, capsys, fmt):
+    # one system has no pair to score: refused in every format, nothing printed
+    code = main(["complementarity", "--config", str(corpus / "config.json"),
+                 "--systems", "A", "--group", "each", "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: complementarity needs at least 2 systems\n"
+
+
 @pytest.mark.parametrize("task", ["complementarity", "vote"])
 @pytest.mark.parametrize("group", ["each", "all"])
 def test_fewer_than_two_systems_exit_validation_code(corpus, capsys, task, group):

@@ -1,19 +1,26 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
 from span_ensembles import (
+    GOLD_SOURCE,
     Annotation,
+    AnnotationStore,
     CharMask,
     CuiMask,
     CuiRun,
+    DocumentRef,
     ValidationError,
+    corpus_masks,
     intersect,
+    majority_vote_eval,
     merge_cui_layers,
     to_cui_mask,
     union,
 )
+from span_ensembles.seeds import pick_index
 from conftest import rand_mask
 
 
@@ -23,6 +30,63 @@ def bits(text: str, doc_id: str = "d1") -> CharMask:
 
 def text(mask: CharMask) -> str:
     return "".join("1" if b else "0" for b in mask.bits)
+
+
+def store_of(texts: dict[str, str], doc_id: str = "d1") -> AnnotationStore:
+    """One document, each source's spans the runs of 1s in its bit string."""
+    anns = [
+        Annotation(doc_id, source, run.start(), run.end())
+        for source, bit_text in texts.items()
+        for run in re.finditer("1+", bit_text)
+    ]
+    length = len(next(iter(texts.values())))
+    return AnnotationStore([DocumentRef(doc_id, length)], anns, sources=tuple(texts))
+
+
+def char_mask(anns: list[Annotation], length: int) -> CharMask:
+    """Source A's coverage of document d1 as :func:`corpus_masks` builds it."""
+    store = AnnotationStore([DocumentRef("d1", length)], anns, sources=("A",))
+    return corpus_masks(store, "A")["d1"]
+
+
+def vote_scores(masks: list[str], gold: str, seed: int):
+    """Majority vote of one source per bit string, scored against ``gold``."""
+    sources = [f"S{j}" for j in range(len(masks))]
+    store = store_of({**dict(zip(sources, masks)), GOLD_SOURCE: gold})
+    return majority_vote_eval(store, sources, GOLD_SOURCE, seed=seed)
+
+
+def votes_to(masks: list[str], expected: str, seed: int = 0) -> bool:
+    """Whether the vote is exactly ``expected``: no fp and no fn against it."""
+    scores = vote_scores(masks, expected, seed)
+    return scores.fp == scores.fn == 0
+
+
+def test_to_char_mask_merges_overlaps():
+    anns = [Annotation("d1", "A", 0, 3), Annotation("d1", "A", 2, 5)]
+    assert text(char_mask(anns, 8)) == "11111000"
+
+
+def test_to_char_mask_empty():
+    assert text(char_mask([], 5)) == "00000"
+
+
+def test_to_char_mask_full_coverage():
+    assert text(char_mask([Annotation("d1", "A", 0, 8)], 8)) == "11111111"
+
+
+def test_to_char_mask_bounds():
+    with pytest.raises(ValidationError):
+        char_mask([Annotation("d1", "A", 0, 9)], 8)
+    with pytest.raises(ValidationError):
+        to_cui_mask([Annotation("d1", "A", 0, 9, cui="C0000001")], "d1", 8, seed=0)
+
+
+def test_mask_span_roundtrip():
+    rng = random.Random(101)
+    for _ in range(50):
+        mask = rand_mask(rng, "d1", rng.randrange(1, 60))
+        assert corpus_masks(store_of({"A": text(mask)}), "A")["d1"] == mask
 
 
 def test_union_intersect_examples():
@@ -53,6 +117,52 @@ def test_algebra_laws():
         # monotone bounds
         assert np.all(a.bits <= union(a, b).bits)
         assert np.all(intersect(a, b).bits <= a.bits)
+
+
+def test_majority_vote_odd():
+    # column counts 3,2,1 over k=3: majority threshold > 1.5
+    assert votes_to(["111", "110", "100"], "110")
+
+
+def test_majority_vote_five_systems():
+    # char 0 covered by 3 of 5 -> majority; char 1 covered by 2 of 5 -> not
+    assert votes_to(["11", "11", "10", "00", "00"], "10")
+
+
+def test_majority_vote_needs_two():
+    with pytest.raises(ValidationError, match="at least 2 sources"):
+        vote_scores(["1"], "1", seed=0)
+
+
+def test_majority_vote_identical_masks():
+    assert votes_to(["10101"] * 3, "10101", seed=9)
+
+
+def test_majority_vote_tie_is_seeded_and_reproducible():
+    masks = ["1111", "1111", "0000", "0000"]
+    assert vote_scores(masks, "1111", seed=5) == vote_scores(masks, "1111", seed=5)
+    # each tied character takes the coin keyed on (seed, doc, index in the doc),
+    # so with many tied characters different seeds disagree somewhere
+    wide = ["1" * 64, "1" * 64, "0" * 64, "0" * 64]
+    coins = {seed: "".join(str(pick_index(2, seed, "d1", i)) for i in range(64)) for seed in (1, 2)}
+    assert coins[1] != coins[2]
+    assert votes_to(wide, coins[1], seed=1) and votes_to(wide, coins[2], seed=2)
+    assert not votes_to(wide, coins[1], seed=2)
+
+
+def test_majority_vote_bounded_by_union_and_intersection():
+    rng = random.Random(31)
+    for _ in range(100):
+        masks = [rand_mask(rng, "d1", 40) for _ in range(rng.choice([2, 3, 4, 5]))]
+        inter = masks[0]
+        uni = masks[0]
+        for m in masks[1:]:
+            inter = intersect(inter, m)
+            uni = union(uni, m)
+        texts = [text(m) for m in masks]
+        # nothing voted outside the union, nothing of the intersection left out
+        assert vote_scores(texts, text(uni), seed=3).fp == 0
+        assert vote_scores(texts, text(inter), seed=3).fn == 0
 
 
 def test_cui_mask_invariants():

@@ -153,6 +153,14 @@ def test_filter_idempotent():
     assert in_group(refiltered, "Anatomy") == once
 
 
+def test_group_counts_partition_annotations():
+    store = make_store()
+    per_group = [in_group(store, group) for group in store.groups_present()]
+    grouped = [a for a in store.annotations if a.group is not None]
+    assert sum(map(len, per_group)) == len(grouped)
+    assert {a for anns in per_group for a in anns} == set(grouped)
+
+
 def test_verify_disjoint_spans():
     docs = [DocumentRef("d1", 100)]
     good = AnnotationStore(docs, [Annotation("d1", "A", 0, 5, group="g"), Annotation("d1", "A", 5, 9, group="g")])
