@@ -66,9 +66,7 @@ from .model import (
 )
 from .search import (
     DOC_LEVEL,
-    EXHAUSTIVE,
     MENTION_LEVEL,
-    SAMPLED,
     ScoredEnsemble,
     SearchConfig,
     SearchResult,
@@ -96,7 +94,6 @@ __all__ = [
     "CuiRun",
     "DOC_LEVEL",
     "DocumentRef",
-    "EXHAUSTIVE",
     "EnsembleError",
     "ErrorSet",
     "ExprSignature",
@@ -108,7 +105,6 @@ __all__ = [
     "MetricsResult",
     "Or",
     "ParseError",
-    "SAMPLED",
     "SEMANTIC",
     "SYNTACTIC",
     "ScoredEnsemble",

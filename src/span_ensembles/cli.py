@@ -39,7 +39,6 @@ from .model import ALL_GROUPS, GOLD_SOURCE, AnnotationStore
 from .report import ComplementarityRow, CuiRow, PanelBlock, SystemRow, VoteRow, emit_table
 from .search import (
     DOC_LEVEL,
-    EXHAUSTIVE,
     SearchConfig,
     complementarity_scores,
     cui_scores,
@@ -268,7 +267,6 @@ def _search_rows(cfg, store, args, tree, corpus, group) -> list:
         group=group,
         min_size=args.min_size,
         max_size=args.max_size,
-        mode=args.mode,
         sample_budget=args.budget,
         seed=cfg.seed,
         top_k=args.top_k,
@@ -407,8 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--top-k", dest="top_k", type=int, default=10)
     p_search.add_argument("--min-size", dest="min_size", type=int, default=1)
     p_search.add_argument("--max-size", dest="max_size", type=int, default=None)
-    p_search.add_argument("--mode", choices=["exhaustive", "sampled"], default=EXHAUSTIVE)
-    p_search.add_argument("--budget", type=int, default=None, help="sample budget in sampled mode")
+    p_search.add_argument("--budget", type=int, default=None,
+                          help="score the singles and a seeded sample of N other ensembles")
     p_search.add_argument("--workers", type=int, default=1, help="accepted; has no effect")
     p_search.add_argument(
         "--f1-only",

@@ -37,6 +37,7 @@ from . import seeds
 from .errors import ConfigError, ParseError, ValidationError
 from .model import (
     ALL_GROUPS,
+    ALL_IS_NO_LABEL,
     COLUMNS,
     NAMED_COLUMNS,
     Annotation,
@@ -45,6 +46,7 @@ from .model import (
     SpanColumns,
     encode_values,
     overlapping,
+    record_problem,
     row_faults,
     span_names,
 )
@@ -57,8 +59,6 @@ PathLike = Union[str, Path]
 CHUNK_LINES = 512
 
 _INT64 = (-(2**63), 2**63 - 1)
-
-_ALL_IS_NO_LABEL = f"group {ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
 
 # A string holding a lone surrogate is no text: UTF-8 cannot encode it.  Reads
 # escape a byte that is not UTF-8 as one, and JSON's "\ud800" decodes to one.
@@ -254,9 +254,8 @@ def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
     except (OSError, UnicodeDecodeError, orjson.JSONDecodeError):
         return None  # the json read names the problem
     columns = _joined(chunks, names)
-    if (expected_source is not None and names["source"].keys() - {expected_source}
-            or ALL_GROUPS in names["group"]):  # every name is some row's
-        return None
+    if expected_source is not None and names["source"].keys() - {expected_source}:
+        return None  # every name is some row's
     spans = SpanColumns(**columns, **{attr: tuple(names[col])
                                       for col, attr in NAMED_COLUMNS.items()})
     lengths = [doc.length for doc in documents.values()]
@@ -269,23 +268,14 @@ def _orjson_part(path: PathLike, documents: Mapping[str, DocumentRef],
 
 def _span_problem(record: dict, documents: Mapping[str, DocumentRef],
                   expected_source: Optional[str], universe: Collection[str]) -> Optional[str]:
-    """What a well-formed annotation record's first failing check names, else None."""
+    """What a well-formed annotation record's first failing check names, else
+    None; group mapping replaces a typed record's group, so only an untyped
+    one's is held to ``universe``."""
     try:
         ann = Annotation(*map(record.get, COLUMNS))
     except ValidationError as exc:  # its span, its CUI or its score
         return str(exc)
-    doc = documents.get(ann.doc_id)
-    if doc is None:
-        return f"unknown doc {ann.doc_id!r}"
-    if ann.end > doc.length:
-        return f"span [{ann.begin}, {ann.end}) exceeds doc {ann.doc_id!r} length {doc.length}"
-    if expected_source not in (None, ann.source):
-        return f"source {ann.source!r} != expected {expected_source!r}"
-    if ann.group == ALL_GROUPS:
-        return _ALL_IS_NO_LABEL
-    if ann.native_type is None and ann.group is not None and universe and ann.group not in universe:
-        return f"group {ann.group!r} not in the group universe"
-    return None
+    return record_problem(ann, documents, universe, expected_source, ann.native_type is None)
 
 
 def load_span_file(
@@ -299,10 +289,10 @@ def load_span_file(
     in ``documents``), its malformed records as (line number, message) and
     its invalid records' messages, both in line order; no part if it has any.
 
-    A record's first failing check names its problem: its span, its CUI, its
-    score, its document, its bounds in that document, its source (an expected
-    source of None accepts any), a group of ``ALL_GROUPS``, then a group given
-    with no native type outside ``universe`` (an empty one accepts any).
+    A record's first failing check names its problem: an
+    :class:`~span_ensembles.model.Annotation` invariant (its span, its CUI,
+    its score), then the rules of :func:`~span_ensembles.model.record_problem`,
+    the universe rule on records with no native type only.
     """
     part = _orjson_part(path, documents, expected_source, universe)
     if part is not None:
@@ -390,7 +380,7 @@ def load_semantic_group_map(
             universe.setdefault(group_name)
             conflict = _conflict(tuis, tui, group_name, lineno)
             if group_name == ALL_GROUPS:
-                problems.append(f"{where}: {_ALL_IS_NO_LABEL}")
+                problems.append(f"{where}: {ALL_IS_NO_LABEL}")
             elif conflict:
                 problems.append(f"{where}: type {conflict}")
     _raise_collected("semantic group", malformed, problems)

@@ -170,8 +170,9 @@ class CuiMetricsResult:
     @classmethod
     def from_count_array(cls, names: Sequence[str], counts: np.ndarray) -> "CuiMetricsResult":
         """From a (3, n) array of tp, fp and fn per label code, code i naming
-        ``names[i]``; labels with no count at all are not in the universe."""
-        present = sorted(np.flatnonzero(counts.any(axis=0)).tolist(), key=names.__getitem__)
+        ``names[i]``, which must be in string order; labels with no count at
+        all are not in the universe."""
+        present = np.flatnonzero(counts.any(axis=0)).tolist()
         per_label = dict(zip([names[i] for i in present], metrics_rows(*counts[:, present])))
         if not per_label:
             return cls({}, 0.0, 0.0, 0.0, degenerate=True)

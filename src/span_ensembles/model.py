@@ -17,6 +17,7 @@ from .errors import ConfigError, ValidationError
 
 # Sentinel for "no group filtering". "All groups" is a view, never a stored label.
 ALL_GROUPS = "ALL"
+ALL_IS_NO_LABEL = f"group {ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
 
 GOLD_SOURCE = "gold"
 
@@ -85,9 +86,7 @@ class SemanticGroupMap:
     def __post_init__(self):
         universe = set(self.group_universe)
         if ALL_GROUPS in universe:
-            raise ValidationError(
-                f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
-            )
+            raise ValidationError(ALL_IS_NO_LABEL)
         for tui, group in self.tui_to_group.items():
             if group not in universe:
                 raise ValidationError(f"type {tui!r} maps to unknown group {group!r}")
@@ -230,15 +229,38 @@ class SpanColumns:
         return tuple(sorted(self.groups[c] for c in np.unique(self.group).tolist() if c))
 
 
+def record_problem(ann: Annotation, documents: Mapping[str, DocumentRef],
+                   universe: Collection[str], expected_source: Optional[str] = None,
+                   grouped: bool = True) -> Optional[str]:
+    """What the first record rule past the :class:`Annotation` invariants
+    that ``ann`` breaks names, else None.  In order: an unknown document, a
+    span past its document's end, a source other than ``expected_source``
+    (None accepts any), a group of ``ALL_GROUPS``, then, if ``grouped``, a
+    group outside a non-empty ``universe``.  :func:`row_faults` holds the
+    same rules as arrays."""
+    doc = documents.get(ann.doc_id)
+    if doc is None:
+        return f"unknown doc {ann.doc_id!r}"
+    if ann.end > doc.length:
+        return f"span [{ann.begin}, {ann.end}) exceeds doc {ann.doc_id!r} length {doc.length}"
+    if expected_source not in (None, ann.source):
+        return f"source {ann.source!r} != expected {expected_source!r}"
+    if ann.group == ALL_GROUPS:
+        return ALL_IS_NO_LABEL
+    if grouped and ann.group is not None and universe and ann.group not in universe:
+        return f"group {ann.group!r} not in the group universe"
+    return None
+
+
 def row_faults(spans: SpanColumns, lengths: np.ndarray, universe: Collection[str],
                grouped: Optional[np.ndarray] = None) -> np.ndarray:
     """The rows that break a record rule, as a boolean mask: an
     :class:`Annotation` invariant (a bad CUI, ``begin < 0``, ``end <= begin``,
-    a score outside [0, 1]; NaN, no score, passes), a span past its
-    document's end (``lengths`` is indexed by document code), which takes in
-    an unknown document (length -1), or, on the rows ``grouped`` marks (all
-    if None), a group outside a non-empty ``universe``.  Names are judged
-    once each; the temporaries are made one at a time."""
+    a score outside [0, 1]; NaN, no score, passes) or a rule of
+    :func:`record_problem` other than the source.  ``lengths`` is indexed by
+    document code, -1 for an unknown document, and the universe rule holds
+    on the rows ``grouped`` marks (all if None).  Names are judged once
+    each; the temporaries are made one at a time."""
     bad_cui = np.array([c is not None and not CUI_PATTERN.match(c) for c in spans.cuis], dtype=bool)
     faults = bad_cui[spans.cui]
     faults |= spans.begin < 0
@@ -246,6 +268,8 @@ def row_faults(spans: SpanColumns, lengths: np.ndarray, universe: Collection[str
     faults |= spans.score < 0.0
     faults |= spans.score > 1.0  # NaN compares false
     faults |= spans.end > lengths[spans.doc_id]
+    if ALL_GROUPS in spans.groups:
+        faults |= spans.group == spans.groups.index(ALL_GROUPS)
     if universe:
         foreign = np.array([g is not None and g not in universe for g in spans.groups], bool)
         foreign = foreign[spans.group]
@@ -350,9 +374,9 @@ class AnnotationStore:
     Spans are held as :class:`SpanColumns` sorted by (source, doc, begin,
     end, group, cui), with row offsets per (source, doc); the order is one
     :func:`packed_lexsort` and one gather.  Construction takes ``Annotation``
-    records or columns (copied) and validates the rows' ``Annotation``
-    invariants, document references, span bounds and groups; :meth:`adopt`
-    takes columns over without a copy.
+    records or columns (copied) and refuses the first row that breaks a
+    record rule (:func:`row_faults`, worded as :func:`record_problem` words
+    it); :meth:`adopt` takes columns over without a copy.
     Per-slice span disjointness is the post-disambiguation invariant and is
     checked separately via :meth:`verify_disjoint_spans`.
     """
@@ -400,9 +424,7 @@ class AnnotationStore:
 
         universe = tuple(dict.fromkeys(group_universe))
         if ALL_GROUPS in universe:
-            raise ValidationError(
-                f"{ALL_GROUPS!r} denotes the unfiltered union and cannot be a group label"
-            )
+            raise ValidationError(ALL_IS_NO_LABEL)
 
         doc_ids = tuple(sorted(docs))
         doc_index = {doc_id: i for i, doc_id in enumerate(doc_ids)}
@@ -411,19 +433,9 @@ class AnnotationStore:
         bad = row_faults(spans, lengths, universe)
         bad &= keep
         if bad.any():
-            row = int(np.argmax(bad))
-            spans.take([row]).annotations()  # raises an Annotation invariant's message
-            doc_id = spans.doc_ids[spans.doc_id[row]]
-            if doc_id not in docs:
-                raise ValidationError(f"annotation references unknown doc {doc_id!r}")
-            if spans.end[row] > docs[doc_id].length:
-                raise ValidationError(
-                    f"span [{spans.begin[row]}, {spans.end[row]}) exceeds doc {doc_id!r} "
-                    f"length {docs[doc_id].length}"
-                )
-            raise ValidationError(
-                f"annotation group {spans.groups[spans.group[row]]!r} not in the group universe"
-            )
+            # an Annotation invariant raises its own message as the record is made
+            (ann,) = spans.take([int(np.argmax(bad))]).annotations()
+            raise ValidationError(record_problem(ann, docs, universe))
 
         present = {spans.sources[s] for s in np.unique(spans.source[keep]).tolist()}
         store_sources = tuple(sorted(set(sources) | present))

@@ -54,9 +54,6 @@ from .metrics import (CuiMetricsResult, MetricsResult, confusion_counts, label_c
                       metrics_rows, prf)
 from .model import ALL_GROUPS, AnnotationStore, check_group
 
-EXHAUSTIVE = "exhaustive"
-SAMPLED = "sampled"
-
 DOC_LEVEL = "doc"
 MENTION_LEVEL = "mention"
 
@@ -74,15 +71,15 @@ MAX_TABLE_CELLS = 2**26
 class SearchConfig:
     """Parameters of one grid search run.
 
-    Singleton expressions are always evaluated (they anchor the baselines);
-    in SAMPLED mode the budget is spent on the remaining size strata.
+    Singleton expressions are always evaluated (they anchor the baselines).
+    With a ``sample_budget`` the search scores a seeded sample of that many
+    of the other ensembles, stratified by size; without one, all of them.
     """
 
     sources: tuple[str, ...]
     group: str = ALL_GROUPS
     min_size: int = 1
     max_size: Optional[int] = None
-    mode: str = EXHAUSTIVE
     sample_budget: Optional[int] = None
     seed: int = 0
     top_k: int = 10
@@ -91,10 +88,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.top_k < 1:
             raise ConfigError("top_k must be >= 1")
-        if self.mode not in (EXHAUSTIVE, SAMPLED):
-            raise ConfigError(f"unknown search mode {self.mode!r}")
-        if self.mode == SAMPLED and (self.sample_budget is None or self.sample_budget < 1):
-            raise ConfigError("sampled mode needs a sample budget >= 1")
+        if self.sample_budget is not None and self.sample_budget < 1:
+            raise ConfigError("sample budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -305,7 +300,7 @@ def grid_search(
     counts = _count_table(store, [(s, config.group) for s in (*pool, gold_source)])
     expressions, sizes, tables, space_rank = _ensemble_space(pool, config.min_size, max_size)
     rows = list(range(len(sizes)))
-    if config.mode == SAMPLED:
+    if config.sample_budget is not None:
         singles = [i for i in rows if sizes[i] == 1]
         rest = [i for i in rows if sizes[i] > 1]
         rows = singles + _stratified_sample(rest, sizes, config.sample_budget, config.seed)

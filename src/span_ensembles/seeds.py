@@ -3,7 +3,7 @@
 Every randomized tie-break in the package draws through these helpers, keyed
 by a master seed plus a context tuple (doc id, span index, character index,
 source name, ...).  Draws are pure functions of their keys, so results never
-depend on evaluation order or thread scheduling.
+depend on evaluation order.
 """
 
 from __future__ import annotations

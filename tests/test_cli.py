@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from span_ensembles import cli, search
+from span_ensembles import ALL_GROUPS, GOLD_SOURCE, SearchConfig, cli, grid_search, search
 from span_ensembles.cli import main
+from span_ensembles.report import ENSEMBLE_PANELS, JSON_FORMAT, PanelBlock, emit_table
 
 SEARCH_CSV_COLUMNS = [
     "corpus",
@@ -271,6 +272,29 @@ def test_search_beyond_the_size_limit_exits_validation_code(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "2,132,088 ensembles over 8 sources" in captured.err and "--max-size" in captured.err
+
+
+def test_search_budget_alone_samples_the_space(corpus, capsys, monkeypatch):
+    # --budget picks the sampled search: the report is grid_search's with that budget
+    stores = []
+    build_store = cli._build_store
+    monkeypatch.setattr(cli, "_build_store", lambda cfg: stores.append(build_store(cfg)) or stores[-1])
+    args = ["search", "--config", str(corpus / "config.json"), "--corpus-id", "c1", "--seed", "4",
+            "--top-k", "50", "--format", "json"]
+    code, sampled = run_cli([*args, "--budget", "5"], capsys)
+    assert code == 0
+    config = SearchConfig(sources=("A", "B", "C"), sample_budget=5, seed=4, top_k=50)
+    result = grid_search(stores[0], GOLD_SOURCE, config)
+    assert sampled == emit_table([PanelBlock("c1", ALL_GROUPS, result)], ENSEMBLE_PANELS, JSON_FORMAT)
+    assert len(result.by_f1) == 5 + 3  # the sample and the singles
+    code, exhaustive = run_cli(args, capsys)
+    assert code == 0 and exhaustive != sampled
+
+    assert main([*args, "--budget", "0"]) == 2
+    assert capsys.readouterr().err == "error: sample budget must be >= 1\n"
+    with pytest.raises(SystemExit) as exit_:
+        main([*args, "--mode", "sampled", "--budget", "5"])
+    assert exit_.value.code == 2 and "--mode" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("task", ["ner-eval", "vote", "complementarity"])

@@ -43,7 +43,7 @@ from span_ensembles import (
 )
 from span_ensembles import search
 from span_ensembles.model import GOLD_SOURCE
-from span_ensembles.search import SAMPLED, ScoredEnsemble, _count_table, _pareto_front
+from span_ensembles.search import ScoredEnsemble, _count_table, _pareto_front
 from conftest import (
     brute_confusion,
     comp_prf,
@@ -137,7 +137,6 @@ def test_scores_match_set_oracle(data):
             group=group,
             min_size=min_size,
             max_size=max_size,
-            mode=SAMPLED if sampled else "exhaustive",
             sample_budget=3 if sampled else None,
             seed=1,
         )
@@ -177,8 +176,7 @@ def test_ranked_views_match_sorted_definitions(data):
         group=data.draw(st.sampled_from((*GROUPS, ALL_GROUPS))),
         min_size=min_size,
         max_size=data.draw(st.integers(min_size, k)),
-        mode=data.draw(st.sampled_from(("exhaustive", SAMPLED))),
-        sample_budget=data.draw(st.integers(1, 12)),
+        sample_budget=data.draw(st.none() | st.integers(1, 12)),
         seed=data.draw(st.integers(0, 3)),
         top_k=data.draw(st.integers(1, 6)),
         beat_singles_f1_only=data.draw(st.booleans()),

@@ -1,5 +1,5 @@
-"""Every number of the ``search``, ``ner-eval``, ``vote``, ``complementarity``
-and ``ensemble-eval`` reports, end to end from the raw files.
+"""Every number of the ``search``, ``ner-eval``, ``vote``, ``complementarity``,
+``ensemble-eval`` and ``cui-eval`` reports, end to end from the raw files.
 
 Each example writes a small random corpus (a manifest with an empty
 document, gold and two to four systems whose spans overlap and touch, two
@@ -9,8 +9,10 @@ every group and for ``ALL``: the files are read by the reference readers
 (``conftest.scan_manifest``, ``conftest.scan_annotations``), overlaps are
 resolved by ``conftest.whole_run_disambiguation``, and each expression is
 evaluated over sets of covered (document, character) positions by
-``conftest.set_eval``; a majority vote's ties by ``seeds.pick_index``.  The
-search views are checked by their definitions
+``conftest.set_eval``; a majority vote's ties by ``seeds.pick_index``.  A
+``cui-eval --level mention`` report is recomputed one character at a time
+from concept layers resolved by ``conftest.quadratic_resolve_candidates``.
+The search views are checked by their definitions
 (``conftest.sorted_search_views``), and the CSV and markdown reports must
 carry the JSON numbers at their precision: in full in CSV, to two decimals
 in markdown.
@@ -35,7 +37,7 @@ from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from span_ensembles import cli, enumerate_ensembles, parse, search, seeds, to_string
@@ -44,6 +46,7 @@ from span_ensembles.expr import tree_sources
 from span_ensembles.model import ALL_GROUPS, GOLD_SOURCE, SpanColumns
 from conftest import (
     metrics_json_default,
+    quadratic_resolve_candidates,
     scalar_metrics,
     scan_annotations,
     scan_manifest,
@@ -53,17 +56,18 @@ from conftest import (
 )
 
 GROUPS = ("G1", "G2")
+CUIS = ("C0000001", "C0000002", "C0000003")
 CORPUS = "c1"
 VIEWS = ("by_f1", "by_precision", "by_recall", "pareto", "beating_all_singles")
 
 
 @st.composite
-def raw_corpora(draw, names=("A", "B", "zeta")):
+def raw_corpora(draw, names=("A", "B", "zeta"), concepts=False):
     """(documents, records per source): 1-3 documents of 1-25 characters and
     one empty one, and per source a list of JSON records.  The systems are
     two or more of ``names``.  Spans are up to 8 characters long, in group G1
-    or G2, sometimes scored; a span is sometimes followed by one that
-    touches it."""
+    or G2, sometimes scored and, with ``concepts``, mostly carrying one of
+    three concept ids; a span is sometimes followed by one that touches it."""
     systems = draw(st.permutations(names))[: draw(st.integers(2, len(names)))]
     lengths = draw(st.lists(st.integers(1, 25), min_size=1, max_size=3))
     lengths.insert(draw(st.integers(0, len(lengths))), 0)
@@ -85,6 +89,9 @@ def raw_corpora(draw, names=("A", "B", "zeta")):
                     score = draw(st.sampled_from([None, 0.5, 0.9]))
                     if score is not None:
                         record["score"] = score
+                    cui = draw(st.sampled_from((*CUIS, None))) if concepts else None
+                    if cui is not None:
+                        record["cui"] = cui
                     spans.append(record)
     return documents, records
 
@@ -103,20 +110,27 @@ def write_corpus(directory: Path, documents, records) -> Path:
     return directory / "config.json"
 
 
-def covered_sets(directory: Path, systems, seed: int = 0):
-    """The groups a ``--group each`` run reports, and per group the covered
-    (document, character) positions of each source after disambiguation
-    with ``seed``, read from the raw files."""
+def kept_spans(directory: Path, systems, seed: int):
+    """The groups a ``--group each`` run reports, ``ALL_GROUPS`` among them
+    in sorted order, and the spans kept after disambiguation with ``seed``,
+    read from the raw files."""
     documents = scan_manifest(directory / "manifest.jsonl")
     anns = []
     for source in (GOLD_SOURCE, *sorted(systems)):
         anns += scan_annotations(directory / f"{source}.jsonl", documents, source)
     spans = SpanColumns.from_annotations(anns)
     keep = whole_run_disambiguation(spans, seed, exempt=(GOLD_SOURCE,))
-    kept = [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
-    groups = sorted({a.group for a in anns if a.group is not None})
+    groups = sorted({ALL_GROUPS, *(a.group for a in anns if a.group is not None)})
+    return groups, [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
+
+
+def covered_sets(directory: Path, systems, seed: int = 0):
+    """Per group a ``--group each`` run reports, the covered (document,
+    character) positions of each source after disambiguation with ``seed``,
+    read from the raw files."""
+    groups, kept = kept_spans(directory, systems, seed)
     sets = {}
-    for group in (*groups, ALL_GROUPS):
+    for group in groups:
         sets[group] = {
             source: frozenset((a.doc_id, i) for a in kept
                               if a.source == source and group in (ALL_GROUPS, a.group)
@@ -355,7 +369,6 @@ NATIVE_TYPES = {
 }
 OWN_GROUPS = {GOLD_SOURCE: ("G1", "G2", None), "A": ("G1", "G3", None), "B": ("G2", None),
               "zeta": ("G1", None)}
-CUIS = ("C0000001", "C0000002", "C0000003")
 
 
 @st.composite
@@ -415,14 +428,10 @@ def mapped_corpus(directory: Path, systems, seed: int):
     return universe, dropped, [a for a, k in zip(spans.annotations(), keep.tolist()) if k]
 
 
-def doc_concept_metrics(gold: set, predicted: set) -> dict:
-    """A cui-eval report's metrics object for (document, CUI) pairs: per
-    CUI of either set, documents are the units; macro averages over CUIs."""
-    per_label = {}
-    for cui in sorted({c for _, c in gold | predicted}):
-        g = {d for d, c in gold if c == cui}
-        p = {d for d, c in predicted if c == cui}
-        per_label[cui] = scalar_metrics(len(g & p), len(p - g), len(g - p))
+def concept_metrics(counts: dict) -> dict:
+    """A cui-eval report's metrics object from (tp, fp, fn) per CUI: macro
+    averages over the CUIs."""
+    per_label = {cui: scalar_metrics(*counts[cui]) for cui in sorted(counts)}
     rows, k = per_label.values(), len(per_label)
     return {
         "macro_precision": sum(m.precision for m in rows) / k if k else 0.0,
@@ -431,6 +440,17 @@ def doc_concept_metrics(gold: set, predicted: set) -> dict:
         "degenerate": any(m.degenerate for m in rows) if k else True,
         "per_label": per_label,
     }
+
+
+def doc_concept_metrics(gold: set, predicted: set) -> dict:
+    """The metrics object for (document, CUI) pairs: per CUI of either set,
+    documents are the units."""
+    counts = {}
+    for cui in {c for _, c in gold | predicted}:
+        g = {d for d, c in gold if c == cui}
+        p = {d for d, c in predicted if c == cui}
+        counts[cui] = (len(g & p), len(p - g), len(g - p))
+    return concept_metrics(counts)
 
 
 def dropped_counts(note: str) -> tuple[int, Counter]:
@@ -501,3 +521,88 @@ def test_group_mapped_reports_match_the_raw_files(corpus, seed, data):
                   "combination": s, "metrics": doc_concept_metrics(gold, concepts[group][s])}
                  for s in sorted(operands)]
     assert cui == as_json({"layout": "cui", "rows": rows})
+
+
+def character_concepts(runs, length: int) -> list:
+    """The concept of each character of a document, None outside every run."""
+    labels = [None] * length
+    for begin, end, cui, _ in runs:
+        labels[begin:end] = [cui] * (end - begin)
+    return labels
+
+
+def mention_concept_counts(kept, documents, group: str, operands, union: str, seed: int) -> dict:
+    """Per scored combination (each operand, then ``union`` if there are two
+    or more), (tp, fp, fn) per CUI with characters as the units.  Per
+    document, gold and each operand are resolved into one concept layer from
+    their spans of ``group`` by the quadratic oracle; the union's layer is
+    resolved from its operands' layers."""
+    counts = {name: Counter() for name in (*operands, union)}
+    for doc_id, length in documents:
+        def layer(source: str, key: int):
+            votes = [(a.begin, a.end, a.cui, a.length) for a in kept
+                     if a.source == source and a.doc_id == doc_id and a.cui
+                     and group in (ALL_GROUPS, a.group)]
+            return quadratic_resolve_candidates(votes, doc_id, length, key)
+
+        gold = character_concepts(layer(GOLD_SOURCE, seeds.digest(seed, "gold-layer")), length)
+        layers = {s: layer(s, seeds.digest(seed, "layer", s)) for s in operands}
+        if len(operands) > 1:
+            stacked = [run for s in operands for run in layers[s]]
+            layers[union] = quadratic_resolve_candidates(stacked, doc_id, length, seed)
+        for name, runs in layers.items():
+            for g, p in zip(gold, character_concepts(runs, length)):
+                if g is not None:
+                    counts[name][g, 0 if g == p else 2] += 1
+                if p is not None and p != g:
+                    counts[name][p, 1] += 1
+    return {name: {cui: tuple(tally[cui, i] for i in range(3)) for cui, _ in tally}
+            for name, tally in counts.items()}
+
+
+@st.composite
+def concept_runs(draw):
+    """(documents, records per source, the operands of a union): a raw
+    corpus whose spans carry concept ids, and one or more of its systems."""
+    documents, records = draw(raw_corpora(concepts=True))
+    systems = [s for s in records if s != GOLD_SOURCE]
+    return documents, records, draw(st.permutations(systems))[: draw(st.integers(1, len(systems)))]
+
+
+def concept_record(source: str, begin: int, end: int, cui: str) -> dict:
+    return {"doc_id": "d0", "source": source, "begin": begin, "end": end, "group": "G1", "cui": cui}
+
+
+# Two systems label all of d0 with two concepts: every character of their
+# merge is a seeded pick.
+MERGE_TIE = ([("d0", 6), ("d1", 0)], {
+    GOLD_SOURCE: [concept_record(GOLD_SOURCE, 0, 6, CUIS[0])],
+    "A": [concept_record("A", 0, 6, CUIS[0])],
+    "B": [concept_record("B", 0, 6, CUIS[1])],
+}, ["A", "B"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(concept_runs(), st.integers(0, 2**16))
+@example(MERGE_TIE, 0)
+def test_mention_level_concept_report_matches_the_raw_files(corpus, seed):
+    documents, records, chosen = corpus
+    systems = [s for s in records if s != GOLD_SOURCE]
+    union = to_string(parse("|".join(chosen)))
+    operands = sorted(chosen)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = write_corpus(directory, documents, records)
+        groups, kept = kept_spans(directory, systems, seed)
+        report = json.loads(run_report(
+            ["cui-eval", "--config", str(config), "--group", "each", "--seed", str(seed),
+             "--level", "mention", "--expr", union, "--format", "json"], directory / "cui.json"))
+
+    rows = []
+    for group in groups:
+        counts = mention_concept_counts(kept, documents, group, operands, union, seed)
+        rows.append({"corpus": CORPUS, "group": group, "level": "mention", "kind": "ensemble",
+                     "combination": union, "metrics": concept_metrics(counts[union])})
+        rows += [{"corpus": CORPUS, "group": group, "level": "mention", "kind": "single",
+                  "combination": s, "metrics": concept_metrics(counts[s])} for s in operands]
+    assert report == as_json({"layout": "cui", "rows": rows})

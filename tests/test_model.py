@@ -12,7 +12,15 @@ from span_ensembles import (
     ValidationError,
     corpus_masks,
 )
-from span_ensembles.model import SpanColumns, check_group
+from span_ensembles import ingest
+from span_ensembles.model import (
+    ALL_IS_NO_LABEL,
+    COLUMNS,
+    SpanColumns,
+    check_group,
+    encode_values,
+    span_names,
+)
 
 
 def make_store():
@@ -101,6 +109,53 @@ def test_store_checks_only_the_kept_rows():
     columns.begin[0] = -1
     store = AnnotationStore.adopt([DocumentRef("d", 10)], columns, np.array([False, True]))
     assert [a.source for a in store.columns.annotations()] == ["B"]
+
+
+def test_store_refuses_a_kept_span_labelled_all():
+    # ALL is the unfiltered view over the groups, never a stored label
+    documents = [DocumentRef("d1", 10)]
+    with pytest.raises(ValidationError) as error:
+        AnnotationStore(documents, [Annotation("d1", "gold", 0, 5, group=ALL_GROUPS)])
+    assert str(error.value) == ALL_IS_NO_LABEL
+
+    def columns():
+        return SpanColumns.from_annotations([Annotation("d1", "A", 0, 5, group=ALL_GROUPS),
+                                             Annotation("d1", "B", 1, 2, group="g")])
+
+    with pytest.raises(ValidationError) as error:
+        AnnotationStore.adopt(documents, columns(), np.array([True, True]))
+    assert str(error.value) == ALL_IS_NO_LABEL
+    # a row that keep leaves out is not judged
+    store = AnnotationStore.adopt(documents, columns(), np.array([False, True]))
+    assert store.groups_present() == ("g",)
+
+
+# One record for each record rule, valid but for that rule, against one
+# document of 10 characters and the group universe ("G1",).
+BROKEN_RULES = {
+    "inverted span": {"begin": 5, "end": 2},
+    "negative begin": {"begin": -1},
+    "concept id": {"cui": "X123"},
+    "score": {"score": 1.5},
+    "unknown document": {"doc_id": "ghost"},
+    "past the end": {"end": 11},
+    "group ALL": {"group": ALL_GROUPS},
+    "group outside the universe": {"group": "G9"},
+}
+
+
+@pytest.mark.parametrize("rule", BROKEN_RULES)
+def test_store_words_each_refusal_as_the_reader_does(rule):
+    documents = {"d1": DocumentRef("d1", 10)}
+    record = {"doc_id": "d1", "source": "A", "begin": 0, "end": 4, "group": "G1",
+              **BROKEN_RULES[rule]}
+    message = ingest._span_problem(record, documents, None, ("G1",))
+    assert message is not None
+    names = span_names(documents)
+    columns = SpanColumns.join([(encode_values({c: [record.get(c)] for c in COLUMNS}, names), names)])
+    with pytest.raises(ValidationError) as error:
+        AnnotationStore(documents.values(), columns, ("G1",))
+    assert str(error.value) == message
 
 
 def in_group(store, group):

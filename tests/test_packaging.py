@@ -1,8 +1,9 @@
 """Every third-party module that the package imports is declared in
 ``pyproject.toml``, so a missing dependency fails here rather than at a
 user's first run; every name a source file imports is used in it; the
-per-character seeded picks are drawn in one function; and the record rules
-have one vector copy beside the per-record checks."""
+per-character seeded picks are drawn in one function; the record rules
+have one vector copy beside the per-record checks; and each record message
+is written in one place."""
 
 import ast
 import re
@@ -134,3 +135,47 @@ def test_record_rules_have_one_vector_home():
     stray = [f"{where} in {scope or 'the module'}" for where, scope in reads if scope not in homes]
     assert not stray, "CUI_PATTERN read outside its two homes:\n" + "\n".join(stray)
     assert {scope for _, scope in reads} == homes
+
+
+def string_texts(tree: ast.AST, scope: str = ""):
+    """(line, scope, text) of each string literal, an f-string's replacement
+    fields read as ``{}``; the scope of a module-level assignment is its
+    target."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in node.values)
+            yield node.lineno, scope, text
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.lineno, scope, node.value
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from string_texts(node, f"{scope}.{node.name}".lstrip("."))
+        elif isinstance(node, ast.Assign) and not scope:
+            yield from string_texts(node, ",".join(getattr(t, "id", "") for t in node.targets))
+        else:
+            yield from string_texts(node, scope)
+
+
+# Each record message's text, and the one place that writes it: the record
+# rules' templates in model.record_problem, the ALL text in its constant.
+RECORD_TEXTS = {
+    "unknown doc {}": "record_problem",
+    "exceeds doc {}": "record_problem",
+    "not in the group universe": "record_problem",
+    "denotes the unfiltered union": "ALL_IS_NO_LABEL",
+}
+
+
+def test_record_messages_have_one_writer():
+    found = [
+        (f"{path.relative_to(ROOT)}:{line}", scope, key)
+        for path in sorted((ROOT / "src").rglob("*.py"))
+        for line, scope, text in string_texts(ast.parse(path.read_text(encoding="utf-8")))
+        for key in RECORD_TEXTS if key in text
+    ]
+    # a lookup of a document by id, which reads no record, says the same words
+    lookup = ("unknown doc {}", "AnnotationStore.document")
+    stray = [f"{where} in {scope or 'the module'}: {key!r}" for where, scope, key in found
+             if scope != RECORD_TEXTS[key] and (key, scope) != lookup]
+    assert not stray, "record message text written outside its home:\n" + "\n".join(stray)
+    homes = {(where.split(":")[0], key) for where, scope, key in found if scope == RECORD_TEXTS[key]}
+    assert homes == {("src/span_ensembles/model.py", key) for key in RECORD_TEXTS}

@@ -18,7 +18,6 @@ PUBLIC = (
     "CuiRun",
     "DOC_LEVEL",
     "DocumentRef",
-    "EXHAUSTIVE",
     "EnsembleError",
     "ErrorSet",
     "ExprSignature",
@@ -30,7 +29,6 @@ PUBLIC = (
     "MetricsResult",
     "Or",
     "ParseError",
-    "SAMPLED",
     "SEMANTIC",
     "SYNTACTIC",
     "ScoredEnsemble",
@@ -96,8 +94,7 @@ CLI_OPTIONS = {
     "ensemble-eval": sorted([*IO_OPTIONS, "--expr"]),
     "ner-eval": IO_OPTIONS,
     "search": sorted([
-        *IO_OPTIONS, "--budget", "--f1-only", "--max-size", "--min-size", "--mode", "--top-k",
-        "--workers",
+        *IO_OPTIONS, "--budget", "--f1-only", "--max-size", "--min-size", "--top-k", "--workers",
     ]),
     "synth": [
         "--correlation", "--cui-vocab", "--density", "--doc-length", "--docs", "--groups",

@@ -31,7 +31,6 @@ from span_ensembles import (
 from span_ensembles import expr, search
 from span_ensembles.model import GOLD_SOURCE
 from span_ensembles.report import CSV_FORMAT, ENSEMBLE_PANELS, PanelBlock, emit_table
-from span_ensembles.search import SAMPLED
 from conftest import every_scored
 
 
@@ -165,8 +164,7 @@ def test_reported_expressions_reproduce_counts():
 def test_sampled_with_big_budget_equals_exhaustive():
     store = synth_store()
     exhaustive_config = SearchConfig(sources=("A", "B", "C"), seed=2)
-    sampled_config = SearchConfig(sources=("A", "B", "C"), mode=SAMPLED, sample_budget=10_000,
-                                  seed=2)
+    sampled_config = SearchConfig(sources=("A", "B", "C"), sample_budget=10_000, seed=2)
     exhaustive = grid_search(store, GOLD_SOURCE, exhaustive_config)
     sampled = grid_search(store, GOLD_SOURCE, sampled_config)
     assert sampled == exhaustive
@@ -177,7 +175,7 @@ def test_sampled_with_big_budget_equals_exhaustive():
 
 def test_sampled_respects_budget_and_determinism():
     store = synth_store()
-    config = SearchConfig(sources=("A", "B", "C"), mode=SAMPLED, sample_budget=7, seed=2)
+    config = SearchConfig(sources=("A", "B", "C"), sample_budget=7, seed=2)
     first = grid_search(store, GOLD_SOURCE, config)
     second = grid_search(store, GOLD_SOURCE, config)
     assert first == second
@@ -225,8 +223,7 @@ def test_search_space_beyond_the_limit_is_refused_before_any_work(monkeypatch):
     with pytest.raises(ConfigError, match=r"2,132,088 ensembles over 8 sources.*--max-size"):
         grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources))
     with pytest.raises(ConfigError, match=r"1,320,064 ensembles"):
-        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources, min_size=8, mode=SAMPLED,
-                                                      sample_budget=1))
+        grid_search(store, GOLD_SOURCE, SearchConfig(sources=sources, min_size=8, sample_budget=1))
 
 
 def test_search_space_count_is_exact():
