@@ -17,7 +17,9 @@ Each annotation file is read on its own (:func:`load_span_file`), names coded
 through tables of its own; the files are joined into one
 :class:`~span_ensembles.model.SpanColumns` by recoding each name column
 through one table.  Group mapping and disambiguation return row masks, so the
-columns are never copied until the store gathers them, once, into its order.
+columns are never copied until the store gathers them, once, into its order;
+disambiguation walks the columns' cluster members as int lists, and its
+record form, :func:`disambiguate_overlaps`, is the same walk.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, replace
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Collection, Iterable, Iterator, Mapping, Optional, Union
 
 import numpy as np
 import orjson
@@ -44,8 +46,10 @@ from .model import (
     DocumentRef,
     SemanticGroupMap,
     SpanColumns,
+    _sort_rank,
     encode_values,
     overlapping,
+    packed_lexsort,
     record_problem,
     row_faults,
     span_names,
@@ -463,73 +467,43 @@ def map_groups(spans: SpanColumns, gmap: SemanticGroupMap) -> MappingOutcome:
     return MappingOutcome(columns=mapped, kept=kept, dropped_types=dropped_types)
 
 
-def _overlap_clusters(spans: Sequence[Annotation]) -> list[list[int]]:
-    """Connected components of the overlap graph, left to right; ``spans``
-    must be sorted by begin."""
-    clusters: list[list[int]] = []
-    cluster_end = -1
-    for i, span in enumerate(spans):
-        if clusters and span.begin < cluster_end:
-            clusters[-1].append(i)
-            cluster_end = max(cluster_end, span.end)
-        else:
-            clusters.append([i])
-            cluster_end = span.end
-    return clusters
-
-
-def _select_winner(candidates: list[Annotation], rng) -> Annotation:
-    def rank(c: Annotation) -> tuple[int, float]:  # longest, then highest score (None lowest)
-        return c.length, -1.0 if c.score is None else c.score
-
-    best = max(map(rank, candidates))
-    pool = [c for c in candidates if rank(c) == best]
-    # the pool is in (begin, end, cui, native type) order, as the spans are; a
-    # draw from a pool of one would still advance the RNG
-    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
-
-
 def disambiguate_overlaps(annotations: Iterable[Annotation], seed: int) -> list[Annotation]:
-    """Resolve overlapping spans within one (source, doc) slice, per group.
-
-    Clusters of mutually overlapping spans are processed left to right; each
-    round the cluster winner (longest span, then highest score with no score
-    lowest, then a pick seeded by ``seed`` and the slice) survives and its
-    direct overlappers are removed, repeating until no overlaps remain.
-    Selection never synthesizes spans, so the result is a subset of the
-    input and the operation is idempotent.
-    """
+    """The records of one (source, doc) slice that :func:`disambiguate_spans`
+    keeps, sorted by (group, begin, end), ties by (no group last, CUI, native
+    type), then in input order: a subset of the input, so idempotent.
+    ValidationError if the records are of more than one slice."""
     anns = list(annotations)
-    if not anns:
-        return []
     slices = {(a.source, a.doc_id) for a in anns}
     if len(slices) > 1:
         raise ValidationError(f"annotations span multiple (source, doc) slices: {sorted(slices)}")
-    source, doc_id = next(iter(slices))
-    rng = seeds.derive_rng(seed, "disambiguate", source, doc_id)
+    keep = disambiguate_spans(SpanColumns.from_annotations(anns), seed).tolist()
+    return sorted((a for a, k in zip(anns, keep) if k), key=lambda a: (
+        a.group or "", a.begin, a.end, a.group is None, a.cui or "", a.native_type or ""))
 
-    by_group: dict[Optional[str], list[Annotation]] = {}
-    for ann in anns:
-        by_group.setdefault(ann.group, []).append(ann)
 
-    kept: list[Annotation] = []
-    for group in sorted(by_group, key=lambda g: (g is None, g or "")):
-        spans = sorted(
-            by_group[group], key=lambda a: (a.begin, a.end, a.cui or "", a.native_type or "")
-        )
-        while True:
-            clusters = [c for c in _overlap_clusters(spans) if len(c) > 1]
-            if not clusters:
-                break
-            removed: set[int] = set()
-            for cluster in clusters:
-                winner = _select_winner([spans[i] for i in cluster], rng)
-                removed.update(i for i in cluster if spans[i] is not winner
-                               and spans[i].begin < winner.end and winner.begin < spans[i].end)
-            spans = [s for i, s in enumerate(spans) if i not in removed]
-        kept.extend(spans)
-    kept.sort(key=lambda a: (a.group or "", a.begin, a.end))
-    return kept
+def _walk_run(begin: np.ndarray, end: np.ndarray, score: np.ndarray, rng) -> list[int]:
+    """The positions of one run of a group's spans, in walk order, that
+    survive disambiguation, round by round (see :func:`disambiguate_spans`)."""
+    rank = list(zip((end - begin).tolist(), score.tolist()))
+    begin, end, alive = begin.tolist(), end.tolist(), list(range(len(rank)))
+    while True:
+        clusters, reach = [], -1
+        for i in alive:
+            if clusters and begin[i] < reach:
+                clusters[-1].append(i)
+            else:
+                clusters.append([i])
+            reach = max(reach, end[i])
+        losers = set()
+        for cluster in (c for c in clusters if len(c) > 1):
+            best = max(rank[i] for i in cluster)
+            pool = [i for i in cluster if rank[i] == best]
+            # a draw from a pool of one would still advance the RNG
+            w = pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+            losers.update(i for i in cluster if i != w and begin[i] < end[w] and begin[w] < end[i])
+        if not losers:  # a cluster's winner overlaps one of its members at least
+            return alive
+        alive = [i for i in alive if i not in losers]
 
 
 def disambiguate_spans(
@@ -542,28 +516,38 @@ def disambiguate_spans(
     source is not exempt, as a boolean mask: the rows of ``keep`` (all if
     None) less those it removes.
 
+    A slice's groups are walked in name order, no group last, all drawing
+    from one ``seeds.derive_rng(seed, "disambiguate", source, doc_id)``, each
+    group's spans in (begin, end, CUI, native type) order, ties in row order.
+    Clusters of overlapping spans are resolved left to right, a round at a
+    time: each cluster's winner (the longest span, then the highest score,
+    no score lowest, then a seeded pick among the tied) removes the spans
+    that overlap it, until none overlap.
+
     Only the members of clusters of two or more overlapping spans, found by
-    one running-max scan over the kept rows, reach
-    :func:`disambiguate_overlaps`: one call per (source, doc) slice, rows in
-    row order, their records made ``CHUNK_LINES`` rows at a time.  A span in
-    no such cluster overlaps nothing, so it is never removed, joins no
-    cluster in any round and takes no random pick; as the picks are keyed per
-    (source, doc), leaving it out changes none of them.
+    one running-max scan over the kept rows, are walked, put in that order by
+    one :func:`~span_ensembles.model.packed_lexsort`.  A span in no such
+    cluster overlaps nothing: it is never removed and takes no random pick.
     """
     keep = np.ones(len(spans), dtype=bool) if keep is None else keep.copy()
-    exempt = set(exempt)
-    exempt_codes = [i for i, source in enumerate(spans.sources) if source in exempt]
-    members = overlapping(spans, keep & ~np.isin(spans.source, exempt_codes), openers=True)
-    rows = np.flatnonzero(members)
-    slice_key = spans.source[rows].astype(np.int64) * len(spans.doc_ids) + spans.doc_id[rows]
-    rows = rows[np.argsort(slice_key, kind="stable")]
-    records = (ann for at in range(0, len(rows), CHUNK_LINES)
-               for ann in spans.take(rows[at : at + CHUNK_LINES]).annotations())
-    slices = groupby(zip(rows.tolist(), records), key=lambda pair: (pair[1].source, pair[1].doc_id))
-    for _, in_slice in slices:
-        in_slice = list(in_slice)
-        kept = {id(a) for a in disambiguate_overlaps([a for _, a in in_slice], seed)}
-        keep[[row for row, a in in_slice if id(a) not in kept]] = False
+    exempt = [spans.sources.index(source) for source in set(exempt) & set(spans.sources)]
+    rows = np.flatnonzero(overlapping(spans, keep & ~np.isin(spans.source, exempt), openers=True))
+    rows = rows[packed_lexsort((
+        _sort_rank(spans.native_types)[spans.native_type[rows]],
+        _sort_rank(spans.cuis)[spans.cui[rows]], spans.end[rows], spans.begin[rows],
+        _sort_rank(spans.groups, none_last=True)[spans.group[rows]],
+        spans.doc_id[rows], spans.source[rows]))]
+    source, doc, group = (getattr(spans, col)[rows] for col in ("source", "doc_id", "group"))
+    new_slice = (np.diff(source, prepend=-1) != 0) | (np.diff(doc, prepend=-1) != 0)
+    starts = np.flatnonzero(new_slice | (np.diff(group, prepend=-1) != 0))  # of each run
+    slices = zip(new_slice[starts].tolist(), source[starts].tolist(), doc[starts].tolist())
+    begin, end = spans.begin[rows], spans.end[rows]
+    score = np.nan_to_num(spans.score[rows], nan=-1.0)  # no score ranks lowest
+    keep[rows] = False
+    for lo, hi, (first, s, d) in zip(starts.tolist(), [*starts[1:].tolist(), len(rows)], slices):
+        if first:
+            rng = seeds.derive_rng(seed, "disambiguate", spans.sources[s], spans.doc_ids[d])
+        keep[rows[lo:hi][_walk_run(begin[lo:hi], end[lo:hi], score[lo:hi], rng)]] = True
     return keep
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral, Real
 from typing import Collection, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -24,6 +25,11 @@ GOLD_SOURCE = "gold"
 CUI_PATTERN = re.compile(r"^C\d{7}$")
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, Integral) and type(value) is not bool
+
+
 @dataclass(frozen=True)
 class DocumentRef:
     """One document of a corpus, identified by id and measured in characters."""
@@ -35,6 +41,9 @@ class DocumentRef:
     def __post_init__(self):
         if not self.doc_id:
             raise ValidationError("doc_id must be non-empty")
+        if not _is_integer(self.length):
+            raise ValidationError(f"document {self.doc_id!r}: length {self.length!r} is not "
+                                  "an integer")
         if self.length < 0:
             raise ValidationError(f"document {self.doc_id!r}: negative length {self.length}")
 
@@ -57,13 +66,16 @@ class Annotation:
     score: Optional[float] = None
 
     def __post_init__(self):
-        if self.begin < 0 or self.end <= self.begin:
+        if not (_is_integer(self.begin) and _is_integer(self.end) and 0 <= self.begin < self.end):
             raise ValidationError(f"bad span [{self.begin}, {self.end}) from source "
                                   f"{self.source!r} in doc {self.doc_id!r}")
         if self.cui is not None and not CUI_PATTERN.match(self.cui):
             raise ValidationError(f"bad concept id {self.cui!r} (expected 'C' + 7 digits)")
-        if self.score is not None and not 0.0 <= self.score <= 1.0:
-            raise ValidationError(f"score {self.score} outside [0, 1]")
+        if self.score is not None:
+            if type(self.score) is bool or not isinstance(self.score, Real):
+                raise ValidationError(f"score {self.score!r} is not a number")
+            if not 0.0 <= self.score <= 1.0:
+                raise ValidationError(f"score {self.score} outside [0, 1]")
 
     @property
     def length(self) -> int:
@@ -277,9 +289,10 @@ def row_faults(spans: SpanColumns, lengths: np.ndarray, universe: Collection[str
     return faults
 
 
-def _sort_rank(names: Sequence[Optional[str]]) -> np.ndarray:
-    """Rank of each name in string order, None ranking as the empty string."""
-    keys = [name or "" for name in names]
+def _sort_rank(names: Sequence[Optional[str]], none_last: bool = False) -> np.ndarray:
+    """Rank of each name in string order, None ranking as the empty string
+    or, if ``none_last``, after every name."""
+    keys = [(none_last and name is None, name or "") for name in names]
     rank = {key: i for i, key in enumerate(sorted(set(keys)))}
     return np.array([rank[key] for key in keys], dtype=np.int32)
 

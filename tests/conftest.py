@@ -21,7 +21,6 @@ from span_ensembles import (
     Or,
     ParseError,
     ValidationError,
-    disambiguate_overlaps,
     grid_search,
     seeds,
 )
@@ -471,9 +470,69 @@ def scan_annotations(path, documents, expected_source=None):
     return annotations
 
 
+def _overlap_clusters(spans) -> list[list[int]]:
+    """Connected components of the overlap graph, left to right; ``spans``
+    must be sorted by begin."""
+    clusters: list[list[int]] = []
+    cluster_end = -1
+    for i, span in enumerate(spans):
+        if clusters and span.begin < cluster_end:
+            clusters[-1].append(i)
+            cluster_end = max(cluster_end, span.end)
+        else:
+            clusters.append([i])
+            cluster_end = span.end
+    return clusters
+
+
+def _select_winner(candidates: list, rng) -> Annotation:
+    def rank(c: Annotation) -> tuple[int, float]:  # longest, then highest score (None lowest)
+        return c.length, -1.0 if c.score is None else c.score
+
+    best = max(map(rank, candidates))
+    pool = [c for c in candidates if rank(c) == best]
+    # the pool is in (begin, end, cui, native type) order, as the spans are; a
+    # draw from a pool of one would still advance the RNG
+    return pool[rng.randrange(len(pool))] if len(pool) > 1 else pool[0]
+
+
+def record_disambiguation(anns: list, seed: int) -> list:
+    """Reference disambiguation of the records of one (source, doc) slice,
+    one ``Annotation`` per span: per group (by name, None last), spans sorted
+    by (begin, end, CUI, native type), clusters of overlapping spans are
+    resolved left to right, a round at a time, each winner (longest, then
+    highest score, then a pick from the slice's seeded RNG) removing its
+    direct overlappers.  The kept records, each the very object passed in,
+    grouped and sorted as they were walked."""
+    if not anns:
+        return []
+    ((source, doc_id),) = {(a.source, a.doc_id) for a in anns}
+    rng = seeds.derive_rng(seed, "disambiguate", source, doc_id)
+    by_group: dict = {}
+    for ann in anns:
+        by_group.setdefault(ann.group, []).append(ann)
+    kept: list = []
+    for group in sorted(by_group, key=lambda g: (g is None, g or "")):
+        spans = sorted(
+            by_group[group], key=lambda a: (a.begin, a.end, a.cui or "", a.native_type or "")
+        )
+        while True:
+            clusters = [c for c in _overlap_clusters(spans) if len(c) > 1]
+            if not clusters:
+                break
+            removed: set[int] = set()
+            for cluster in clusters:
+                winner = _select_winner([spans[i] for i in cluster], rng)
+                removed.update(i for i in cluster if spans[i] is not winner
+                               and spans[i].begin < winner.end and winner.begin < spans[i].end)
+            spans = [s for i, s in enumerate(spans) if i not in removed]
+        kept.extend(spans)
+    return kept
+
+
 def whole_run_disambiguation(spans, policy, exempt=()) -> np.ndarray:
     """Reference disambiguation of columns: every (source, doc, group) run
-    that holds an overlap is passed whole to ``disambiguate_overlaps``, its
+    that holds an overlap is passed whole to ``record_disambiguation``, its
     spans that overlap nothing included, one call per (source, doc) slice
     with the rows in row order.  Returns the mask of the rows kept."""
     exempt = set(exempt)
@@ -489,7 +548,7 @@ def whole_run_disambiguation(spans, policy, exempt=()) -> np.ndarray:
     bounds = [0, *(np.flatnonzero(np.diff(slice_key[rows])) + 1).tolist(), len(rows)]
     anns = spans.take(rows).annotations()
     for lo, hi in zip(bounds, bounds[1:]):
-        kept = {id(a) for a in disambiguate_overlaps(anns[lo:hi], policy)}
+        kept = {id(a) for a in record_disambiguation(anns[lo:hi], policy)}
         removed = [row for row, a in zip(rows[lo:hi].tolist(), anns[lo:hi]) if id(a) not in kept]
         keep[removed] = False
     return keep

@@ -10,9 +10,10 @@ rules are ``model.row_faults``).  A store built from columns must hold the
 same slices as one built
 from ``Annotation`` records, and the group mapping and disambiguation of
 columns must keep exactly what the per-record functions keep.  The packed
-sort must give ``np.lexsort``'s order, and disambiguation of cluster
+sort must give ``np.lexsort``'s order, and the column walk of cluster
 members only must keep the rows that ``conftest.whole_run_disambiguation``
-(every run with an overlap passed whole) keeps.
+(every run with an overlap passed whole to the record walk,
+``conftest.record_disambiguation``) keeps.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from span_ensembles import (
     ParseError,
     SemanticGroupMap,
     ValidationError,
+    cli,
     disambiguate_overlaps,
     ingest,
     load_annotations,
@@ -47,7 +49,12 @@ from span_ensembles.ingest import (
     map_groups,
 )
 from span_ensembles.model import COLUMNS, NAMED_COLUMNS, SpanColumns, overlapping, packed_lexsort
-from conftest import scan_annotations, scan_manifest, whole_run_disambiguation
+from conftest import (
+    record_disambiguation,
+    scan_annotations,
+    scan_manifest,
+    whole_run_disambiguation,
+)
 
 DOCS = {d.doc_id: d for d in (DocumentRef("d1", 40), DocumentRef("d2", 25), DocumentRef("d[3]", 10))}
 GROUPS = ("G1", "G2", "G{3}")
@@ -621,15 +628,14 @@ def test_column_mapping_and_disambiguation_match_records(anns, seed):
     assert mapped.annotations() == expected
     assert outcome.dropped_types == dropped and outcome.dropped == sum(dropped.values())
 
-    policy = seed
-    kept = mapped.take(disambiguate_spans(mapped, policy, exempt=("gold",)))
+    kept = mapped.take(disambiguate_spans(mapped, seed, exempt=("gold",)))
     kept = kept.annotations()
     slices: dict = {}
     for ann in expected:
         slices.setdefault((ann.source, ann.doc_id), []).append(ann)
     reference = [
         a for (source, _), group in slices.items()
-        for a in (group if source == "gold" else disambiguate_overlaps(group, policy))
+        for a in (group if source == "gold" else record_disambiguation(group, seed))
     ]
     assert sorted(kept, key=repr) == sorted(reference, key=repr)
 
@@ -700,7 +706,9 @@ def tied_spans(draw):
     """Spans of A, B and gold over two documents, from few lengths and two
     scores, so that clusters hold ties of equal length and score, several
     per slice and group, and some clusters need more than one round; plus
-    a mask of the rows to keep, as group mapping leaves one."""
+    a mask of the rows to keep, as group mapping leaves one.  Groups and
+    native types may be the empty string, which ranks as no value does, and
+    some spans come twice, every field equal."""
     anns = []
     for doc in (DocumentRef("d1", 40), DocumentRef("d2", 16)):
         for source in ("A", "B", "gold"):
@@ -709,39 +717,53 @@ def tied_spans(draw):
                 length = draw(st.sampled_from([2, 4, 4, 6]))
                 anns.append(Annotation(
                     doc.doc_id, source, begin, min(begin + length, doc.length),
-                    group=draw(st.sampled_from(["G1", "G1", "G2", None])),
+                    group=draw(st.sampled_from(["G1", "G1", "G2", "", None])),
+                    native_type=draw(st.sampled_from([None, None, "", "T1"])),
                     cui=draw(st.sampled_from([None, None, "C0000001"])),
                     score=draw(st.sampled_from([None, 0.5, 0.5])),
                 ))
+                if draw(st.integers(0, 9)) == 0:
+                    anns.append(replace(anns[-1]))  # equal, as two rows are, not one object
     anns = draw(st.permutations(anns))
     keep = draw(st.lists(st.booleans(), min_size=len(anns), max_size=len(anns)))
     return anns, np.array(keep, dtype=bool)
 
 
 @settings(max_examples=300, deadline=None)
-@given(tied_spans(), st.sampled_from([3, 5]) | st.integers(0, 1000), st.sampled_from([1, 3, 4096]))
-def test_cluster_only_disambiguation_keeps_what_whole_runs_keep(spans_and_keep, seed, batch):
+@given(tied_spans(), st.sampled_from([3, 5]) | st.integers(0, 1000))
+def test_cluster_only_disambiguation_keeps_what_whole_runs_keep(spans_and_keep, seed):
+    # the column walk of cluster members against the record walk of whole runs
     anns, keep = spans_and_keep
     spans = SpanColumns.from_annotations(anns)
-    policy = seed
-    with pytest.MonkeyPatch.context() as patch:  # records are made a batch of rows at a time
-        patch.setattr(ingest, "CHUNK_LINES", batch)
-        got = disambiguate_spans(spans, policy, exempt=("gold",))
-        masked = disambiguate_spans(spans, policy, exempt=("gold",), keep=keep)
-    assert got.tolist() == whole_run_disambiguation(spans, policy, exempt=("gold",)).tolist()
+    got = disambiguate_spans(spans, seed, exempt=("gold",))
+    assert got.tolist() == whole_run_disambiguation(spans, seed, exempt=("gold",)).tolist()
     # rows left out by a mask take no part, as if they were not there
-    got = masked
+    got = disambiguate_spans(spans, seed, exempt=("gold",), keep=keep)
     assert not (got & ~keep).any()
-    expected = whole_run_disambiguation(spans.take(keep), policy, exempt=("gold",))
+    expected = whole_run_disambiguation(spans.take(keep), seed, exempt=("gold",))
     assert got[keep].tolist() == expected.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_spans(), st.integers(0, 1000))
+def test_disambiguate_overlaps_returns_the_record_walks_survivors_in_order(spans_and_keep, seed):
+    anns, _ = spans_and_keep
+    for source in ("A", "B"):
+        in_slice = [a for a in anns if (a.source, a.doc_id) == (source, "d1")]
+        expected = sorted(record_disambiguation(in_slice, seed), key=lambda a: (
+            a.group or "", a.begin, a.end, a.group is None, a.cui or "", a.native_type or ""))
+        got = disambiguate_overlaps(in_slice, seed)
+        assert got == expected
+        # an exact duplicate is one record or the other: the very objects, in order
+        assert [id(a) for a in got] == [id(a) for a in expected]
 
 
 def test_cluster_only_disambiguation_passes_cluster_members_only(monkeypatch):
     """One slice: in G1 a cluster that takes two rounds ([0, 10) wins, then
     [12, 16) and [14, 18) tie), a tied pair and a singleton; in G2 a tied
     pair and a singleton; one span with no group.  Only the eight members of
-    the multi-span clusters reach ``disambiguate_overlaps``, and every seed
-    keeps what the whole runs keep."""
+    the multi-span clusters reach the walk, six of G1 and two of G2, and
+    every seed keeps what the whole runs keep."""
     spans = SpanColumns.from_annotations([
         Annotation("d1", "A", begin, end, group=group, score=score)
         for begin, end, group, score in [
@@ -751,18 +773,51 @@ def test_cluster_only_disambiguation_passes_cluster_members_only(monkeypatch):
             (40, 42, None, None),
         ]
     ])
-    passed = []
-    calls = ingest.disambiguate_overlaps
-    monkeypatch.setattr(
-        ingest, "disambiguate_overlaps", lambda anns, policy: passed.append(len(anns)) or calls(anns, policy)
-    )
+    walked = []  # the rows each run brings to the walk
+    walk = ingest._walk_run
+    monkeypatch.setattr(ingest, "_walk_run", lambda begin, *rest: walked.append(len(begin))
+                        or walk(begin, *rest))
     outcomes = set()
     for seed in (3, 5, *range(12)):
-        policy = seed
-        kept = disambiguate_spans(spans, policy)
-        assert kept.tolist() == whole_run_disambiguation(spans, policy).tolist()
+        walked.clear()
+        kept = disambiguate_spans(spans, seed)
+        assert walked == [6, 2]
+        assert kept.tolist() == whole_run_disambiguation(spans, seed).tolist()
         # [9, 13) lost round one; one of the round-two tie survives
         assert kept[[0, 6, 9, 10]].all() and not kept[1] and kept[[2, 3]].sum() == 1
         outcomes.add(tuple(kept.tolist()))
-    assert set(passed) == {8}
     assert len(outcomes) > 1  # the seeded ties decide which rows stay
+
+
+def test_set_up_builds_no_annotation_record(tmp_path, monkeypatch):
+    """``cli._build_store`` reads, group-maps and disambiguates on the
+    columns: on a corpus where each system's spans form tied clusters in
+    every document and group, it makes no ``Annotation`` record."""
+    docs = {"d1": 30, "d2": 20}
+    (tmp_path / "manifest.jsonl").write_text(
+        "".join(json.dumps({"doc_id": d, "length": n}) + "\n" for d, n in docs.items()))
+    (tmp_path / "groups.txt").write_text("GA|G1|T001|one\nGB|G2|T002|two\n")
+    systems = ("A", "B")
+    for source in ("gold", *systems):
+        (tmp_path / f"{source}.jsonl").write_text("".join(
+            json.dumps({"doc_id": d, "source": source, "begin": b, "end": b + 4,
+                        "native_type": native, "score": 0.5}) + "\n"
+            for d in docs for b in (0, 2, 8, 10, 12) for native in ("T001", "T002")))
+    (tmp_path / "config.json").write_text(json.dumps({
+        "manifest": "manifest.jsonl", "gold": "gold.jsonl", "semgroups": "groups.txt",
+        "systems": {s: f"{s}.jsonl" for s in systems}}))
+    args = cli.build_parser().parse_args(["ner-eval", "--config", str(tmp_path / "config.json")])
+    cfg = cli._resolve_run_config(args)
+    expected = cli._build_store(cfg).columns
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the set-up made an Annotation record")
+
+    monkeypatch.setattr(SpanColumns, "annotations", refuse)
+    monkeypatch.setattr(Annotation, "__init__", refuse)
+    store = cli._build_store(cfg)
+    got = store.columns
+    assert all(np.array_equal(getattr(got, col), getattr(expected, col)) for col in COLUMNS)
+    # each of a system's 8 clusters lost a span or two; gold is kept whole
+    assert len(got) <= 3 * 20 - 2 * 8
+    assert not (overlapping(got) & (got.source != store.sources.index("gold"))).any()

@@ -17,6 +17,10 @@ The search views are checked by their definitions
 carry the JSON numbers at their precision: in full in CSV, to two decimals
 in markdown.
 
+A manifest that pools several corpora is checked with ``--corpus-id``: the
+``search`` and ``ner-eval`` numbers cover every document under the given
+label, and the same call without it exits 2, naming the corpora.
+
 With a groups file and per-source overrides, the ``ner-eval``,
 ``ensemble-eval`` and ``cui-eval --level doc`` reports and the drop note are
 recomputed the same way, after mapping each span's group from the two
@@ -96,11 +100,14 @@ def raw_corpora(draw, names=("A", "B", "zeta"), concepts=False):
     return documents, records
 
 
-def write_corpus(directory: Path, documents, records) -> Path:
-    """The manifest, one JSONL file per source and a run config; the config's path."""
+def write_corpus(directory: Path, documents, records, corpus_ids=None) -> Path:
+    """The manifest, one JSONL file per source and a run config; the config's
+    path.  Each document is in corpus ``CORPUS``, or in its own of
+    ``corpus_ids`` if given."""
+    corpus_ids = corpus_ids or [CORPUS] * len(documents)
     (directory / "manifest.jsonl").write_text("".join(
-        json.dumps({"doc_id": doc_id, "length": n, "corpus_id": CORPUS}) + "\n"
-        for doc_id, n in documents
+        json.dumps({"doc_id": doc_id, "length": n, "corpus_id": corpus_id}) + "\n"
+        for (doc_id, n), corpus_id in zip(documents, corpus_ids)
     ))
     for source, spans in records.items():
         (directory / f"{source}.jsonl").write_text("".join(json.dumps(r) + "\n" for r in spans))
@@ -165,6 +172,22 @@ def as_json(payload):
     return json.loads(json.dumps(payload, default=metrics_json_default))
 
 
+def search_and_ner_reports(sets, systems, corpus: str) -> tuple[dict, dict]:
+    """The JSON ``search`` and ``ner-eval`` reports of a ``--group each`` run
+    labelled ``corpus``, from the position sets of each group."""
+    groups = sorted(sets)  # the report's order: by group, ALL among them
+    blocks = []
+    for group in groups:
+        views = sorted_search_views(scored_space(sets[group], systems), 10, False)
+        blocks.append({"corpus": corpus, "group": group, "singles": views["singles"],
+                       **{name: [json_item(s) for s in views[name]] for name in VIEWS}})
+    rows = [{"corpus": corpus, "group": group, "system": system,
+             "metrics": oracle_metrics(sets[group][GOLD_SOURCE], sets[group][system])}
+            for group in groups for system in sorted(systems)]
+    return (as_json({"layout": "ensemble_panels", "blocks": blocks}),
+            as_json({"layout": "single_systems", "rows": rows}))
+
+
 def run_report(argv, out: Path) -> str:
     assert cli.main([*argv, "--out", str(out)]) == 0
     return out.read_text(encoding="utf-8")
@@ -222,20 +245,8 @@ def test_search_and_ner_eval_reports_match_the_raw_files(corpus, block_chars):
             ner = {fmt: run_report(["ner-eval", *base, "--format", fmt], directory / f"n.{fmt}")
                    for fmt in ("json", "csv", "markdown")}
 
-    groups = sorted(sets)  # the report's order: by group, ALL among them
-    blocks = []
-    for group in groups:
-        views = sorted_search_views(scored_space(sets[group], systems), 10, False)
-        blocks.append({"corpus": CORPUS, "group": group, "singles": views["singles"],
-                       **{name: [json_item(s) for s in views[name]] for name in VIEWS}})
-    report = json.loads(panels["json"])
-    assert report == as_json({"layout": "ensemble_panels", "blocks": blocks})
-
-    gold_rows = [{"corpus": CORPUS, "group": group, "system": system,
-                  "metrics": oracle_metrics(sets[group][GOLD_SOURCE], sets[group][system])}
-                 for group in groups for system in sorted(systems)]
-    ner_report = json.loads(ner["json"])
-    assert ner_report == as_json({"layout": "single_systems", "rows": gold_rows})
+    report, ner_report = json.loads(panels["json"]), json.loads(ner["json"])
+    assert (report, ner_report) == search_and_ner_reports(sets, systems, CORPUS)
 
     # CSV: each block's reported rows, once each, by expression, in full precision
     expected_rows = []
@@ -277,6 +288,38 @@ def test_search_and_ner_eval_reports_match_the_raw_files(corpus, block_chars):
         [[CORPUS, r["group"], r["system"], str(r["metrics"]["n_gold"]), *md_metrics(r["metrics"])]
          for r in ner_report["rows"]]
     ]
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw_corpora(), st.integers(0, 2**16), st.data())
+def test_a_pooled_manifest_reports_under_the_corpus_id_it_is_given(corpus, seed, data):
+    """A manifest whose documents come from several corpora is scored as one
+    pool: with ``--corpus-id`` every row carries that label and every number
+    covers all the documents; without it the run exits 2, naming the
+    corpora, and writes no report."""
+    documents, records = corpus
+    systems = [s for s in records if s != GOLD_SOURCE]
+    corpus_ids = ["c1", "c 2", *(data.draw(st.sampled_from(["c1", "c 2", "c3"]))
+                                 for _ in documents[2:])]
+    corpus_ids = data.draw(st.permutations(corpus_ids))
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        config = write_corpus(directory, documents, records, corpus_ids)
+        sets = covered_sets(directory, systems, seed)
+        base = ["--config", str(config), "--group", "each", "--seed", str(seed),
+                "--format", "json"]
+        pooled = ["--corpus-id", "pool", *base]
+        panels = json.loads(run_report(["search", *pooled], directory / "s.json"))
+        ner = json.loads(run_report(["ner-eval", *pooled], directory / "n.json"))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(["ner-eval", *base, "--out", str(directory / "unnamed.json")])
+        assert not (directory / "unnamed.json").exists()
+
+    assert (panels, ner) == search_and_ner_reports(sets, systems, "pool")
+    assert code == 2
+    named = ", ".join(map(repr, sorted(set(corpus_ids))))
+    assert err.getvalue() == (f"error: the manifest pools corpora {named}; "
+                              "name the pool with --corpus-id or config corpus_id\n")
 
 
 def vote_set(sets, systems, seed: int) -> frozenset:

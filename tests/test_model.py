@@ -40,6 +40,40 @@ def test_document_rejects_negative_length():
         DocumentRef("d1", -1)
 
 
+@pytest.mark.parametrize("length", [5.9, 5.0, True, np.float64(5), np.bool_(True), "5", None])
+def test_document_refuses_a_length_that_is_no_integer(length):
+    # a store would report int(5.9) == 5 beside a document of length 5.9
+    with pytest.raises(ValidationError, match="is not an integer"):
+        DocumentRef("d1", length)
+
+
+@pytest.mark.parametrize("begin, end", [
+    (0.5, 3.7), (0.0, 3), (0, 3.0), (True, 3), (0, True), (np.float64(1), 3), (np.bool_(False), 3),
+    ("0", 3),
+])
+def test_annotation_refuses_offsets_that_are_no_integers(begin, end):
+    # [0.5, 3.7) would be stored as [0, 3), and True as 1
+    with pytest.raises(ValidationError, match="bad span"):
+        Annotation("d1", "A", begin, end)
+
+
+@pytest.mark.parametrize("score", [True, False, np.bool_(True), "0.5"])
+def test_annotation_refuses_a_score_that_is_no_number(score):
+    with pytest.raises(ValidationError, match="is not a number"):
+        Annotation("d1", "A", 0, 3, score=score)
+
+
+def test_records_take_python_and_numpy_integers():
+    doc = DocumentRef("d1", np.int32(10))
+    for begin, end in ((np.int64(2), np.int32(5)), (np.uint8(2), 5), (2, np.int16(5))):
+        ann = Annotation("d1", "A", begin, end, score=np.float32(0.5))
+        store = AnnotationStore([doc], [ann, Annotation("d1", "B", 0, 1, score=1)])
+        assert store.doc_lengths.tolist() == [10]
+        (got,) = store.annotations_for("A", "d1")
+        assert (got.begin, got.end, type(got.begin)) == (2, 5, int)
+        assert store.annotations_for("B", "d1")[0].score == 1.0
+
+
 def test_annotation_rejects_inverted_span():
     with pytest.raises(ValidationError):
         Annotation("d1", "A", 12, 5)
